@@ -7,18 +7,17 @@
 //! cited papers' setting. This module adapts each placement *rule* into a
 //! round-based rebalancing protocol with the paper protocols' shape, so
 //! the baselines run inside the same generic machinery (the experiment
-//! harness's protocol sweeps, the online simulation's rebalancing pass,
-//! the `protocol_matrix` driver):
+//! harness's protocol sweeps and the `protocol_matrix` driver):
 //!
 //! * **departure** — Algorithm 5.1's rule: every overloaded resource
 //!   ejects its cutting-and-above tasks (`I_a ∪ I_c`), consuming no RNG;
 //! * **movement** — the baseline's placement rule re-places each ejected
 //!   task among the *candidate bins*: the non-isolated nodes of the graph
 //!   passed to `step`. Topology is otherwise ignored (these are
-//!   global-view allocators); the candidate filter makes the adapters
-//!   safe on the online engine's churned snapshots, which isolate
-//!   deactivated resources. If no node has an edge, the cohort returns to
-//!   its sources unmoved (there is no eligible destination).
+//!   global-view allocators); the candidate filter keeps isolated nodes
+//!   (e.g. deactivated resources) from receiving tasks. If no node has an
+//!   edge, the cohort returns to its sources unmoved (there is no
+//!   eligible destination).
 //!
 //! Under the threshold-respecting rules ([`BaselineRule::
 //! SequentialThreshold`], [`BaselineRule::ParallelThreshold`]) a task that
@@ -29,7 +28,7 @@
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 use tlb_core::placement::Placement;
-use tlb_core::protocol::{AnyStepper, Protocol, ProtocolOutcome, ProtocolSpec, RoundEngine};
+use tlb_core::protocol::{AnyStepper, Protocol, ProtocolOutcome, RoundEngine};
 use tlb_core::stack::ResourceStack;
 use tlb_core::task::{TaskId, TaskSet};
 use tlb_core::threshold::ThresholdPolicy;
@@ -135,21 +134,9 @@ impl BaselineConfig {
     ) -> AnyStepper {
         Box::new(BaselineStepper::new(g, tasks, placement, self, rng))
     }
-
-    /// Resume a boxed stepper from an existing stack configuration
-    /// (consumes no RNG) — the baseline counterpart of
-    /// [`tlb_core::protocol::ProtocolKind::stepper_from_parts`].
-    pub fn stepper_from_parts(
-        &self,
-        stacks: Vec<ResourceStack>,
-        weights: Vec<f64>,
-        threshold: f64,
-    ) -> AnyStepper {
-        Box::new(BaselineStepper::from_parts(stacks, weights, threshold, self.clone()))
-    }
 }
 
-/// Resumable engine running a [`BaselineRule`] as a rebalancing protocol:
+/// Stepping engine running a [`BaselineRule`] as a rebalancing protocol:
 /// one [`step`] call is one round (Algorithm-5.1 ejection, baseline
 /// re-placement). Embeds the same shared [`RoundEngine`] as the core
 /// steppers, so counters, potential series, and traces behave
@@ -192,13 +179,13 @@ impl BaselineStepper {
         Self::from_parts(stacks, weights, threshold, cfg.clone())
     }
 
-    /// Resume from an existing stack configuration (consumes no RNG) —
-    /// the online-simulation entry point.
+    /// Build the engine over an existing stack configuration (consumes no
+    /// RNG).
     ///
     /// # Panics
     /// If the stack vector is empty or the rule's parameters are out of
     /// range.
-    pub fn from_parts(
+    fn from_parts(
         stacks: Vec<ResourceStack>,
         weights: Vec<f64>,
         threshold: f64,
@@ -251,13 +238,6 @@ impl BaselineStepper {
         &self.eng.weights
     }
 
-    /// Largest stacked task weight (0 when empty). The baseline rules
-    /// never read `w_max`, so the checkpoint surface recomputes it over
-    /// the live population instead of storing a dead value.
-    pub fn w_max(&self) -> f64 {
-        tlb_core::protocol::live_w_max(self.stacks(), self.weights())
-    }
-
     /// Execute one round (ejection, baseline re-placement) unless the run
     /// is already done. Returns [`is_done`](Self::is_done) after the
     /// round.
@@ -267,8 +247,7 @@ impl BaselineStepper {
         }
         self.eng.begin_round();
         let threshold = self.eng.threshold();
-        // Candidate bins: the non-isolated nodes of this round's graph
-        // (churned snapshots isolate deactivated resources).
+        // Candidate bins: the non-isolated nodes of this round's graph.
         self.candidates.clear();
         self.candidates.extend(g.nodes().filter(|&v| g.degree(v) > 0));
         let cands = &self.candidates;
@@ -346,11 +325,6 @@ impl BaselineStepper {
     /// Finish: consume the engine into the unified outcome.
     pub fn into_outcome(self) -> ProtocolOutcome {
         self.eng.into_outcome()
-    }
-
-    /// Hand the stacks and weight vector back to a dynamic caller.
-    pub fn into_parts(self) -> (Vec<ResourceStack>, Vec<f64>) {
-        self.eng.into_parts()
     }
 }
 
@@ -453,45 +427,8 @@ impl Protocol for BaselineStepper {
         BaselineStepper::weights(self)
     }
 
-    fn w_max(&self) -> f64 {
-        BaselineStepper::w_max(self)
-    }
-
-    fn into_parts(self: Box<Self>) -> (Vec<ResourceStack>, Vec<f64>) {
-        BaselineStepper::into_parts(*self)
-    }
-
     fn into_outcome(self: Box<Self>) -> ProtocolOutcome {
         BaselineStepper::into_outcome(*self)
-    }
-}
-
-impl ProtocolSpec for BaselineStepper {
-    type Config = BaselineConfig;
-    type Outcome = ProtocolOutcome;
-
-    fn new_stepper(
-        g: &Graph,
-        tasks: &TaskSet,
-        placement: Placement,
-        cfg: &Self::Config,
-        rng: &mut dyn RngCore,
-    ) -> Self {
-        Self::new(g, tasks, placement, cfg, rng)
-    }
-
-    fn resume(
-        stacks: Vec<ResourceStack>,
-        weights: Vec<f64>,
-        threshold: f64,
-        _w_max: f64,
-        cfg: Self::Config,
-    ) -> Self {
-        Self::from_parts(stacks, weights, threshold, cfg)
-    }
-
-    fn outcome(self) -> ProtocolOutcome {
-        self.into_outcome()
     }
 }
 
@@ -572,9 +509,8 @@ mod tests {
 
     #[test]
     fn isolated_nodes_are_never_destinations() {
-        // Node 3 is isolated (the online engine's churned snapshots
-        // represent deactivated resources this way): no baseline may
-        // place a task there.
+        // Node 3 is isolated (a deactivated resource looks like this in a
+        // churned graph): no baseline may place a task there.
         let mut b = tlb_graphs::GraphBuilder::new(4);
         b.add_edge(0, 1).unwrap();
         b.add_edge(1, 2).unwrap();
@@ -682,9 +618,10 @@ mod tests {
         first.run(&g, &mut r);
         assert!(!first.is_balanced());
         let threshold = first.threshold();
-        let (stacks, weights) = first.into_parts();
+        let (stacks, weights) = (first.stacks().to_vec(), first.weights().to_vec());
 
-        let mut second = BaselineConfig::default().stepper_from_parts(stacks, weights, threshold);
+        let mut second =
+            BaselineStepper::from_parts(stacks, weights, threshold, BaselineConfig::default());
         second.run(&g, &mut r);
         assert!(second.is_balanced());
         let out = second.into_outcome();

@@ -1,7 +1,7 @@
 //! Stepper state as shard-sized fragments.
 //!
-//! The resumable steppers expose their state through `into_parts()` as a
-//! flat `Vec<ResourceStack>` indexed by node id. A [`StackFragment`] is a
+//! The online engine keeps its per-resource state as a flat
+//! `Vec<ResourceStack>` indexed by node id. A [`StackFragment`] is a
 //! contiguous slice of that state — the stacks of one shard of a
 //! `tlb_graphs::Partition` — that a worker thread can own exclusively
 //! while the sharded engine steps all shards in parallel.
@@ -17,7 +17,7 @@
 //! [`ResourceStack::remove_active_into`] over a whole range) and accept
 //! routed arrivals ([`StackFragment::push`]). Concatenating all
 //! fragments' ejections in shard order therefore reproduces the global
-//! ascending-node-order cohort of the sequential stepper exactly.
+//! ascending-node-order cohort of the one-shot resource stepper exactly.
 
 use tlb_graphs::{NodeId, Partition};
 
@@ -35,8 +35,8 @@ pub struct StackFragment {
 }
 
 impl StackFragment {
-    /// Split a flat stack array (a stepper's `into_parts()` output) into
-    /// one fragment per shard of `partition`.
+    /// Split a flat stack array into one fragment per shard of
+    /// `partition`.
     ///
     /// # Panics
     /// If the partition does not cover exactly `stacks.len()` nodes.

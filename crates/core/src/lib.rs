@@ -13,18 +13,16 @@
 //!   uniformly random resource with probability `α·⌈φ_r/w_max⌉·(1/b_r)`
 //!   ([`user_protocol`]),
 //! * each protocol both as a one-shot `run_*` entry point and as the
-//!   resumable stepper engine underneath it (`new → step → into_outcome`),
-//!   which the online simulation crate (`tlb-sim`) drives round by round
-//!   between streaming arrivals and resource churn,
+//!   stepper engine underneath it (`new → step → into_outcome`),
 //! * the **protocol abstraction** ([`protocol`]) every stepper plugs
 //!   into: the shared [`protocol::RoundEngine`] round machinery, the
 //!   object-safe [`protocol::Protocol`] stepping trait, and the
 //!   [`protocol::ProtocolKind`]/[`protocol::AnyStepper`] dispatch pair
 //!   (see "Protocol abstraction" below),
-//! * the **fragment surface** ([`fragment`]): the stepper state from
-//!   `into_parts()` split into contiguous per-shard
-//!   [`fragment::StackFragment`]s, the unit of parallelism of the
-//!   sharded online engine in `tlb-sim`,
+//! * the **fragment surface** ([`fragment`]): per-resource stacks split
+//!   into contiguous per-shard [`fragment::StackFragment`]s, the unit of
+//!   parallelism of the sharded online engine in `tlb-sim` (which runs
+//!   Algorithm 5.1 only, through its own `ShardedEngine`),
 //! * the model substrate both share: weighted tasks ([`task`], [`weights`]),
 //!   stack semantics with heights and threshold cutting ([`stack`]),
 //!   threshold policies ([`threshold`]), initial placements ([`placement`]),
@@ -42,15 +40,12 @@
 //!
 //! * **object-safe stepping surface** — `step(&Graph, &mut dyn RngCore)
 //!   -> bool` (one round; `true` when done), `is_done`, `is_balanced`,
-//!   `rounds`, `migrations`, `threshold`, `stacks`, `into_parts`,
-//!   `into_outcome`. Every variant takes the graph in `step` (the
-//!   user-controlled protocol ignores it), so a `Box<dyn Protocol>`
+//!   `rounds`, `migrations`, `threshold`, `stacks`, `into_outcome`.
+//!   Every variant takes the graph in `step` (the user-controlled
+//!   protocol ignores it), so a `Box<dyn Protocol>`
 //!   ([`protocol::AnyStepper`]) drives any variant without per-variant
-//!   dispatch;
-//! * **associated `Config`/`Outcome`** — on [`protocol::ProtocolSpec`],
-//!   together with the `new_stepper`/`resume` constructors, for code
-//!   generic over a statically known variant. All in-tree outcomes are
-//!   aliases of the unified [`protocol::ProtocolOutcome`];
+//!   dispatch. All in-tree outcomes are aliases of the unified
+//!   [`protocol::ProtocolOutcome`];
 //! * **one round engine** — the shared machinery (cohort collection
 //!   buffers, cached `BatchWalker`, migration/potential/trace
 //!   accounting, completion detection) lives in
@@ -132,10 +127,7 @@ pub mod weights;
 pub mod prelude {
     pub use crate::fragment::StackFragment;
     pub use crate::placement::Placement;
-    pub use crate::protocol::{
-        AnyStepper, Protocol, ProtocolKind, ProtocolOutcome, ProtocolParts, ProtocolSpec,
-        RoundEngine,
-    };
+    pub use crate::protocol::{AnyStepper, Protocol, ProtocolKind, ProtocolOutcome, RoundEngine};
     pub use crate::resource_protocol::{
         run_resource_controlled, run_resource_controlled_with_stats, ResourceControlledConfig,
         ResourceControlledOutcome, ResourceControlledStepper,

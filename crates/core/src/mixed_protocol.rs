@@ -11,7 +11,7 @@
 //!   random-walk step along the graph (no global view; works on any
 //!   topology, unlike Algorithm 6.1's uniform jump).
 //!
-//! Exposed as the one-shot [`run_mixed`] plus the resumable
+//! Exposed as the one-shot [`run_mixed`] plus the stepping
 //! [`MixedStepper`] engine it wraps, like the two paper protocols.
 //!
 //! The two paper protocols are recovered at the extremes:
@@ -86,10 +86,9 @@ impl Default for MixedConfig {
 /// Result of a mixed run (an alias of the unified [`ProtocolOutcome`]).
 pub type MixedOutcome = ProtocolOutcome;
 
-/// Resumable engine of the mixed protocol: one [`step`] call is one round
+/// Stepping engine of the mixed protocol: one [`step`] call is one round
 /// (user-style departure coins, resource-style walk moves). The graph is
-/// passed into each step, so the caller may swap it between rounds — the
-/// online simulation runs this engine over a churned topology.
+/// passed into each step, so the caller may swap it between rounds.
 ///
 /// [`step`]: MixedStepper::step
 #[derive(Debug, Clone)]
@@ -134,15 +133,13 @@ impl MixedStepper {
         Self::from_parts(stacks, weights, threshold, w_max, cfg.clone())
     }
 
-    /// Resume from an existing stack configuration (the online-simulation
-    /// entry point; consumes no RNG). `threshold` and `w_max` are taken as
-    /// given so a dynamic caller can compute them over its live population
-    /// only.
+    /// Build the engine over an existing stack configuration (consumes no
+    /// RNG).
     ///
     /// # Panics
     /// If the stack vector is empty, or `alpha <= 0` with Bernoulli
     /// departures.
-    pub fn from_parts(
+    fn from_parts(
         stacks: Vec<ResourceStack>,
         weights: Vec<f64>,
         threshold: f64,
@@ -198,9 +195,7 @@ impl MixedStepper {
         &self.eng.weights
     }
 
-    /// The `w_max` this run's departure probabilities divide by — part of
-    /// the resume surface, so a checkpointed stepper restarts with the
-    /// identical migration law.
+    /// The `w_max` this run's departure probabilities divide by.
     pub fn w_max(&self) -> f64 {
         self.w_max
     }
@@ -216,8 +211,8 @@ impl MixedStepper {
         if self.is_done() {
             return true;
         }
-        // `new()` already rejects this, but `from_parts` has no graph and
-        // the caller may swap in a churned graph between rounds — re-check
+        // `new()` already rejects this, but the caller may swap in
+        // another graph between rounds — re-check
         // here (O(1): min_degree is cached) so an isolated node fails fast
         // instead of panicking per-task deep in the batched kernel.
         assert!(
@@ -279,13 +274,6 @@ impl MixedStepper {
     /// point reports.
     pub fn into_outcome(self) -> MixedOutcome {
         self.eng.into_outcome()
-    }
-
-    /// Hand the stacks and weight vector back to a dynamic caller (the
-    /// inverse of [`from_parts`](Self::from_parts)). Read the counters
-    /// before calling this.
-    pub fn into_parts(self) -> (Vec<ResourceStack>, Vec<f64>) {
-        self.eng.into_parts()
     }
 }
 

@@ -17,15 +17,11 @@
 //!   per-variant outcome names are aliases of it).
 //! * [`Protocol`] — the **object-safe** stepping surface
 //!   (`step(&Graph, &mut dyn RngCore) -> bool`, `is_done`, `rounds`,
-//!   `migrations`, `threshold`, `stacks`, `into_parts`, `into_outcome`),
-//!   implemented by all three steppers here and by the baseline adapters
-//!   in `tlb-baselines`. Layers that dispatch over protocol variants
-//!   (the online simulation, the experiment harness, the
-//!   `protocol_matrix` driver) hold an [`AnyStepper`] instead of
-//!   re-implementing a per-variant `match`.
-//! * [`ProtocolSpec`] — the associated-types half of the contract
-//!   (`Config`/`Outcome` plus the constructors), for code generic over a
-//!   *statically known* protocol.
+//!   `migrations`, `threshold`, `stacks`, `into_outcome`), implemented by
+//!   all three steppers here and by the baseline adapters in
+//!   `tlb-baselines`. Layers that dispatch over protocol variants (the
+//!   experiment harness, the `protocol_matrix` driver) hold an
+//!   [`AnyStepper`] instead of re-implementing a per-variant `match`.
 //! * [`ProtocolKind`] — the serializable "which variant + its config"
 //!   value that constructs an [`AnyStepper`].
 //!
@@ -88,40 +84,6 @@ impl ProtocolOutcome {
     }
 }
 
-/// Largest weight among the *stacked* tasks (0 when no task is stacked).
-/// The checkpoint surface of variants that never read `w_max` uses this
-/// instead of carrying a dead value around.
-pub fn live_w_max(stacks: &[ResourceStack], weights: &[f64]) -> f64 {
-    stacks
-        .iter()
-        .flat_map(|s| s.tasks().iter())
-        .map(|&t| weights[t as usize])
-        .fold(0.0, f64::max)
-}
-
-/// The serializable resume surface of a protocol stepper: everything
-/// [`ProtocolSpec::resume`] needs to rebuild one, captured by
-/// [`Protocol::snapshot_parts`]. Counters (rounds, migrations) are *not*
-/// part of it — they are per-pass accounting a dynamic caller reads off
-/// before checkpointing, and a resumed stepper starts its own pass.
-///
-/// Pair it with a [`ProtocolKind`] (or a `ProtocolSpec::Config`) to get
-/// a running stepper back: `kind.resume_parts(parts)` is bit-identical
-/// to the stepper the parts were taken from, for every variant and the
-/// baseline adapters (proptested in `tests/proptests.rs`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProtocolParts {
-    /// Per-resource stacks (index = resource id).
-    pub stacks: Vec<ResourceStack>,
-    /// Weight per task id.
-    pub weights: Vec<f64>,
-    /// The threshold the pass balances against.
-    pub threshold: f64,
-    /// The `w_max` the user/mixed migration law divides by (recomputed
-    /// over the stacked tasks for variants that never read it).
-    pub w_max: f64,
-}
-
 /// Deterministic per-pass observability counters, accumulated by the
 /// round engine as a side effect of quantities every round computes
 /// anyway (cohort lengths) — a handful of integer adds per *round*, so
@@ -131,8 +93,8 @@ pub struct ProtocolParts {
 /// seed: none of them reads a clock or consumes an RNG word, so they are
 /// bit-identical across thread counts and identical for a replayed
 /// stream. They are *not* part of [`ProtocolOutcome`] (whose serialized
-/// shape is pinned by goldens); the obs layer reads them off through
-/// [`Protocol::obs_stats`].
+/// shape is pinned by goldens); the sweep drivers read them off through
+/// the `run_*_with_stats` entry points.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Walk-kernel steps taken (one per cohort member per batched step).
@@ -402,13 +364,6 @@ impl RoundEngine {
             trace: self.trace,
         }
     }
-
-    /// Hand the stacks and weight vector back to a dynamic caller (the
-    /// inverse of [`new`](Self::new)). Read the counters before calling
-    /// this.
-    pub fn into_parts(self) -> (Vec<ResourceStack>, Vec<f64>) {
-        (self.stacks, self.weights)
-    }
 }
 
 /// The object-safe stepping surface every protocol engine exposes — the
@@ -450,84 +405,13 @@ pub trait Protocol {
     /// Weight per task id (freed slots of dynamic callers included).
     fn weights(&self) -> &[f64];
 
-    /// The `w_max` of the resume surface: the value the user/mixed
-    /// migration law divides by, or the live maximum for variants that
-    /// never read it.
-    fn w_max(&self) -> f64;
-
-    /// Deterministic observability counters accumulated so far. Defaults
-    /// to zeros for steppers that do not embed the round engine (the
-    /// baseline adapters).
-    fn obs_stats(&self) -> EngineStats {
-        EngineStats::default()
-    }
-
-    /// Capture the serializable resume surface without consuming the
-    /// stepper — the checkpoint half of the
-    /// [`ProtocolParts`]/[`ProtocolKind::resume_parts`] round trip.
-    fn snapshot_parts(&self) -> ProtocolParts {
-        ProtocolParts {
-            stacks: self.stacks().to_vec(),
-            weights: self.weights().to_vec(),
-            threshold: self.threshold(),
-            w_max: self.w_max(),
-        }
-    }
-
-    /// Hand the stacks and weight vector back to a dynamic caller.
-    fn into_parts(self: Box<Self>) -> (Vec<ResourceStack>, Vec<f64>);
-
     /// Consume the engine into its outcome.
     fn into_outcome(self: Box<Self>) -> ProtocolOutcome;
 }
 
-/// A boxed protocol engine — the dispatch type the online simulation and
-/// the experiment harness drive.
+/// A boxed protocol engine — the dispatch type the experiment harness
+/// drives.
 pub type AnyStepper = Box<dyn Protocol + Send>;
-
-/// The associated-types half of the protocol contract: which `Config`
-/// drives the variant, which `Outcome` it reports, and the constructors
-/// — for code generic over a *statically known* protocol. (The stepping
-/// surface lives on [`Protocol`], which stays object-safe.)
-pub trait ProtocolSpec: Protocol + Sized {
-    /// Per-variant configuration.
-    type Config: Clone;
-    /// Per-variant outcome (an alias of [`ProtocolOutcome`] for all
-    /// in-tree variants).
-    type Outcome;
-
-    /// Set up a run: materialize the placement (consuming RNG exactly as
-    /// the one-shot entry points always have) and take the initial
-    /// snapshots.
-    fn new_stepper(
-        g: &Graph,
-        tasks: &TaskSet,
-        placement: Placement,
-        cfg: &Self::Config,
-        rng: &mut dyn RngCore,
-    ) -> Self;
-
-    /// Resume from an existing stack configuration (consumes no RNG).
-    /// `w_max` is taken as given so dynamic callers can compute it over
-    /// their live population; variants that do not need it ignore it.
-    fn resume(
-        stacks: Vec<ResourceStack>,
-        weights: Vec<f64>,
-        threshold: f64,
-        w_max: f64,
-        cfg: Self::Config,
-    ) -> Self;
-
-    /// Resume from a captured [`ProtocolParts`] (consumes no RNG) — the
-    /// statically typed restore half of
-    /// [`Protocol::snapshot_parts`].
-    fn resume_parts(parts: ProtocolParts, cfg: Self::Config) -> Self {
-        Self::resume(parts.stacks, parts.weights, parts.threshold, parts.w_max, cfg)
-    }
-
-    /// Consume the engine into its (statically typed) outcome.
-    fn outcome(self) -> Self::Outcome;
-}
 
 /// Which protocol variant to run, with its configuration — the
 /// serializable value config files and drivers hold, and the factory for
@@ -573,44 +457,6 @@ impl ProtocolKind {
             ProtocolKind::Mixed(cfg) => Box::new(MixedStepper::new(g, tasks, placement, cfg, rng)),
         }
     }
-
-    /// Resume a stepper from an existing stack configuration (consumes no
-    /// RNG) — the online simulation's entry point. Variants that do not
-    /// need `w_max` ignore it.
-    pub fn stepper_from_parts(
-        &self,
-        stacks: Vec<ResourceStack>,
-        weights: Vec<f64>,
-        threshold: f64,
-        w_max: f64,
-    ) -> AnyStepper {
-        match self {
-            ProtocolKind::Resource(cfg) => Box::new(ResourceControlledStepper::from_parts(
-                stacks,
-                weights,
-                threshold,
-                cfg.clone(),
-            )),
-            ProtocolKind::User(cfg) => Box::new(UserControlledStepper::from_parts(
-                stacks,
-                weights,
-                threshold,
-                w_max,
-                cfg.clone(),
-            )),
-            ProtocolKind::Mixed(cfg) => {
-                Box::new(MixedStepper::from_parts(stacks, weights, threshold, w_max, cfg.clone()))
-            }
-        }
-    }
-
-    /// Resume a stepper from a captured [`ProtocolParts`] (consumes no
-    /// RNG) — the dynamic restore half of [`Protocol::snapshot_parts`].
-    /// The resumed stepper's future word stream is bit-identical to the
-    /// one it was captured from.
-    pub fn resume_parts(&self, parts: ProtocolParts) -> AnyStepper {
-        self.stepper_from_parts(parts.stacks, parts.weights, parts.threshold, parts.w_max)
-    }
 }
 
 macro_rules! impl_protocol_via_engine {
@@ -648,18 +494,6 @@ macro_rules! impl_protocol_via_engine {
                 <$stepper>::weights(self)
             }
 
-            fn w_max(&self) -> f64 {
-                <$stepper>::w_max(self)
-            }
-
-            fn obs_stats(&self) -> EngineStats {
-                <$stepper>::obs_stats(self)
-            }
-
-            fn into_parts(self: Box<Self>) -> (Vec<ResourceStack>, Vec<f64>) {
-                <$stepper>::into_parts(*self)
-            }
-
             fn into_outcome(self: Box<Self>) -> ProtocolOutcome {
                 <$stepper>::into_outcome(*self)
             }
@@ -671,98 +505,10 @@ impl_protocol_via_engine!(ResourceControlledStepper);
 impl_protocol_via_engine!(UserControlledStepper);
 impl_protocol_via_engine!(MixedStepper);
 
-impl ProtocolSpec for ResourceControlledStepper {
-    type Config = ResourceControlledConfig;
-    type Outcome = ProtocolOutcome;
-
-    fn new_stepper(
-        g: &Graph,
-        tasks: &TaskSet,
-        placement: Placement,
-        cfg: &Self::Config,
-        rng: &mut dyn RngCore,
-    ) -> Self {
-        Self::new(g, tasks, placement, cfg, rng)
-    }
-
-    fn resume(
-        stacks: Vec<ResourceStack>,
-        weights: Vec<f64>,
-        threshold: f64,
-        _w_max: f64,
-        cfg: Self::Config,
-    ) -> Self {
-        Self::from_parts(stacks, weights, threshold, cfg)
-    }
-
-    fn outcome(self) -> ProtocolOutcome {
-        self.into_outcome()
-    }
-}
-
-impl ProtocolSpec for UserControlledStepper {
-    type Config = UserControlledConfig;
-    type Outcome = ProtocolOutcome;
-
-    fn new_stepper(
-        g: &Graph,
-        tasks: &TaskSet,
-        placement: Placement,
-        cfg: &Self::Config,
-        rng: &mut dyn RngCore,
-    ) -> Self {
-        Self::new(g.num_nodes(), tasks, placement, cfg, rng)
-    }
-
-    fn resume(
-        stacks: Vec<ResourceStack>,
-        weights: Vec<f64>,
-        threshold: f64,
-        w_max: f64,
-        cfg: Self::Config,
-    ) -> Self {
-        Self::from_parts(stacks, weights, threshold, w_max, cfg)
-    }
-
-    fn outcome(self) -> ProtocolOutcome {
-        self.into_outcome()
-    }
-}
-
-impl ProtocolSpec for MixedStepper {
-    type Config = MixedConfig;
-    type Outcome = ProtocolOutcome;
-
-    fn new_stepper(
-        g: &Graph,
-        tasks: &TaskSet,
-        placement: Placement,
-        cfg: &Self::Config,
-        rng: &mut dyn RngCore,
-    ) -> Self {
-        Self::new(g, tasks, placement, cfg, rng)
-    }
-
-    fn resume(
-        stacks: Vec<ResourceStack>,
-        weights: Vec<f64>,
-        threshold: f64,
-        w_max: f64,
-        cfg: Self::Config,
-    ) -> Self {
-        Self::from_parts(stacks, weights, threshold, w_max, cfg)
-    }
-
-    fn outcome(self) -> ProtocolOutcome {
-        self.into_outcome()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::resource_protocol::run_resource_controlled;
-    use crate::threshold::ThresholdPolicy;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use tlb_graphs::generators::{complete, torus2d};
@@ -818,9 +564,9 @@ mod tests {
         let tasks = TaskSet::new((0..200).map(|i| 1.0 + (i % 3) as f64).collect::<Vec<_>>());
         let run_once = |walk: WalkKind| {
             let cfg = ResourceControlledConfig { walk, ..Default::default() };
-            let kind = ProtocolKind::Resource(cfg);
             let mut r = rng(11);
-            let mut s = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
+            let mut s =
+                ResourceControlledStepper::new(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut r);
             s.run(&g, &mut r);
             (s.obs_stats(), s.migrations())
         };
@@ -841,11 +587,10 @@ mod tests {
         assert_eq!(lazy_stats.fused_word_draws, lazy_stats.walk_steps);
         assert!(lazy_stats.fused_word_draws > 0);
 
-        // The user protocol draws uniform words instead of walk steps,
-        // and the baseline default keeps zeros.
-        let kind = ProtocolKind::User(Default::default());
+        // The user protocol draws uniform words instead of walk steps.
+        let ucfg = UserControlledConfig::default();
         let mut r = rng(11);
-        let mut s = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
+        let mut s = UserControlledStepper::new(25, &tasks, Placement::AllOnOne(0), &ucfg, &mut r);
         s.run(&g, &mut r);
         let ustats = s.obs_stats();
         assert_eq!(ustats.uniform_jump_draws, s.migrations());
@@ -860,84 +605,22 @@ mod tests {
     }
 
     #[test]
-    fn stepper_from_parts_round_trips_through_the_trait() {
-        let g = torus2d(4, 4);
-        let tasks = TaskSet::uniform(96);
-        let kind = ProtocolKind::Mixed(MixedConfig { max_rounds: 3, ..Default::default() });
-        let mut r = rng(5);
-        let mut first = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
-        first.run(&g, &mut r);
-        assert!(!first.is_balanced());
-        let threshold = first.threshold();
-        let (stacks, weights) = first.into_parts();
-
-        let resume_kind = ProtocolKind::Mixed(MixedConfig::default());
-        let mut second = resume_kind.stepper_from_parts(stacks, weights, threshold, 1.0);
-        second.run(&g, &mut r);
-        assert!(second.is_balanced());
-        let out = second.into_outcome();
-        let total: f64 = out.final_loads.iter().sum();
-        assert!((total - tasks.total_weight()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn snapshot_parts_resume_is_bit_identical_mid_run() {
-        // Pause every variant mid-run, serialize the resume surface
-        // through the JSON tree, resume in a "fresh process", and require
-        // the continuation to match the uninterrupted run exactly. The
-        // user/mixed variants re-draw from the same RNG state; to compare
-        // streams we clone the RNG at the pause point.
-        let g = torus2d(5, 5);
-        let tasks = TaskSet::new((0..180).map(|i| 1.0 + (i % 4) as f64).collect::<Vec<_>>());
-        for kind in [
-            ProtocolKind::Resource(Default::default()),
-            ProtocolKind::User(Default::default()),
-            ProtocolKind::Mixed(Default::default()),
-        ] {
-            let mut r = rng(13);
-            let mut stepper = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
-            for _ in 0..2 {
-                if stepper.is_done() {
-                    break;
-                }
-                stepper.step(&g, &mut r);
-            }
-            let pre_migrations = stepper.migrations();
-            let parts = stepper.snapshot_parts();
-            let json = serde_json::to_string(&parts).unwrap();
-            let back: ProtocolParts = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, parts, "{}: parts must round-trip bit-exactly", kind.label());
-
-            // A resumed stepper starts its own pass: counters restart at
-            // zero, the word stream continues exactly.
-            let mut resumed = kind.resume_parts(back);
-            let mut r2 = r.clone();
-            resumed.run(&g, &mut r2);
-            stepper.run(&g, &mut r);
-            assert_eq!(
-                pre_migrations + resumed.migrations(),
-                stepper.migrations(),
-                "{}: resumed migrations diverged",
-                kind.label()
-            );
-            let resumed_out = resumed.into_outcome();
-            let direct_out = stepper.into_outcome();
-            assert_eq!(resumed_out.final_loads, direct_out.final_loads, "{}", kind.label());
-            assert_eq!(resumed_out.completed, direct_out.completed, "{}", kind.label());
-        }
-    }
-
-    #[test]
     fn w_max_is_preserved_for_the_variants_that_read_it() {
         let g = complete(8);
         let mut weights: Vec<f64> = vec![1.0; 40];
         weights[17] = 9.5;
         let tasks = TaskSet::new(weights);
-        let kind = ProtocolKind::Mixed(Default::default());
-        let mut r = rng(2);
-        let stepper = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
-        assert_eq!(stepper.w_max(), 9.5);
-        assert_eq!(stepper.snapshot_parts().w_max, 9.5);
+        let mixed =
+            MixedStepper::new(&g, &tasks, Placement::AllOnOne(0), &Default::default(), &mut rng(2));
+        assert_eq!(mixed.w_max(), 9.5);
+        let user = UserControlledStepper::new(
+            8,
+            &tasks,
+            Placement::AllOnOne(0),
+            &Default::default(),
+            &mut rng(2),
+        );
+        assert_eq!(user.w_max(), 9.5);
     }
 
     #[test]
@@ -976,26 +659,5 @@ mod tests {
     #[should_panic(expected = "need at least one resource")]
     fn engine_rejects_empty_stacks() {
         RoundEngine::new(Vec::new(), Vec::new(), 1.0, 10, false, false);
-    }
-
-    #[test]
-    fn protocol_spec_constructors_match_kind_dispatch() {
-        let g = complete(10);
-        let tasks = TaskSet::uniform(60);
-        let cfg = UserControlledConfig { threshold: ThresholdPolicy::Tight, ..Default::default() };
-        let mut r1 = rng(3);
-        let mut a = <UserControlledStepper as ProtocolSpec>::new_stepper(
-            &g,
-            &tasks,
-            Placement::AllOnOne(0),
-            &cfg,
-            &mut r1,
-        );
-        let mut r2 = rng(3);
-        let mut b =
-            ProtocolKind::User(cfg).new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r2);
-        a.run(&g, &mut r1);
-        b.run(&g, &mut r2);
-        assert_eq!(a.outcome(), b.into_outcome());
     }
 }

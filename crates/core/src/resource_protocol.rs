@@ -13,10 +13,9 @@
 //! * [`run_resource_controlled`] — the one-shot entry point: run until
 //!   balanced (or the round cap) and report an outcome, exactly as the
 //!   paper's experiments use it;
-//! * [`ResourceControlledStepper`] — the resumable engine underneath it
-//!   (`new → step → into_outcome`). The online simulation (`tlb-sim`)
-//!   drives it one round at a time between arrival/churn events via
-//!   [`ResourceControlledStepper::from_parts`].
+//! * [`ResourceControlledStepper`] — the stepping engine underneath it
+//!   (`new → step → into_outcome`), which the generic harness drives
+//!   through the [`Protocol`](crate::protocol::Protocol) trait.
 //!
 //! Analysis reproduced by the experiments:
 //! * Theorem 3 — above-average thresholds: `O(τ(G)·log m)` rounds w.h.p.
@@ -76,12 +75,10 @@ impl Default for ResourceControlledConfig {
 /// [`ProtocolOutcome`]).
 pub type ResourceControlledOutcome = ProtocolOutcome;
 
-/// Resumable engine of the resource-controlled protocol: one [`step`] call
-/// is one round of Algorithm 5.1. The shared [`RoundEngine`] owns the
-/// per-resource stacks and the reused round buffers; the graph is passed
-/// into each step, so the caller may swap it between rounds (the online
-/// simulation compacts its churned overlay back to CSR and keeps
-/// stepping).
+/// Stepping engine of the resource-controlled protocol: one [`step`]
+/// call is one round of Algorithm 5.1. The shared [`RoundEngine`] owns
+/// the per-resource stacks and the reused round buffers; the graph is
+/// passed into each step, so the caller may swap it between rounds.
 ///
 /// [`step`]: ResourceControlledStepper::step
 #[derive(Debug, Clone)]
@@ -124,18 +121,12 @@ impl ResourceControlledStepper {
         Self::from_parts(stacks, weights, threshold, cfg.clone())
     }
 
-    /// Resume from an existing stack configuration — the entry point of
-    /// the online simulation, which mutates the stacks between rebalancing
-    /// passes (arrivals, departures, resource churn) and hands them back.
-    /// Consumes no RNG. The round/migration counters start at zero.
-    ///
-    /// `threshold` is taken as given rather than derived from
-    /// `cfg.threshold`: a dynamic caller computes it from the *live*
-    /// population, which a weight vector with freed slots cannot express.
+    /// Build the engine over an existing stack configuration (consumes no
+    /// RNG); the round/migration counters start at zero.
     ///
     /// # Panics
     /// If the stack vector is empty.
-    pub fn from_parts(
+    fn from_parts(
         stacks: Vec<ResourceStack>,
         weights: Vec<f64>,
         threshold: f64,
@@ -187,13 +178,6 @@ impl ResourceControlledStepper {
         &self.eng.weights
     }
 
-    /// Largest stacked task weight (0 when empty). Algorithm 5.1 never
-    /// reads `w_max`, so the checkpoint surface recomputes it over the
-    /// live population instead of storing a dead value.
-    pub fn w_max(&self) -> f64 {
-        crate::protocol::live_w_max(self.stacks(), self.weights())
-    }
-
     /// Deterministic observability counters accumulated so far.
     pub fn obs_stats(&self) -> EngineStats {
         self.eng.obs_stats()
@@ -206,8 +190,8 @@ impl ResourceControlledStepper {
         if self.is_done() {
             return true;
         }
-        // `new()` already rejects this, but `from_parts` has no graph and
-        // the caller may swap in a churned graph between rounds — re-check
+        // `new()` already rejects this, but the caller may swap in
+        // another graph between rounds — re-check
         // here (O(1): min_degree is cached) so an isolated node fails fast
         // instead of panicking per-task deep in the batched kernel.
         assert!(
@@ -268,13 +252,6 @@ impl ResourceControlledStepper {
     /// point reports.
     pub fn into_outcome(self) -> ResourceControlledOutcome {
         self.eng.into_outcome()
-    }
-
-    /// Hand the stacks and weight vector back to a dynamic caller (the
-    /// inverse of [`from_parts`](Self::from_parts)). Read the counters
-    /// before calling this.
-    pub fn into_parts(self) -> (Vec<ResourceStack>, Vec<f64>) {
-        self.eng.into_parts()
     }
 }
 
@@ -512,7 +489,7 @@ mod tests {
         assert!(!first.is_balanced());
         let threshold = first.threshold();
         let first_migrations = first.migrations();
-        let (stacks, weights) = first.into_parts();
+        let (stacks, weights) = (first.stacks().to_vec(), first.weights().to_vec());
 
         let cfg2 = ResourceControlledConfig::default();
         let mut second = ResourceControlledStepper::from_parts(stacks, weights, threshold, cfg2);

@@ -12,7 +12,7 @@
 //! `b_r` — a fully decentralized rule.
 //!
 //! Like the resource-controlled module, the protocol is exposed as the
-//! one-shot [`run_user_controlled`] plus the resumable
+//! one-shot [`run_user_controlled`] plus the stepping
 //! [`UserControlledStepper`] engine it wraps (`new → step → into_outcome`).
 //!
 //! Analysis reproduced by the experiments:
@@ -74,7 +74,7 @@ impl Default for UserControlledConfig {
 /// [`ProtocolOutcome`]).
 pub type UserControlledOutcome = ProtocolOutcome;
 
-/// Resumable engine of the user-controlled protocol: one [`step`] call is
+/// Stepping engine of the user-controlled protocol: one [`step`] call is
 /// one round of Algorithm 6.1 on the implicit complete graph over `n`
 /// resources. `step` takes a `&Graph` like its sibling steppers so all
 /// three share one signature, but ignores it — Algorithm 6.1 jumps
@@ -115,14 +115,12 @@ impl UserControlledStepper {
         Self::from_parts(stacks, weights, threshold, w_max, cfg.clone())
     }
 
-    /// Resume from an existing stack configuration (the online-simulation
-    /// entry point; consumes no RNG). `threshold` and `w_max` are taken as
-    /// given so a dynamic caller can compute them over its live population
-    /// only.
+    /// Build the engine over an existing stack configuration (consumes no
+    /// RNG).
     ///
     /// # Panics
     /// If the stack vector is empty or `alpha <= 0`.
-    pub fn from_parts(
+    fn from_parts(
         stacks: Vec<ResourceStack>,
         weights: Vec<f64>,
         threshold: f64,
@@ -176,9 +174,7 @@ impl UserControlledStepper {
         &self.eng.weights
     }
 
-    /// The `w_max` this run's departure probabilities divide by — part of
-    /// the resume surface, so a checkpointed stepper restarts with the
-    /// identical migration law.
+    /// The `w_max` this run's departure probabilities divide by.
     pub fn w_max(&self) -> f64 {
         self.w_max
     }
@@ -255,13 +251,6 @@ impl UserControlledStepper {
     /// point reports.
     pub fn into_outcome(self) -> UserControlledOutcome {
         self.eng.into_outcome()
-    }
-
-    /// Hand the stacks and weight vector back to a dynamic caller (the
-    /// inverse of [`from_parts`](Self::from_parts)). Read the counters
-    /// before calling this.
-    pub fn into_parts(self) -> (Vec<ResourceStack>, Vec<f64>) {
-        self.eng.into_parts()
     }
 }
 

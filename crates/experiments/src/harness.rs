@@ -24,22 +24,15 @@
 //! RNG draws, so these paths are bit-identical to calling the concrete
 //! `run_*` entry points with the same derived seeds.
 
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use tlb_baselines::BaselineConfig;
 use tlb_core::placement::Placement;
 use tlb_core::protocol::{AnyStepper, ProtocolKind, ProtocolOutcome};
 use tlb_core::task::TaskSet;
 use tlb_core::weights::WeightSpec;
 use tlb_graphs::Graph;
-
-/// Bound of the streaming-variant channel: a slow consumer back-pressures
-/// the workers after this many undelivered results (public so tests can
-/// derive deterministic abort bounds from it).
-pub const STREAM_CHANNEL_CAPACITY: usize = 256;
 
 /// Derive the seed of trial `index` from a base seed (splitmix64 over the
 /// pair, so neighbouring trials get decorrelated streams).
@@ -70,31 +63,6 @@ where
     F: Fn(u64) -> f64,
 {
     (0..trials as u64).map(|t| f(trial_seed(base_seed, t))).collect()
-}
-
-/// Parallel trials with a progress callback. Completions are counted with
-/// an atomic (workers never serialize on the count), and only the callback
-/// invocation itself takes a lock — a slow callback delays at most the
-/// workers that have a completion to report, not the whole pool. Each
-/// invocation receives a distinct completion count in `1..=trials`, but
-/// counts can arrive out of order under parallelism; drivers that print
-/// "k% done" should track the maximum seen.
-pub fn run_trials_with_progress<F, P>(trials: usize, base_seed: u64, f: F, progress: P) -> Vec<f64>
-where
-    F: Fn(u64) -> f64 + Sync,
-    P: FnMut(usize) + Send,
-{
-    let done = AtomicUsize::new(0);
-    let progress = Mutex::new(progress);
-    (0..trials as u64)
-        .into_par_iter()
-        .map(|t| {
-            let r = f(trial_seed(base_seed, t));
-            let count = done.fetch_add(1, Ordering::Relaxed) + 1;
-            (progress.lock())(count);
-            r
-        })
-        .collect()
 }
 
 /// Run a generic per-trial function returning any `Send` payload (used
@@ -241,47 +209,6 @@ pub fn run_protocol_sweep(points: &[ProtocolPoint], trials: usize) -> Vec<Vec<Pr
     run_sweep_map(&seeds, trials, |i, s| run_protocol_once(&points[i], s))
 }
 
-/// Streaming variant: trials run on the worker pool while a consumer
-/// receives `(trial_index, result)` pairs over a crossbeam channel *as
-/// they finish* (completion order, not trial order). Useful for live
-/// dashboards and for aborting long sweeps early; the returned vector is
-/// whatever the consumer produced.
-///
-/// The consumer runs on the calling thread; the channel is bounded at
-/// [`STREAM_CHANNEL_CAPACITY`] so a slow consumer back-pressures the
-/// workers instead of buffering the whole sweep.
-pub fn run_trials_streaming<T, F, C, O>(trials: usize, base_seed: u64, f: F, consumer: C) -> O
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync + Send,
-    C: FnOnce(crossbeam::channel::Receiver<(usize, T)>) -> O,
-{
-    use std::sync::atomic::AtomicBool;
-
-    let (tx, rx) = crossbeam::channel::bounded::<(usize, T)>(STREAM_CHANNEL_CAPACITY);
-    // Flipped when the consumer drops the receiver, so remaining trials
-    // are skipped instead of computed into a closed channel.
-    let aborted = AtomicBool::new(false);
-    let aborted = &aborted;
-    crossbeam::scope(|scope| {
-        scope.spawn(move |_| {
-            (0..trials as u64).into_par_iter().for_each_with(tx, |tx, t| {
-                if aborted.load(Ordering::Relaxed) {
-                    return;
-                }
-                let r = f(trial_seed(base_seed, t));
-                if tx.send((t as usize, r)).is_err() {
-                    // Receiver dropped early (consumer aborted): stop
-                    // burning CPU on trials nobody will read.
-                    aborted.store(true, Ordering::Relaxed);
-                }
-            });
-        });
-        consumer(rx)
-    })
-    .expect("streaming harness thread panicked")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,12 +253,6 @@ mod tests {
         let seq = run_trials_sequential(trials, 11, uneven);
         assert_eq!(run_trials(trials, 11, uneven), seq);
         assert_eq!(run_trials_map(trials, 11, uneven), seq);
-        assert_eq!(run_trials_with_progress(trials, 11, uneven, |_| {}), seq);
-        let mut streamed =
-            run_trials_streaming(trials, 11, uneven, |rx| rx.iter().collect::<Vec<(usize, f64)>>());
-        streamed.sort_unstable_by_key(|&(i, _)| i);
-        let streamed: Vec<f64> = streamed.into_iter().map(|(_, v)| v).collect();
-        assert_eq!(streamed, seq);
     }
 
     #[test]
@@ -353,114 +274,6 @@ mod tests {
         assert!(result.is_err(), "a panicking trial must panic the caller");
         // The pool stays usable after the propagated panic.
         assert_eq!(run_trials(8, 0, |s| s as f64), run_trials_sequential(8, 0, |s| s as f64));
-    }
-
-    #[test]
-    fn progress_callback_sees_every_trial() {
-        let hits = AtomicUsize::new(0);
-        let out = run_trials_with_progress(
-            64,
-            1,
-            |s| s as f64,
-            |_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        assert_eq!(out.len(), 64);
-        assert_eq!(hits.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn progress_reports_each_count_exactly_once() {
-        let counts = Mutex::new(Vec::new());
-        run_trials_with_progress(100, 2, |s| s as f64, |c| counts.lock().push(c));
-        let mut got = counts.into_inner();
-        got.sort_unstable();
-        assert_eq!(got, (1..=100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn streaming_delivers_every_trial_once() {
-        let seen = run_trials_streaming(
-            200,
-            3,
-            |s| s % 97,
-            |rx| {
-                let mut got: Vec<(usize, u64)> = rx.iter().collect();
-                got.sort_unstable();
-                got
-            },
-        );
-        assert_eq!(seen.len(), 200);
-        for (i, (idx, val)) in seen.iter().enumerate() {
-            assert_eq!(*idx, i);
-            assert_eq!(*val, trial_seed(3, i as u64) % 97);
-        }
-    }
-
-    #[test]
-    fn streaming_consumer_can_abort_early() {
-        let first_five = run_trials_streaming(1000, 7, |s| s, |rx| rx.iter().take(5).count());
-        assert_eq!(first_five, 5);
-        // Workers observing the dropped receiver must not panic the pool.
-    }
-
-    #[test]
-    fn streaming_abort_skips_remaining_work() {
-        let computed = AtomicUsize::new(0);
-        let trials = 100_000;
-        let taken = run_trials_streaming(
-            trials,
-            7,
-            |s| {
-                computed.fetch_add(1, Ordering::Relaxed);
-                s
-            },
-            |rx| rx.iter().take(5).count(),
-        );
-        assert_eq!(taken, 5);
-        // Deterministic bound, independent of core count and scheduling:
-        // until the receiver drops, at most `taken` delivered plus
-        // `STREAM_CHANNEL_CAPACITY` buffered results can have been
-        // computed (the bounded channel blocks every further send), plus
-        // one in-flight trial per executor blocked in `send`; after the
-        // drop, each executor computes at most one more trial before its
-        // failed send raises the abort flag and the per-trial check skips
-        // the rest.
-        let executors = rayon::current_num_threads();
-        let bound = taken + STREAM_CHANNEL_CAPACITY + 2 * executors;
-        let done = computed.load(Ordering::Relaxed);
-        assert!(done <= bound, "abort did not bound work: {done} computed, bound {bound}");
-        assert!(done < trials, "abort saved no work at all");
-    }
-
-    #[test]
-    fn streaming_consumer_can_make_parallel_calls() {
-        // Deadlock regression: the producer's batch back-pressures on the
-        // bounded channel while the consumer issues its own parallel call
-        // (live-dashboard aggregation). The pool must run the consumer's
-        // call inline instead of queueing behind the in-flight batch —
-        // queueing deadlocks because the batch is waiting on the consumer.
-        let trials = STREAM_CHANNEL_CAPACITY * 4;
-        let total = run_trials_streaming(
-            trials,
-            13,
-            |s| s % 11,
-            |rx| {
-                let mut sum = 0u64;
-                for (i, (_, v)) in rx.iter().enumerate() {
-                    sum += v;
-                    if i == 3 {
-                        // Parallel call while the producer is blocked on us.
-                        let nested = run_trials(32, 99, |s| (s % 7) as f64);
-                        assert_eq!(nested, run_trials_sequential(32, 99, |s| (s % 7) as f64));
-                    }
-                }
-                sum
-            },
-        );
-        let expected: u64 = (0..trials as u64).map(|t| trial_seed(13, t) % 11).sum();
-        assert_eq!(total, expected);
     }
 
     #[test]

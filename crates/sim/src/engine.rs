@@ -4,33 +4,29 @@
 //! Each epoch the scheduler: (1) applies resource churn (scripted rack
 //! drains and stochastic failures/recoveries, draining tasks off leaving
 //! resources), (2) departs tasks, (3) admits streaming arrivals, then
-//! (4) runs the configured threshold protocol as an *incremental*
-//! rebalancing pass — up to `rounds_per_epoch` protocol rounds — and
-//! (5) records an [`EpochRecord`]. The threshold is recomputed every
-//! epoch from the *live* population (total weight, active resources,
-//! live `w_max`), so the target tracks the traffic.
+//! (4) runs the resource-controlled protocol (the paper's Algorithm 5.1)
+//! as an *incremental* rebalancing pass — up to `rounds_per_epoch`
+//! protocol rounds — and (5) records an [`EpochRecord`]. The threshold
+//! is recomputed every epoch from the *live* population (total weight,
+//! active resources, live `w_max`), so the target tracks the traffic.
 //!
-//! The rebalancing pass is pluggable per [`RebalancePolicy`]. The
-//! resource-controlled policy (the paper's Algorithm 5.1, the default)
-//! runs through the sharded engine of [`crate::shard`]: the stacks are
-//! split into `SimConfig::shards` contiguous fragments, each stepped as
-//! one task on the persistent rayon pool, with cross-shard walk handoffs
-//! batched at round boundaries. Mixed and baseline policies run through
-//! the sequential `tlb-core` steppers (and reject `shards > 1`).
+//! The rebalancing pass always runs through the sharded engine of
+//! [`crate::shard`]: the stacks are split into `SimConfig::shards`
+//! contiguous fragments, each stepped as one task on the persistent
+//! rayon pool, with cross-shard walk handoffs batched at round
+//! boundaries. At `shards = 1` this is the sequential reference.
 //!
 //! ## Determinism
 //!
 //! Epoch `e` draws its churn/departure/arrival randomness from a fresh
 //! sequential `SmallRng` seeded with [`epoch_seed`]`(base_seed, e)`, so
 //! epoch `e`'s stream is independent of how much randomness earlier
-//! epochs consumed. The resource-policy rebalancing pass draws nothing
-//! from that RNG: its walk words come from the *counter-based* stream
-//! rooted at [`crate::shard::rebalance_seed`]`(base_seed, e)` — a pure
-//! function of `(seed, epoch, round, node, slot)` — which is what keeps
-//! a run bit-identical across `RAYON_NUM_THREADS` **and** across shard
-//! counts (see `crate::shard` for the law and its chi-square pin).
-//! Mixed/baseline passes consume the epoch RNG sequentially, exactly as
-//! before the split.
+//! epochs consumed. The rebalancing pass draws nothing from that RNG:
+//! its walk words come from the *counter-based* stream rooted at
+//! [`crate::shard::rebalance_seed`]`(base_seed, e)` — a pure function of
+//! `(seed, epoch, round, node, slot)` — which is what keeps a run
+//! bit-identical across `RAYON_NUM_THREADS` **and** across shard counts
+//! (see `crate::shard` for the law and its chi-square pin).
 //!
 //! ## Observability
 //!
@@ -50,10 +46,7 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use tlb_baselines::{BaselineConfig, BaselineRule};
-use tlb_core::mixed_protocol::{Departure, MixedConfig};
 use tlb_core::potential::{is_balanced, max_load, num_overloaded, total_potential};
-use tlb_core::protocol::{AnyStepper, ProtocolKind};
 use tlb_core::stack::ResourceStack;
 use tlb_core::threshold::ThresholdPolicy;
 use tlb_graphs::DynamicGraph;
@@ -83,7 +76,9 @@ pub fn epoch_seed(base: u64, epoch: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Which protocol the per-epoch rebalancing pass runs.
+/// Which protocol the per-epoch rebalancing pass runs. The online
+/// engine runs Algorithm 5.1 only; the enum keeps the serialized config
+/// and snapshot shape (`{"Resource": {"walk": ...}}`) stable.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum RebalancePolicy {
     /// Resource-controlled (Algorithm 5.1): overloaded resources eject
@@ -94,62 +89,6 @@ pub enum RebalancePolicy {
         /// Walk moving ejected tasks.
         walk: WalkKind,
     },
-    /// Mixed protocol: user-style Bernoulli departures, resource-style
-    /// walk movement (works on any topology). Sequential.
-    Mixed {
-        /// Departure rule.
-        departure: Departure,
-        /// Migration damping `α`.
-        alpha: f64,
-        /// Walk moving departing tasks.
-        walk: WalkKind,
-    },
-    /// A related-work baseline (`tlb-baselines` stepper adapter):
-    /// Algorithm-5.1 ejection with the baseline's global re-placement
-    /// rule. Safe under churn — the adapters never place tasks on
-    /// isolated (deactivated) resources. Sequential.
-    Baseline {
-        /// Placement rule moving ejected tasks.
-        rule: BaselineRule,
-    },
-}
-
-impl RebalancePolicy {
-    /// Build the sequential protocol stepper for one epoch's rebalancing
-    /// pass (resumes from the live stacks; consumes no RNG). Only the
-    /// mixed and baseline policies use this path — the resource policy
-    /// goes through [`ShardedEngine`] instead.
-    fn make_stepper(
-        &self,
-        threshold_policy: ThresholdPolicy,
-        rounds_per_epoch: u64,
-        stacks: Vec<ResourceStack>,
-        weights: Vec<f64>,
-        threshold: f64,
-        w_max: f64,
-    ) -> AnyStepper {
-        match *self {
-            RebalancePolicy::Resource { .. } => {
-                unreachable!("the resource policy runs through the sharded engine")
-            }
-            RebalancePolicy::Mixed { departure, alpha, walk } => ProtocolKind::Mixed(MixedConfig {
-                threshold: threshold_policy,
-                departure,
-                alpha,
-                walk,
-                max_rounds: rounds_per_epoch,
-                ..Default::default()
-            })
-            .stepper_from_parts(stacks, weights, threshold, w_max),
-            RebalancePolicy::Baseline { rule } => BaselineConfig {
-                threshold: threshold_policy,
-                rule,
-                max_rounds: rounds_per_epoch,
-                ..Default::default()
-            }
-            .stepper_from_parts(stacks, weights, threshold),
-        }
-    }
 }
 
 /// Full configuration of an online run.
@@ -191,9 +130,9 @@ pub struct SimConfig {
     /// Compact the churn overlay back to CSR once this many edge deltas
     /// accumulate.
     pub compact_after_ops: usize,
-    /// Shard count of the rebalancing pass (resource policy only; the
-    /// output is bit-identical at every shard count, so this is purely a
-    /// throughput knob — see `crate::shard`). Clamped to the node count.
+    /// Shard count of the rebalancing pass (the output is bit-identical
+    /// at every shard count, so this is purely a throughput knob — see
+    /// `crate::shard`). Clamped to the node count.
     pub shards: usize,
 }
 
@@ -264,8 +203,8 @@ impl OnlineSim {
     /// # Panics
     /// If the graph is empty, the tenant list is empty or has
     /// non-positive shares, `departure_prob` is not in `[0, 1)`, a churn
-    /// probability is not in `[0, 1]`, `shards` is zero, or `shards > 1`
-    /// with a sequential (mixed/baseline) rebalance policy.
+    /// probability is not in `[0, 1]`, `shards` is zero, or the walk is
+    /// [`WalkKind::Simple`].
     pub fn new(base: Graph, cfg: SimConfig) -> Self {
         let n = base.num_nodes();
         assert!(n > 0, "need at least one resource");
@@ -335,22 +274,11 @@ impl OnlineSim {
         if cfg.shards == 0 {
             return Err("shards must be >= 1".to_string());
         }
-        if cfg.shards > 1 && !matches!(cfg.rebalance, RebalancePolicy::Resource { .. }) {
-            return Err(format!(
-                "only the resource-controlled policy rebalances sharded (shards = {})",
-                cfg.shards
-            ));
-        }
         // Churn can isolate an active node; the max-degree and lazy walks
         // self-loop there, but the simple walk is undefined on isolated
-        // nodes, so it cannot drive an online run. (Baselines use no walk
-        // and filter isolated destinations themselves.)
-        let walk = match cfg.rebalance {
-            RebalancePolicy::Resource { walk } => Some(walk),
-            RebalancePolicy::Mixed { walk, .. } => Some(walk),
-            RebalancePolicy::Baseline { .. } => None,
-        };
-        if walk == Some(WalkKind::Simple) {
+        // nodes, so it cannot drive an online run.
+        let RebalancePolicy::Resource { walk } = cfg.rebalance;
+        if walk == WalkKind::Simple {
             return Err(
                 "WalkKind::Simple cannot rebalance a churned graph (undefined on isolated nodes)"
                     .to_string(),
@@ -390,9 +318,8 @@ impl OnlineSim {
     ///   into it (swapping outage probability/duration/steering is
     ///   fine);
     /// * any config [`try_validate`](Self::try_validate) rejects, which
-    ///   includes the swaps that would corrupt the deterministic stream
-    ///   contract — e.g. `shards > 1` onto a sequential (mixed/baseline)
-    ///   policy, or `WalkKind::Simple` onto a churned graph.
+    ///   includes `WalkKind::Simple` (undefined on the isolated nodes
+    ///   churn creates).
     ///
     /// Swapping the *admission* policy resets its token balances to the
     /// new policy's initial state (an unchanged policy keeps mid-bucket
@@ -911,71 +838,41 @@ impl OnlineSim {
         let mut migrations = 0u64;
         let t_arrivals = obs_on.then(Instant::now);
         if state.live > 0 && !is_balanced(&state.stacks, threshold) {
-            match self.cfg.rebalance {
-                RebalancePolicy::Resource { walk } => {
-                    // The sharded engine — at shards = 1 this *is* the
-                    // reference sequential semantics, so every resource
-                    // run goes through one code path regardless of k.
-                    let stacks = std::mem::take(&mut state.stacks);
-                    let partition = state.dg.partition(self.cfg.shards);
-                    let mut engine = ShardedEngine::from_parts(
-                        stacks,
-                        partition,
-                        threshold,
-                        walk,
-                        self.cfg.rounds_per_epoch,
-                    );
-                    if obs_on {
-                        engine.enable_obs();
-                    }
-                    engine.run(
-                        &state.walk_graph,
-                        &state.weights,
-                        rebalance_seed(self.cfg.seed, self.epoch),
-                    );
-                    rebalance_rounds = engine.rounds();
-                    migrations = engine.migrations();
-                    if let (Some(obs), Some(s)) = (&self.obs, engine.obs()) {
-                        let reg = &obs.reg;
-                        // Shard-count-invariant (counters subtree).
-                        reg.add("rebalance.ejected", s.ejected);
-                        reg.gauge("rebalance.max_round_cohort").record_max(s.max_round_cohort);
-                        // Layout-dependent (exec) and wall clock (timings).
-                        obs.reg.add_exec("shard.cross_shard_handoffs", s.cross_shard_handoffs);
-                        reg.record_ns("shard.eject_walk_ns", s.eject_walk_ns);
-                        reg.record_ns("shard.route_ns", s.route_ns);
-                        reg.record_ns("shard.apply_ns", s.apply_ns);
-                    }
-                    state.stacks = engine.into_parts();
-                }
-                _ => {
-                    // Sequential stepper path (mixed/baseline): same
-                    // draws as driving the concrete stepper directly.
-                    let stacks = std::mem::take(&mut state.stacks);
-                    let weights = std::mem::take(&mut state.weights);
-                    let mut stepper = self.cfg.rebalance.make_stepper(
-                        self.cfg.threshold,
-                        self.cfg.rounds_per_epoch,
-                        stacks,
-                        weights,
-                        threshold,
-                        w_max,
-                    );
-                    stepper.run(&state.walk_graph, &mut rng);
-                    rebalance_rounds = stepper.rounds();
-                    migrations = stepper.migrations();
-                    if let Some(obs) = &self.obs {
-                        let s = stepper.obs_stats();
-                        let reg = &obs.reg;
-                        reg.add("rebalance.walk_steps", s.walk_steps);
-                        reg.add("rebalance.fused_word_draws", s.fused_word_draws);
-                        reg.add("rebalance.regular_fast_path_hits", s.regular_fast_path_hits);
-                        reg.add("rebalance.uniform_jump_draws", s.uniform_jump_draws);
-                        reg.gauge("rebalance.max_round_cohort").record_max(s.max_round_cohort);
-                    }
-                    (state.stacks, state.weights) = stepper.into_parts();
-                }
+            // The sharded engine — at shards = 1 this *is* the reference
+            // sequential semantics, so every run goes through one code
+            // path regardless of k.
+            let RebalancePolicy::Resource { walk } = self.cfg.rebalance;
+            let stacks = std::mem::take(&mut state.stacks);
+            let partition = state.dg.partition(self.cfg.shards);
+            let mut engine = ShardedEngine::from_parts(
+                stacks,
+                partition,
+                threshold,
+                walk,
+                self.cfg.rounds_per_epoch,
+            );
+            if obs_on {
+                engine.enable_obs();
             }
+            engine.run(
+                &state.walk_graph,
+                &state.weights,
+                rebalance_seed(self.cfg.seed, self.epoch),
+            );
+            rebalance_rounds = engine.rounds();
+            migrations = engine.migrations();
+            if let (Some(obs), Some(s)) = (&self.obs, engine.obs()) {
+                let reg = &obs.reg;
+                // Shard-count-invariant (counters subtree).
+                reg.add("rebalance.ejected", s.ejected);
+                reg.gauge("rebalance.max_round_cohort").record_max(s.max_round_cohort);
+                // Layout-dependent (exec) and wall clock (timings).
+                obs.reg.add_exec("shard.cross_shard_handoffs", s.cross_shard_handoffs);
+                reg.record_ns("shard.eject_walk_ns", s.eject_walk_ns);
+                reg.record_ns("shard.route_ns", s.route_ns);
+                reg.record_ns("shard.apply_ns", s.apply_ns);
+            }
+            state.stacks = engine.into_parts();
         }
 
         let t_rebalance = obs_on.then(Instant::now);
@@ -1218,66 +1115,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_policy_also_converges() {
-        let mut cfg = quick_cfg("mixed");
-        cfg.rebalance = RebalancePolicy::Mixed {
-            departure: Departure::Bernoulli,
-            alpha: 1.0,
-            walk: WalkKind::MaxDegree,
-        };
-        cfg.arrival_window = Some(20);
-        cfg.departure_prob = 0.0;
-        cfg.epochs = 120;
-        let report = OnlineSim::new(complete(12), cfg).run();
-        let last = report.last().unwrap();
-        assert!(last.balanced, "mixed pass did not converge: {last:?}");
-        assert_eq!(last.arrivals, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "only the resource-controlled policy rebalances sharded")]
-    fn sequential_policies_reject_sharding() {
-        let mut cfg = quick_cfg("mixed-sharded");
-        cfg.rebalance = RebalancePolicy::Mixed {
-            departure: Departure::Bernoulli,
-            alpha: 1.0,
-            walk: WalkKind::MaxDegree,
-        };
-        cfg.shards = 2;
-        let _ = OnlineSim::new(complete(4), cfg);
-    }
-
-    #[test]
-    fn baseline_policy_rebalances_online() {
-        // A related-work baseline driving the online engine — the path no
-        // pre-trait layer could express. Greedy[2] ejection/re-placement
-        // must keep a steady stream balanced on K_12.
-        let mut cfg = quick_cfg("baseline");
-        cfg.rebalance = RebalancePolicy::Baseline { rule: BaselineRule::Greedy { d: 2 } };
-        cfg.arrival_window = Some(20);
-        cfg.departure_prob = 0.0;
-        cfg.epochs = 120;
-        let report = OnlineSim::new(complete(12), cfg).run();
-        let last = report.last().unwrap();
-        assert!(last.balanced, "baseline pass did not converge: {last:?}");
-        assert!(report.total_migrations > 0);
-    }
-
-    #[test]
-    fn baseline_policy_survives_churn_without_placing_on_inactive_nodes() {
-        let mut cfg = quick_cfg("baseline-churn");
-        cfg.rebalance =
-            RebalancePolicy::Baseline { rule: BaselineRule::SequentialThreshold { retries: 3 } };
-        cfg.churn = ChurnProcess::scripted(vec![(5, ChurnEvent::Deactivate(2))]);
-        cfg.epochs = 40;
-        let mut sim = OnlineSim::new(complete(8), cfg);
-        sim.run();
-        // Node 2 left at epoch 5 and never returned: the baseline must
-        // not have used it as a destination afterwards.
-        assert!(sim.stacks()[2].is_empty(), "baseline placed tasks on a deactivated resource");
-    }
-
-    #[test]
     fn checkpoint_restore_resumes_bit_identically() {
         // Segmented run (pause at epoch 25, serialize, restore, finish)
         // vs the uninterrupted run: every post-restore record and the
@@ -1343,14 +1180,10 @@ mod tests {
             sim.run_epoch();
         }
 
-        // Sharding a sequential policy is rejected, engine untouched.
+        // The simple walk (undefined on churn-isolated nodes) is
+        // rejected, engine untouched.
         let mut bad = quick_cfg("reconf");
-        bad.rebalance = RebalancePolicy::Mixed {
-            departure: Departure::Bernoulli,
-            alpha: 1.0,
-            walk: WalkKind::MaxDegree,
-        };
-        bad.shards = 2;
+        bad.rebalance = RebalancePolicy::Resource { walk: WalkKind::Simple };
         assert!(sim.reconfigure(bad).is_err());
 
         // Tenant list changes are rejected.
@@ -1432,25 +1265,6 @@ mod tests {
                 "obs counters diverged at shard count {shards}"
             );
         }
-    }
-
-    #[test]
-    fn sequential_policy_obs_counts_walk_draws() {
-        let mut cfg = quick_cfg("obs-mixed");
-        cfg.rebalance = RebalancePolicy::Mixed {
-            departure: Departure::Bernoulli,
-            alpha: 1.0,
-            walk: WalkKind::Lazy,
-        };
-        let mut sim = OnlineSim::new(complete(12), cfg);
-        sim.enable_obs();
-        let report = sim.run();
-        let obs = sim.obs_report().unwrap();
-        assert_eq!(obs.counters["rebalance.walk_steps"], report.total_migrations);
-        assert_eq!(
-            obs.counters["rebalance.fused_word_draws"], obs.counters["rebalance.walk_steps"],
-            "the lazy walk fuses its coin and neighbour draws"
-        );
     }
 
     fn two_rack_cfg(name: &str) -> SimConfig {

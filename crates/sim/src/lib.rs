@@ -12,9 +12,9 @@
 //! via pluggable processes ([`ArrivalProcess`]: Poisson, batched, bursty;
 //! adversarial placement via [`ArrivalPlacement`]), tasks **depart**,
 //! resources **join and leave** ([`ChurnProcess`] over a
-//! `tlb_graphs::DynamicGraph` overlay), and the protocols run as
-//! *incremental* rebalancing passes between events through the resumable
-//! steppers of `tlb-core`. Tenant classes carry their own
+//! `tlb_graphs::DynamicGraph` overlay), and the resource-controlled
+//! protocol runs as an *incremental* rebalancing pass between events
+//! through the sharded engine of [`shard`]. Tenant classes carry their own
 //! [`ThresholdPolicy`](tlb_core::threshold::ThresholdPolicy) SLOs
 //! ([`TenantSpec`]), and every epoch emits a fixed-shape
 //! [`EpochRecord`]; a run serializes to JSON as a [`SimReport`].
@@ -25,9 +25,9 @@
 //! the churn overlay, walk snapshot, stacks, and task tables, plus the
 //! event primitives that mutate them) and a *scheduler* half
 //! ([`OnlineSim`] in [`engine`]: the epoch loop deciding when churn,
-//! departures, arrivals, and the rebalancing pass run). The
-//! resource-controlled rebalancing pass runs through the **sharded
-//! engine** ([`ShardedEngine`] in [`shard`]): the stacks split into
+//! departures, arrivals, and the rebalancing pass run). The rebalancing
+//! pass runs through the **sharded engine** ([`ShardedEngine`] in
+//! [`shard`]): the stacks split into
 //! contiguous node-range fragments (`tlb_core::fragment`), each stepped
 //! as one task on the persistent rayon pool, with cross-shard walk
 //! handoffs batched at round boundaries.
@@ -61,10 +61,9 @@
 //!   into an O(1) [`RunningSummary`], so memory stays flat over
 //!   unbounded runs.
 //! * **Live reconfiguration**: [`OnlineSim::reconfigure`] applies a new
-//!   phase's config between epochs with validation — swaps that would
-//!   corrupt the deterministic stream contract (sharding a sequential
-//!   policy, changing the tenant list) are rejected as errors with the
-//!   engine untouched.
+//!   phase's config between epochs with validation — invalid swaps (a
+//!   changed tenant list, the simple walk on a churned graph) are
+//!   rejected as errors with the engine untouched.
 //!
 //! ## Quickstart
 //!
@@ -110,4 +109,3 @@ pub use sink::{MemorySink, MetricsSink, NdjsonSink};
 pub use snapshot::{SimSnapshot, SNAPSHOT_VERSION};
 pub use state::SimState;
 pub use tenants::{TenantSet, TenantSpec};
-pub use tlb_baselines::BaselineRule;

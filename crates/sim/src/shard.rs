@@ -159,11 +159,10 @@ pub struct ShardPassStats {
 
 /// A resumable sharded rebalancing pass: the resource-controlled
 /// protocol's round loop over fragment-partitioned stacks. Construct
-/// from live stepper state with [`ShardedEngine::from_parts`], drive
-/// with [`ShardedEngine::run`], and take the stacks back with
-/// [`ShardedEngine::into_parts`] — the same resume surface the
-/// sequential steppers expose, minus the RNG (the engine draws its
-/// counter-based stream from the seed passed to `run`).
+/// from the live stacks with [`ShardedEngine::from_parts`], drive with
+/// [`ShardedEngine::run`], and take the stacks back with
+/// [`ShardedEngine::into_parts`]. The engine holds no RNG: it draws its
+/// counter-based stream from the seed passed to `run`.
 #[derive(Debug, Clone)]
 pub struct ShardedEngine {
     partition: Partition,
@@ -178,7 +177,7 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Split `stacks` (a stepper's `into_parts()` surface) into
+    /// Split `stacks` (the online engine's per-resource state) into
     /// `partition`'s fragments and set up a pass enforcing `threshold`
     /// with up to `max_rounds` rounds of `walk` steps.
     ///

@@ -16,8 +16,6 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use tlb_baselines::BaselineRule;
-use tlb_core::mixed_protocol::Departure;
 use tlb_core::stack::ResourceStack;
 use tlb_graphs::generators::random_regular;
 use tlb_graphs::Partition;
@@ -184,35 +182,17 @@ proptest! {
         prop_assert_eq!(report.balanced_fraction.to_bits(), full.balanced_fraction.to_bits());
     }
 
-    /// Snapshot serde round-trips for every rebalance policy — all three
-    /// protocol variants plus a baseline — and restore resumes each one
-    /// bit-identically (sequential policies force shards = 1).
+    /// Snapshot serde round-trips for the rebalance policy over both
+    /// walks the online engine accepts, and restore resumes each one
+    /// bit-identically.
     #[test]
     fn snapshots_round_trip_for_every_policy(
-        policy_ix in 0usize..4,
+        walk in prop_oneof![Just(WalkKind::MaxDegree), Just(WalkKind::Lazy)],
         pause in 1u64..6,
         seed in any::<u64>(),
     ) {
-        let policy = [
-            RebalancePolicy::Resource { walk: WalkKind::MaxDegree },
-            RebalancePolicy::Mixed {
-                departure: Departure::Bernoulli,
-                alpha: 1.0,
-                walk: WalkKind::MaxDegree,
-            },
-            RebalancePolicy::Mixed {
-                departure: Departure::AllActive,
-                alpha: 0.8,
-                walk: WalkKind::Lazy,
-            },
-            RebalancePolicy::Baseline { rule: BaselineRule::Greedy { d: 2 } },
-        ][policy_ix];
         let epochs = 7u64;
-        let cfg = SimConfig {
-            rebalance: policy,
-            shards: 1,
-            ..churned_cfg(WalkKind::MaxDegree, seed, epochs, 1)
-        };
+        let cfg = churned_cfg(walk, seed, epochs, 1);
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = random_regular(24, 4, &mut rng).unwrap();
 

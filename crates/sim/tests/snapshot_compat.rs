@@ -74,6 +74,25 @@ fn unknown_versions_are_rejected_not_guessed() {
 }
 
 #[test]
+fn snapshots_naming_a_removed_rebalance_policy_are_rejected() {
+    // Older version-2 builds could also rebalance with the `Mixed`
+    // protocol or a `Baseline` rule and wrote those policies into their
+    // snapshots. This build runs only the resource policy, so loading
+    // such a document must return an error, not panic.
+    let doc = SimSnapshot::from_json(V1_FIXTURE).unwrap().to_json().unwrap();
+    let start = doc.find("\"rebalance\":").expect("config names its rebalance policy");
+    let end = doc.find("\"rounds_per_epoch\"").expect("the field after it");
+    for removed in [
+        r#"{"Mixed": {"departure": "Bernoulli", "alpha": 1.0, "walk": "MaxDegree"}}"#,
+        r#"{"Baseline": {"rule": {"Greedy": {"d": 2}}}}"#,
+    ] {
+        let old = format!("{}\"rebalance\": {removed},\n{}", &doc[..start], &doc[end..]);
+        let err = SimSnapshot::from_json(&old).expect_err(removed).to_string();
+        assert!(err.contains("unknown variant"), "unhelpful error for {removed}: {err}");
+    }
+}
+
+#[test]
 fn current_snapshots_still_round_trip_at_version_2() {
     let snap = SimSnapshot::from_json(V1_FIXTURE).unwrap();
     let json = snap.to_json().unwrap();

@@ -119,28 +119,3 @@ fn trace_matches_outcome_aggregates() {
     assert!(out.potential_series[0] > 0.0);
     assert_eq!(*out.potential_series.last().unwrap(), 0.0);
 }
-
-/// Streaming harness end-to-end over a real protocol workload: early
-/// abort after the first few completions does not deadlock the pool.
-#[test]
-fn streaming_harness_over_protocol_trials() {
-    let tasks = TaskSet::uniform(200);
-    let first = harness::run_trials_streaming(
-        64,
-        9,
-        |seed| {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            tlb_core::user_protocol::run_user_controlled(
-                20,
-                &tasks,
-                Placement::AllOnOne(0),
-                &tlb_core::user_protocol::UserControlledConfig::default(),
-                &mut rng,
-            )
-            .rounds
-        },
-        |rx| rx.iter().take(8).map(|(_, r)| r).collect::<Vec<_>>(),
-    );
-    assert_eq!(first.len(), 8);
-    assert!(first.iter().all(|&r| r >= 1));
-}

@@ -237,7 +237,7 @@ fn incremental_stepping_reaches_the_one_shot_fixed_point() {
     }
     assert!(stepper.is_balanced());
     let threshold = stepper.threshold();
-    let (stacks, _) = stepper.into_parts();
+    let stacks = stepper.stacks();
     let total: f64 = stacks.iter().map(|s| s.load()).sum();
     assert!((total - tasks.total_weight()).abs() < 1e-6);
     assert!(stacks.iter().all(|s| s.load() <= threshold));

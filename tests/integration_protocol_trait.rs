@@ -2,10 +2,8 @@
 //! run through [`tlb_core::protocol::AnyStepper`] must be **bit-identical**
 //! to calling the concrete stepper's one-shot entry point — same RNG
 //! draws, same order, same outcome — for every protocol variant and walk
-//! kind, plus a proptest that `into_parts → from_parts` round-trips
-//! through the trait surface.
+//! kind.
 
-use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlb_baselines::{BaselineConfig, BaselineRule, BaselineStepper};
@@ -108,82 +106,4 @@ fn mixed_trace_has_the_shared_engine_shape() {
     assert_eq!(trace.potential_series(), out.potential_series);
     assert_eq!(trace.records[0].round, 0, "trace starts with the initial snapshot");
     assert_eq!(trace.records.last().unwrap().max_load, out.final_max_load);
-}
-
-/// The three variants' steppers as one closure family for the proptest:
-/// build → partial run → into_parts → resume through the trait surface.
-fn arb_weights() -> impl Strategy<Value = Vec<f64>> {
-    proptest::collection::vec(1u32..20, 20..120)
-        .prop_map(|v| v.into_iter().map(|w| w as f64).collect())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// `into_parts → from_parts` round-trips through the trait surface:
-    /// resuming a partially run stepper preserves every task and finishes
-    /// the run against the same threshold, for all three variants.
-    #[test]
-    fn into_parts_from_parts_round_trips_through_the_trait(
-        weights in arb_weights(),
-        variant in 0usize..3,
-        seed in any::<u64>(),
-    ) {
-        let tasks = TaskSet::new(weights);
-        let g = complete(12);
-        let kind = match variant {
-            0 => ProtocolKind::Resource(ResourceControlledConfig {
-                max_rounds: 2, ..Default::default()
-            }),
-            1 => ProtocolKind::User(UserControlledConfig { max_rounds: 2, ..Default::default() }),
-            _ => ProtocolKind::Mixed(MixedConfig { max_rounds: 2, ..Default::default() }),
-        };
-        let mut r = rng(seed);
-        let mut first = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
-        first.run(&g, &mut r);
-        let threshold = first.threshold();
-        let first_migrations = first.migrations();
-        let (stacks, parts_weights) = first.into_parts();
-        prop_assert_eq!(parts_weights.len(), tasks.len());
-        let carried: f64 = stacks.iter().map(|s| s.load()).sum();
-        prop_assert!((carried - tasks.total_weight()).abs() < 1e-6,
-            "into_parts lost weight: {} vs {}", carried, tasks.total_weight());
-
-        // Resume through the trait with the cap lifted; it must finish.
-        let resume_kind = match variant {
-            0 => ProtocolKind::Resource(Default::default()),
-            1 => ProtocolKind::User(Default::default()),
-            _ => ProtocolKind::Mixed(Default::default()),
-        };
-        let mut second =
-            resume_kind.stepper_from_parts(stacks, parts_weights, threshold, tasks.w_max());
-        second.run(&g, &mut r);
-        prop_assert!(second.is_balanced());
-        prop_assert_eq!(second.threshold(), threshold);
-        let out = second.into_outcome();
-        let total: f64 = out.final_loads.iter().sum();
-        prop_assert!((total - tasks.total_weight()).abs() < 1e-6);
-        prop_assert!(out.migrations > 0 || first_migrations > 0 || out.rounds == 0);
-    }
-
-    /// The statically typed [`ProtocolSpec`] constructors agree with the
-    /// dynamic [`ProtocolKind`] dispatch under the same seed.
-    #[test]
-    fn protocol_spec_agrees_with_kind_dispatch(
-        weights in arb_weights(),
-        seed in any::<u64>(),
-    ) {
-        let tasks = TaskSet::new(weights);
-        let g = complete(10);
-        let cfg = ResourceControlledConfig::default();
-        let mut r1 = rng(seed);
-        let mut concrete = <ResourceControlledStepper as ProtocolSpec>::new_stepper(
-            &g, &tasks, Placement::AllOnOne(0), &cfg, &mut r1);
-        concrete.run(&g, &mut r1);
-        let mut r2 = rng(seed);
-        let mut boxed = ProtocolKind::Resource(cfg)
-            .new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r2);
-        boxed.run(&g, &mut r2);
-        prop_assert_eq!(concrete.outcome(), boxed.into_outcome());
-    }
 }

@@ -46,7 +46,7 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use tlb_core::potential::{is_balanced, max_load, num_overloaded, total_potential};
+use tlb_core::potential::is_balanced;
 use tlb_core::stack::ResourceStack;
 use tlb_core::threshold::ThresholdPolicy;
 use tlb_graphs::DynamicGraph;
@@ -624,6 +624,7 @@ impl OnlineSim {
         state.tenant_of = snap.tenant_of;
         state.free_ids = snap.free_ids;
         state.live = snap.live;
+        (state.w_max, state.w_max_count) = state.scan_w_max();
         state.domain_down_until = snap.domain_down_until;
         state.admission_tokens = snap.admission_tokens;
         Ok(OnlineSim {
@@ -826,7 +827,7 @@ impl OnlineSim {
         // --- 4. recompute the live threshold.
         let n_active = state.dg.num_active();
         let total_weight = state.total_weight();
-        let w_max = state.live_w_max();
+        let w_max = state.w_max;
         let threshold = if state.live > 0 {
             self.cfg.threshold.value(total_weight, n_active, w_max)
         } else {
@@ -877,13 +878,18 @@ impl OnlineSim {
 
         let t_rebalance = obs_on.then(Instant::now);
 
-        // --- 6. metrics snapshot.
-        let max_load = max_load(&state.stacks);
-        let overloaded = num_overloaded(&state.stacks, threshold);
+        // --- 6. metrics snapshot: one pass over the stacks, plus the
+        // tenant scan (O(n) over stack loads with a single tenant).
+        let (max_load, overloaded, potential) = state.load_metrics(threshold);
         let balanced = overloaded == 0;
-        let tenant_violations =
-            self.tenants
-                .violations(&state.stacks, &state.weights, &state.tenant_of, n_active);
+        let tenant_violations = self.tenants.violations(
+            &state.stacks,
+            &state.weights,
+            &state.tenant_of,
+            n_active,
+            total_weight,
+            w_max,
+        );
         if let Some(obs) = &self.obs {
             // Per-tenant SLO ledger, inside the deterministic counters
             // subtree: violated vs rejected vs admitted work.
@@ -909,7 +915,7 @@ impl OnlineSim {
             max_load,
             mean_load: if n_active > 0 { total_weight / n_active as f64 } else { 0.0 },
             overload_fraction: if n_active > 0 { overloaded as f64 / n_active as f64 } else { 0.0 },
-            potential: total_potential(&state.stacks, threshold, &state.weights),
+            potential,
             balanced,
             tenant_violations,
             tenant_admitted,

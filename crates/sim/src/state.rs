@@ -39,6 +39,12 @@ pub struct SimState {
     pub(crate) tenant_of: Vec<u16>,
     pub(crate) free_ids: Vec<TaskId>,
     pub(crate) live: usize,
+    /// Largest live task weight (0 when empty), kept incrementally by
+    /// [`admit`](Self::admit) and the departure draw.
+    pub(crate) w_max: f64,
+    /// How many live tasks weigh exactly `w_max`. The O(m) rescan runs
+    /// only when a departure takes this to zero.
+    pub(crate) w_max_count: usize,
     /// Reused per-epoch buffer for departure draws.
     pub(crate) departed: Vec<TaskId>,
     /// Per failure domain (index = position in the config's domain
@@ -65,6 +71,8 @@ impl SimState {
             tenant_of: Vec::new(),
             free_ids: Vec::new(),
             live: 0,
+            w_max: 0.0,
+            w_max_count: 0,
             departed: Vec::new(),
             domain_down_until: Vec::new(),
             admission_tokens: Vec::new(),
@@ -266,13 +274,27 @@ impl SimState {
         }
         let departures = self.departed.len() as u64;
         self.live -= self.departed.len();
+        for &t in &self.departed {
+            if self.weights[t as usize] == self.w_max {
+                self.w_max_count -= 1;
+            }
+        }
+        if self.w_max_count == 0 {
+            (self.w_max, self.w_max_count) = self.scan_w_max();
+        }
         self.free_ids.append(&mut self.departed);
         departures
     }
 
     /// Admit one arriving task: assign an id slot (recycled if possible),
-    /// record its weight and tenant, and stack it on `dest`.
+    /// record its weight and tenant, stack it on `dest`, and fold its
+    /// weight into the cached `w_max`.
     pub(crate) fn admit(&mut self, weight: f64, tenant: u16, dest: NodeId) {
+        if weight > self.w_max {
+            (self.w_max, self.w_max_count) = (weight, 1);
+        } else if weight == self.w_max {
+            self.w_max_count += 1;
+        }
         let id = match self.free_ids.pop() {
             Some(id) => {
                 self.weights[id as usize] = weight;
@@ -335,12 +357,35 @@ impl SimState {
         self.stacks.iter().map(ResourceStack::load).sum()
     }
 
-    /// Largest live task weight (0 when empty).
-    pub(crate) fn live_w_max(&self) -> f64 {
-        self.stacks
-            .iter()
-            .flat_map(|s| s.tasks().iter())
-            .map(|&t| self.weights[t as usize])
-            .fold(0.0, f64::max)
+    /// Full O(m) recompute of the largest live weight and how many live
+    /// tasks carry it (`(0.0, 0)` when empty). The epoch loop calls it only
+    /// when the last max-weight task departs; restore and the audit call
+    /// it once.
+    pub(crate) fn scan_w_max(&self) -> (f64, usize) {
+        let mut best = (0.0, 0);
+        for &t in self.stacks.iter().flat_map(ResourceStack::tasks) {
+            let w = self.weights[t as usize];
+            if w > best.0 {
+                best = (w, 1);
+            } else if w == best.0 {
+                best.1 += 1;
+            }
+        }
+        best
+    }
+
+    /// Max load, overloaded-resource count, and potential Φ against
+    /// `threshold`, in one pass over the stacks. Φ reads task weights only
+    /// on overloaded stacks, so the pass is O(n) plus their tasks.
+    pub(crate) fn load_metrics(&self, threshold: f64) -> (f64, usize, f64) {
+        let (mut max_load, mut overloaded, mut potential) = (0.0f64, 0usize, 0.0f64);
+        for stack in &self.stacks {
+            max_load = max_load.max(stack.load());
+            if stack.is_overloaded(threshold) {
+                overloaded += 1;
+                potential += stack.phi(threshold, &self.weights);
+            }
+        }
+        (max_load, overloaded, potential)
     }
 }

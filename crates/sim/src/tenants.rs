@@ -97,8 +97,34 @@ impl TenantSet {
     /// Count, for every tenant, the resources whose tenant-local load
     /// exceeds the tenant's own threshold. `weights` and `tenant_of` are
     /// indexed by task id; `n_active` is the denominator of the per-tenant
-    /// averages.
+    /// averages; `total` and `w_max` are the whole live population's.
+    ///
+    /// With one tenant its local load is the stack load and its W and
+    /// w_max are `total` and `w_max`, so the count reads the cached stack
+    /// loads: O(n), no per-task gather. Several tenants need the O(m)
+    /// gather of per-(tenant, resource) loads.
     pub fn violations(
+        &self,
+        stacks: &[ResourceStack],
+        weights: &[f64],
+        tenant_of: &[u16],
+        n_active: usize,
+        total: f64,
+        w_max: f64,
+    ) -> Vec<u64> {
+        let [spec] = self.specs.as_slice() else {
+            return self.gather_violations(stacks, weights, tenant_of, n_active);
+        };
+        if total <= 0.0 || n_active == 0 {
+            return vec![0];
+        }
+        let threshold = spec.policy.value(total, n_active, w_max);
+        vec![stacks.iter().filter(|s| s.load() > threshold).count() as u64]
+    }
+
+    /// The general per-tenant scan behind [`violations`](Self::violations):
+    /// gathers every task's weight into its (tenant, resource) cell.
+    fn gather_violations(
         &self,
         stacks: &[ResourceStack],
         weights: &[f64],
@@ -171,8 +197,40 @@ mod tests {
         r0.push(3, 1.0);
         let mut r1 = ResourceStack::new();
         r1.push(4, 1.0);
-        let v = ts.violations(&[r0, r1], &weights, &tenant_of, 2);
+        let v = ts.violations(&[r0, r1], &weights, &tenant_of, 2, 5.0, 1.0);
         assert_eq!(v, vec![1, 0]);
+    }
+
+    #[test]
+    fn single_tenant_count_from_stack_loads_matches_the_gather() {
+        // Weighted tasks spread unevenly over five resources (one empty):
+        // the O(n) count over cached loads must agree with the per-task
+        // gather at every threshold the policies produce.
+        let weights = vec![1.5, 4.0, 2.25, 1.0, 3.0, 1.0, 7.5, 2.0];
+        let layout: [&[u32]; 5] = [&[0, 1, 2], &[3], &[], &[4, 5, 6], &[7]];
+        let stacks: Vec<ResourceStack> = layout
+            .iter()
+            .map(|ids| {
+                let mut s = ResourceStack::new();
+                for &t in *ids {
+                    s.push(t, weights[t as usize]);
+                }
+                s
+            })
+            .collect();
+        let tenant_of = vec![0u16; weights.len()];
+        let total: f64 = weights.iter().sum();
+        for policy in [
+            ThresholdPolicy::Tight,
+            ThresholdPolicy::AboveAverage { epsilon: 0.2 },
+            ThresholdPolicy::AboveAverage { epsilon: 1.0 },
+        ] {
+            let ts = TenantSet::single(policy);
+            for n_active in [3, 5] {
+                let fast = ts.violations(&stacks, &weights, &tenant_of, n_active, total, 7.5);
+                assert_eq!(fast, ts.gather_violations(&stacks, &weights, &tenant_of, n_active));
+            }
+        }
     }
 
     #[test]
@@ -183,7 +241,7 @@ mod tests {
         ]);
         let mut r0 = ResourceStack::new();
         r0.push(0, 2.0);
-        let v = ts.violations(&[r0], &[2.0], &[0], 1);
+        let v = ts.violations(&[r0], &[2.0], &[0], 1, 2.0, 2.0);
         assert_eq!(v, vec![0, 0], "single resource holds its own average");
     }
 

@@ -198,6 +198,50 @@ impl ResourceStack {
         out.len() - before
     }
 
+    /// Remove the tasks at the sorted, distinct stack `positions` (0 =
+    /// bottom) and append them to `out` bottom-to-top; the remaining tasks
+    /// keep their relative order. The cached load drops by the removed
+    /// weight, as in [`drain_bernoulli_into`](Self::drain_bernoulli_into).
+    /// Returns how many were removed. The online engine's departure draw
+    /// calls this with geometrically skipped positions.
+    ///
+    /// # Panics
+    /// If a position is out of range, or (debug builds) the positions are
+    /// not strictly increasing.
+    pub fn remove_positions_into(
+        &mut self,
+        positions: &[usize],
+        weights: &[f64],
+        out: &mut Vec<TaskId>,
+    ) -> usize {
+        debug_assert!(positions.windows(2).all(|p| p[0] < p[1]), "positions must increase");
+        let (Some(&first), Some(&last)) = (positions.first(), positions.last()) else {
+            return 0;
+        };
+        assert!(
+            last < self.tasks.len(),
+            "position {last} outside a {}-task stack",
+            self.tasks.len()
+        );
+        let mut removed_weight = 0.0;
+        let mut k = 0;
+        let mut write = first;
+        for read in first..self.tasks.len() {
+            let t = self.tasks[read];
+            if positions.get(k) == Some(&read) {
+                k += 1;
+                out.push(t);
+                removed_weight += weights[t as usize];
+            } else {
+                self.tasks[write] = t;
+                write += 1;
+            }
+        }
+        self.tasks.truncate(write);
+        self.load -= removed_weight;
+        positions.len()
+    }
+
     /// Recompute the cached load from scratch (guards against f64 drift in
     /// long simulations; called periodically by the protocols).
     pub fn rebuild_load(&mut self, weights: &[f64]) {
@@ -350,6 +394,27 @@ mod tests {
         }
         let rate = total_migrants as f64 / (trials * 10) as f64;
         assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
+    }
+
+    #[test]
+    fn remove_positions_into_keeps_order_and_load() {
+        let (mut s, weights) = stack_of(&[(0, 2.0), (1, 3.0), (2, 1.0), (3, 4.0), (4, 0.5)]);
+        let mut out = vec![9];
+        assert_eq!(s.remove_positions_into(&[1, 3, 4], &weights, &mut out), 3);
+        assert_eq!(out, vec![9, 1, 3, 4]);
+        assert_eq!(s.tasks(), &[0, 2]);
+        assert_eq!(s.load(), 3.0);
+        assert_eq!(s.remove_positions_into(&[], &weights, &mut out), 0);
+        assert_eq!(s.remove_positions_into(&[0, 1], &weights, &mut out), 2);
+        assert!(s.is_empty());
+        assert_eq!(s.load(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 2-task stack")]
+    fn remove_positions_into_rejects_out_of_range() {
+        let (mut s, weights) = stack_of(&[(0, 2.0), (1, 3.0)]);
+        s.remove_positions_into(&[2], &weights, &mut Vec::new());
     }
 
     #[test]

@@ -367,6 +367,24 @@ impl OnlineSim {
         &self.records
     }
 
+    /// Check the engine's incremental state against full recomputes. The
+    /// epoch loop never calls it (it is O(m)); tests and soaks call it
+    /// between epochs. It checks that:
+    ///
+    /// * live tasks = Σ stack sizes = id slots − free ids;
+    /// * the cached `w_max` and the number of live tasks carrying it equal
+    ///   a full rescan;
+    /// * every stack's cached load is within a relative 10⁻⁹ of its exact
+    ///   weight sum (relative to the larger of that sum, `w_max` and 1);
+    /// * no task sits on an inactive resource;
+    /// * every id slot is stacked once or free once, never both or twice.
+    ///
+    /// # Errors
+    /// A description of the first broken invariant.
+    pub fn audit(&self) -> Result<(), String> {
+        self.state.audit()
+    }
+
     /// Capacity of the task-id space (live slots + recycled free slots) —
     /// the engine's memory footprint per task, for the bounded-memory
     /// tests.
@@ -753,8 +771,10 @@ impl OnlineSim {
         }
         let t_churn = obs_on.then(Instant::now);
 
-        // --- 2. departures: every live task flips an independent coin.
-        let departures = state.depart_bernoulli(self.cfg.departure_prob, &mut rng);
+        // --- 2. departures: each live task leaves independently with
+        // probability `departure_prob`, drawn as geometric skips over the
+        // concatenated stacks (one draw per departure, not per task).
+        let departures = state.depart(self.cfg.departure_prob, &mut rng);
 
         // --- 3. arrivals, gated by admission. The offered stream
         // (tenant + weight draws) is identical whatever the policy
@@ -1539,6 +1559,29 @@ mod tests {
         }
         assert_eq!(obs.counters["sim.admitted"], report.total_admitted);
         assert_eq!(obs.counters["sim.rejected"], report.total_rejected);
+    }
+
+    #[test]
+    fn long_pareto_run_passes_the_audit_every_epoch() {
+        // Heavy-tailed weights over a ~100-task population: the unique
+        // max-weight task departs again and again, so the cached w_max
+        // keeps dropping through the rescan, and the audit checks it (and
+        // every cached load) against a full recompute after each epoch.
+        let mut cfg = quick_cfg("audit");
+        cfg.epochs = 2000;
+        cfg.arrivals = ArrivalProcess::Poisson { rate: 5.0 };
+        cfg.arrival_weights = ArrivalWeights::ParetoTruncated { alpha: 1.3, cap: 32.0 };
+        let mut sim = OnlineSim::new(torus2d(4, 4), cfg);
+        let (mut drops, mut prev) = (0u32, 0.0);
+        for _ in 0..2000 {
+            sim.run_epoch();
+            sim.audit().unwrap_or_else(|e| panic!("epoch {}: {e}", sim.epoch()));
+            if sim.state.w_max < prev {
+                drops += 1;
+            }
+            prev = sim.state.w_max;
+        }
+        assert!(drops >= 50, "w_max dropped only {drops} times in 2000 epochs");
     }
 
     #[test]

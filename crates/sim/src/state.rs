@@ -20,6 +20,14 @@ use crate::arrivals::ArrivalPlacement;
 use crate::churn::ChurnEvent;
 use crate::domains::DomainSpec;
 
+/// Relative tolerance of the audit's cached-load check, against
+/// `max(exact load, w_max, 1)`. `push` and the departure draw update a
+/// stack's load by adding and subtracting weights, so rounding error grows
+/// with every update until the next rebalance ejection resets the load
+/// exactly; 10⁻⁹ leaves room for millions of updates of weights up to the
+/// scale.
+const LOAD_AUDIT_REL_TOL: f64 = 1e-9;
+
 /// All state an online simulation owns between epochs (see the module
 /// docs for the state/scheduler split).
 #[derive(Debug, Clone)]
@@ -262,15 +270,38 @@ impl SimState {
         orphans.len() as u64
     }
 
-    /// Every live task flips an independent departure coin; freed id
-    /// slots are recycled. Returns the departure count.
-    pub(crate) fn depart_bernoulli<R: Rng + ?Sized>(&mut self, p: f64, rng: &mut R) -> u64 {
+    /// Depart every live task independently with probability `p`, with
+    /// O(departures) draws: walking the tasks in concatenated stack order
+    /// (resource 0 bottom-to-top, then resource 1, ...), each gap to the
+    /// next departing task is one inverse-CDF Geometric(p) draw,
+    /// `⌊ln(1−u)/ln(1−p)⌋`, so `P(gap = k) = (1−p)^k·p` — the law of
+    /// skipping past independent Bernoulli(p) coins. The walk itself is
+    /// O(n) over the stack lengths. Freed id slots are recycled and the
+    /// cached `w_max` follows. Returns the departure count.
+    pub(crate) fn depart<R: Rng + ?Sized>(&mut self, p: f64, rng: &mut R) -> u64 {
         if p <= 0.0 || self.live == 0 {
             return 0;
         }
+        let ln_q = (-p).ln_1p();
+        // `as` saturates, so a gap past every task stays in range.
+        let mut gap = || ((-rng.gen::<f64>()).ln_1p() / ln_q) as usize;
         self.departed.clear();
+        let mut positions = Vec::new();
+        // Concatenated index of the next departing task, and of the
+        // current stack's bottom task.
+        let mut next = gap();
+        let mut base = 0usize;
         for stack in self.stacks.iter_mut() {
-            stack.drain_bernoulli_into(p, &self.weights, rng, &mut self.departed);
+            let end = base + stack.num_tasks();
+            if next < end {
+                positions.clear();
+                while next < end {
+                    positions.push(next - base);
+                    next = next.saturating_add(gap()).saturating_add(1);
+                }
+                stack.remove_positions_into(&positions, &self.weights, &mut self.departed);
+            }
+            base = end;
         }
         let departures = self.departed.len() as u64;
         self.live -= self.departed.len();
@@ -374,6 +405,54 @@ impl SimState {
         best
     }
 
+    /// Check the incremental state against full recomputes; see
+    /// [`OnlineSim::audit`](crate::OnlineSim::audit) for the list.
+    pub(crate) fn audit(&self) -> Result<(), String> {
+        let slots = self.weights.len();
+        let stacked: usize = self.stacks.iter().map(ResourceStack::num_tasks).sum();
+        if self.live != stacked
+            || self.live + self.free_ids.len() != slots
+            || self.tenant_of.len() != slots
+        {
+            return Err(format!(
+                "live {} vs {stacked} stacked; {} free ids, {slots} weight and {} tenant slots",
+                self.live,
+                self.free_ids.len(),
+                self.tenant_of.len()
+            ));
+        }
+        let mut seen = vec![false; slots];
+        for &t in self.stacks.iter().flat_map(ResourceStack::tasks).chain(&self.free_ids) {
+            let slot = seen
+                .get_mut(t as usize)
+                .ok_or_else(|| format!("task id {t} outside the {slots}-slot table"))?;
+            if std::mem::replace(slot, true) {
+                return Err(format!("task id {t} is stacked or freed twice"));
+            }
+        }
+        let scanned = self.scan_w_max();
+        if (self.w_max, self.w_max_count) != scanned {
+            return Err(format!(
+                "cached w_max {} x{} but a rescan finds {} x{}",
+                self.w_max, self.w_max_count, scanned.0, scanned.1
+            ));
+        }
+        for (v, stack) in self.stacks.iter().enumerate() {
+            if !stack.is_empty() && !self.dg.is_active(v as NodeId) {
+                return Err(format!("inactive resource {v} holds {} tasks", stack.num_tasks()));
+            }
+            let exact: f64 = stack.tasks().iter().map(|&t| self.weights[t as usize]).sum();
+            let scale = exact.max(self.w_max).max(1.0);
+            if (stack.load() - exact).abs() > LOAD_AUDIT_REL_TOL * scale {
+                return Err(format!(
+                    "resource {v} caches load {} but its tasks weigh {exact}",
+                    stack.load()
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Max load, overloaded-resource count, and potential Φ against
     /// `threshold`, in one pass over the stacks. Φ reads task weights only
     /// on overloaded stacks, so the pass is O(n) plus their tasks.
@@ -387,5 +466,118 @@ impl SimState {
             }
         }
         (max_load, overloaded, potential)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    use tlb_graphs::generators::complete;
+
+    /// Stack sizes with empty stacks in between, so geometric gaps cross
+    /// stack boundaries and skip whole resources.
+    const SIZES: [usize; 8] = [3, 0, 7, 1, 0, 12, 5, 2];
+
+    /// Unit tasks laid out per `SIZES`; ids are assigned in admission
+    /// order, so id = position in the concatenated stack order.
+    fn layout() -> SimState {
+        let mut state = SimState::new(complete(SIZES.len()));
+        for (v, &k) in SIZES.iter().enumerate() {
+            for _ in 0..k {
+                state.admit(1.0, 0, v as NodeId);
+            }
+        }
+        state
+    }
+
+    /// χ²(df) upper bound at ≈0.999, as in `crate::shard`'s pins.
+    fn chi2_crit(df: usize) -> f64 {
+        df as f64 + 4.0 * (2.0 * df as f64).sqrt() + 10.0
+    }
+
+    /// The statistical justification of the geometric-skip departure
+    /// stream (the one re-pin it caused): over many independent epochs the
+    /// departure count has the Binomial(live, p) mean and variance, and
+    /// every (resource, position) cell departs at rate p — per-task
+    /// Bernoulli(p) coins, with no position or resource bias.
+    #[test]
+    fn geometric_departures_match_independent_bernoulli_coins() {
+        let base = layout();
+        let live = base.live;
+        for (p, seed) in [(0.02, 1u64), (0.1, 2), (0.45, 3)] {
+            let trials = 20_000usize;
+            let mut rng = SmallRng::seed_from_u64(0xDE9A ^ seed);
+            let mut per_task = vec![0u64; live];
+            let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
+            for _ in 0..trials {
+                let mut s = base.clone();
+                let k = s.depart(p, &mut rng);
+                assert_eq!(s.live + k as usize, live);
+                s.audit().unwrap();
+                for &t in &s.free_ids {
+                    per_task[t as usize] += 1;
+                }
+                sum += k as f64;
+                sum_sq += (k * k) as f64;
+            }
+            // Moments against Binomial(live, p), each within 5 standard
+            // errors (the variance's from the binomial fourth moment).
+            let t = trials as f64;
+            let (n, q) = (live as f64, 1.0 - p);
+            let (mean, var) = (sum / t, sum_sq / t - (sum / t).powi(2));
+            let (mu, sigma2) = (n * p, n * p * q);
+            let mu4 = sigma2 * (1.0 + 3.0 * (n - 2.0) * p * q);
+            assert!(
+                (mean - mu).abs() < 5.0 * (sigma2 / t).sqrt(),
+                "p={p}: mean {mean} vs binomial {mu}"
+            );
+            assert!(
+                (var - sigma2).abs() < 5.0 * ((mu4 - sigma2 * sigma2) / t).sqrt(),
+                "p={p}: variance {var} vs binomial {sigma2}"
+            );
+            // Each cell's count is Binomial(trials, p), independent across
+            // cells: χ² over stack positions, then over whole resources.
+            let e = t * p;
+            let cell_stat: f64 = per_task.iter().map(|&c| (c as f64 - e).powi(2) / (e * q)).sum();
+            assert!(
+                cell_stat < chi2_crit(live),
+                "p={p}: position chi2 {cell_stat:.2} >= {:.2}",
+                chi2_crit(live)
+            );
+            let (mut res_stat, mut res_df, mut start) = (0.0, 0, 0);
+            for &k in SIZES.iter().filter(|&&k| k > 0) {
+                let c: u64 = per_task[start..start + k].iter().sum();
+                let e = e * k as f64;
+                res_stat += (c as f64 - e).powi(2) / (e * q);
+                res_df += 1;
+                start += k;
+            }
+            assert!(
+                res_stat < chi2_crit(res_df),
+                "p={p}: resource chi2 {res_stat:.2} >= {:.2}",
+                chi2_crit(res_df)
+            );
+        }
+    }
+
+    #[test]
+    fn cached_w_max_follows_admissions_and_departures() {
+        let mut state = SimState::new(complete(2));
+        for w in [2.0, 5.0, 1.0, 5.0] {
+            state.admit(w, 0, 0);
+        }
+        assert_eq!((state.w_max, state.w_max_count), (5.0, 2));
+        // Departing everything empties the cache back to (0, 0).
+        let mut rng = SmallRng::seed_from_u64(4);
+        while state.live > 0 {
+            state.depart(0.5, &mut rng);
+            state.audit().unwrap();
+        }
+        assert_eq!((state.w_max, state.w_max_count), (0.0, 0));
+        state.admit(3.0, 0, 1);
+        assert_eq!((state.w_max, state.w_max_count), (3.0, 1));
+        state.audit().unwrap();
     }
 }

@@ -17,11 +17,12 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlb_core::stack::ResourceStack;
+use tlb_core::threshold::ThresholdPolicy;
 use tlb_graphs::generators::random_regular;
 use tlb_graphs::Partition;
 use tlb_sim::{
-    AdmissionPolicy, ArrivalProcess, ChurnEvent, ChurnProcess, DomainSpec, MemorySink, OnlineSim,
-    RebalancePolicy, ShardedEngine, SimConfig, SimSnapshot,
+    AdmissionPolicy, ArrivalProcess, ArrivalWeights, ChurnEvent, ChurnProcess, DomainSpec,
+    MemorySink, OnlineSim, RebalancePolicy, ShardedEngine, SimConfig, SimSnapshot, TenantSpec,
 };
 use tlb_walks::WalkKind;
 
@@ -373,6 +374,46 @@ proptest! {
         prop_assert_eq!(report.total_admitted, full.total_admitted);
         prop_assert_eq!(report.total_rejected, full.total_rejected);
         prop_assert_eq!(report.shed_fraction.to_bits(), full.shed_fraction.to_bits());
+    }
+
+    /// The incremental state (cached w_max and its multiplicity, cached
+    /// stack loads, id accounting) passes `OnlineSim::audit` after every
+    /// epoch, and straight after a mid-run checkpoint → JSON → restore:
+    /// Pareto weights (the max-weight task departs repeatedly), two
+    /// tenants, scripted and stochastic domain outages, at shards 1 and 4.
+    /// The resumed run still matches the uninterrupted one.
+    #[test]
+    fn audit_holds_after_every_epoch_across_restore(
+        n in 16usize..40,
+        shards in prop_oneof![Just(1usize), Just(4usize)],
+        pause in 3u64..10,
+        seed in any::<u64>(),
+    ) {
+        let epochs = 14u64;
+        let mut cfg = robust_cfg(n, AdmissionPolicy::None, seed, epochs, shards);
+        cfg.arrival_weights = ArrivalWeights::ParetoTruncated { alpha: 1.3, cap: 32.0 };
+        cfg.tenants = vec![
+            TenantSpec::new("tight", ThresholdPolicy::Tight, 0.3),
+            TenantSpec::new("loose", ThresholdPolicy::AboveAverage { epsilon: 1.0 }, 0.7),
+        ];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let g = random_regular(n, 4, &mut rng).unwrap();
+
+        let mut first = OnlineSim::new(g.clone(), cfg.clone());
+        for _ in 0..pause {
+            first.run_epoch();
+            prop_assert_eq!(first.audit(), Ok(()), "epoch {}", first.epoch());
+        }
+        let json = first.checkpoint().unwrap().to_json().unwrap();
+        let mut resumed =
+            OnlineSim::restore(SimSnapshot::from_json(&json).unwrap(), g.clone()).unwrap();
+        prop_assert_eq!(resumed.audit(), Ok(()), "after restore");
+        while resumed.epoch() < epochs {
+            resumed.run_epoch();
+            prop_assert_eq!(resumed.audit(), Ok(()), "epoch {}", resumed.epoch());
+        }
+        let full = OnlineSim::new(g, cfg).run();
+        prop_assert_eq!(resumed.records(), &full.records[pause as usize..]);
     }
 
     /// Running a sharded pass conserves the task multiset and total

@@ -6,7 +6,8 @@
 //! classified from its name:
 //!
 //! * higher-is-better — name contains `per_sec` or `speedup`;
-//! * lower-is-better — name contains `secs`, `_ns`, `rss`, or `bytes`
+//! * lower-is-better — name contains `secs`, `_ns`, `rss`, or `bytes`,
+//!   or starts with `ns_` (`ns_per_task_epoch`)
 //!   (unless the leaf is a `*_count` / `*_hits` tally, which stays
 //!   informational — an observability counter named `route_ns_count`
 //!   must never be read as a latency);
@@ -74,6 +75,7 @@ fn direction(path: &str) -> Direction {
         Direction::HigherBetter
     } else if leaf.contains("secs")
         || leaf.contains("_ns")
+        || leaf.starts_with("ns_")
         || leaf.contains("rss")
         || leaf.contains("bytes")
     {
@@ -207,6 +209,7 @@ mod tests {
         assert!(direction("counters.fast_path_hits") == Direction::Informational);
         assert!(direction("timings.route_ns") == Direction::LowerBetter);
         assert!(direction("rows[0].epochs_per_sec") == Direction::HigherBetter);
+        assert!(direction("rows[0].ns_per_task_epoch") == Direction::LowerBetter);
     }
 
     #[test]

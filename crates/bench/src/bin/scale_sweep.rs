@@ -5,9 +5,12 @@
 //! runs the resource-controlled online engine for a fixed number of
 //! epochs at every requested shard count, and writes two artifacts:
 //!
-//! * `BENCH_scale.json` (`--out`): timing rows — wall seconds,
-//!   epochs/sec, and peak RSS per `(n, shards)` cell, plus the thread
-//!   count. Peak RSS is the *process* high-water mark (`VmHWM`), so it is
+//! * `BENCH_scale.json` (`--out`): timing rows per `(n, shards)` cell,
+//!   plus the thread count. Each row splits the one-time epoch-0 bulk
+//!   load (`setup_secs`) from the steady epochs 1..E (`steady_secs`,
+//!   `epochs_per_sec`, and `ns_per_task_epoch` = steady wall over the
+//!   live tasks summed across those epochs), and carries peak RSS.
+//!   Peak RSS is the *process* high-water mark (`VmHWM`), so it is
 //!   monotone over the run: read each row as "peak by the end of this
 //!   cell", and compare like cells across runs, not cells within one run.
 //! * a deterministic snapshot (`--det-out`): the full [`SimReport`] per
@@ -68,23 +71,36 @@ fn config(n: usize, epochs: u64, shards: usize) -> SimConfig {
     }
 }
 
-/// One timed run; returns the report, its wall seconds, and (when obs
-/// was requested) the cell's observability report.
-fn run_cell(
-    base: &tlb_graphs::Graph,
-    n: usize,
-    epochs: u64,
-    shards: usize,
-    obs: bool,
-) -> (SimReport, f64, Option<ObsReport>) {
+/// One timed cell.
+struct Cell {
+    report: SimReport,
+    /// Wall seconds of epoch 0, the one-time bulk load.
+    setup_secs: f64,
+    /// Wall seconds of the steady epochs 1..E.
+    steady_secs: f64,
+    /// Live tasks summed over the steady epochs.
+    task_epochs: u64,
+    /// The cell's observability report, when obs was requested.
+    obs: Option<ObsReport>,
+}
+
+/// Run one cell, timing the bulk-load epoch apart from the steady ones.
+fn run_cell(base: &tlb_graphs::Graph, n: usize, epochs: u64, shards: usize, obs: bool) -> Cell {
     let mut sim = OnlineSim::new(base.clone(), config(n, epochs, shards));
     if obs {
         sim.enable_obs();
     }
     let t = Instant::now();
-    let report = sim.run();
-    let secs = t.elapsed().as_secs_f64();
-    (report, secs, sim.obs_report())
+    sim.run_epoch();
+    let setup_secs = t.elapsed().as_secs_f64();
+    let t = Instant::now();
+    for _ in 1..epochs {
+        sim.run_epoch();
+    }
+    let steady_secs = t.elapsed().as_secs_f64();
+    let report = sim.report();
+    let task_epochs = report.records[1..].iter().map(|r| r.live_tasks as u64).sum();
+    Cell { report, setup_secs, steady_secs, task_epochs, obs: sim.obs_report() }
 }
 
 fn main() {
@@ -124,7 +140,8 @@ fn main() {
             ),
         }
     }
-    assert!(epochs > 0 && !shards.is_empty() && shards.iter().all(|&s| s > 0));
+    assert!(epochs >= 2, "--epochs must be >= 2: epoch 0 is the bulk load, the rest steady");
+    assert!(!shards.is_empty() && shards.iter().all(|&s| s > 0));
 
     let grid: &[usize] = if quick { &[10_000, 100_000] } else { &[10_000, 100_000, 1_000_000] };
     let threads = rayon::current_num_threads();
@@ -139,7 +156,8 @@ fn main() {
 
         let mut reference: Option<SimReport> = None;
         for &s in &shards {
-            let (report, secs, obs) = run_cell(&base, n, epochs, s, obs_on);
+            let Cell { report, setup_secs, steady_secs, task_epochs, obs } =
+                run_cell(&base, n, epochs, s, obs_on);
             // Merge one cell per n — the first listed shard count — so
             // the merged counters cannot depend on how many counts the
             // `--shards` list replays (each cell's counters are already
@@ -157,22 +175,24 @@ fn main() {
                     "shard-count invariance violated at n={n}, shards={s}"
                 ),
             }
-            let epochs_per_sec = epochs as f64 / secs;
+            let epochs_per_sec = (epochs - 1) as f64 / steady_secs;
+            let ns_per_task_epoch = steady_secs * 1e9 / task_epochs.max(1) as f64;
             if !rows.is_empty() {
                 rows.push_str(",\n");
             }
             write!(
                 rows,
                 "    {{ \"n\": {n}, \"tasks\": {}, \"shards\": {s}, \"epochs\": {epochs}, \
-                 \"secs\": {secs:.6}, \"epochs_per_sec\": {epochs_per_sec:.3}, \
-                 \"peak_rss_bytes\": {} }}",
+                 \"setup_secs\": {setup_secs:.6}, \"steady_secs\": {steady_secs:.6}, \
+                 \"epochs_per_sec\": {epochs_per_sec:.3}, \
+                 \"ns_per_task_epoch\": {ns_per_task_epoch:.3}, \"peak_rss_bytes\": {} }}",
                 10 * n,
                 rss_json(peak_rss_bytes()),
             )
             .unwrap();
             println!(
-                "n={n:>8} shards={s:>3} threads={threads}: {secs:.3}s \
-                 ({epochs_per_sec:.2} epochs/sec)"
+                "n={n:>8} shards={s:>3} threads={threads}: setup {setup_secs:.3}s, \
+                 steady {epochs_per_sec:.2} epochs/sec, {ns_per_task_epoch:.2} ns/task-epoch"
             );
         }
 

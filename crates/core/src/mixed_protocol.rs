@@ -34,7 +34,7 @@ use tlb_graphs::{Graph, NodeId};
 use tlb_walks::WalkKind;
 
 use crate::placement::Placement;
-use crate::protocol::{EngineStats, ProtocolOutcome, RoundEngine};
+use crate::protocol::{ProtocolOutcome, RoundEngine};
 use crate::stack::ResourceStack;
 use crate::task::{TaskId, TaskSet};
 use crate::threshold::ThresholdPolicy;
@@ -193,16 +193,6 @@ impl MixedStepper {
     /// Weight per task id (freed slots of dynamic callers included).
     pub fn weights(&self) -> &[f64] {
         &self.eng.weights
-    }
-
-    /// The `w_max` this run's departure probabilities divide by.
-    pub fn w_max(&self) -> f64 {
-        self.w_max
-    }
-
-    /// Deterministic observability counters accumulated so far.
-    pub fn obs_stats(&self) -> EngineStats {
-        self.eng.obs_stats()
     }
 
     /// Execute one round unless the run is already done. Returns

@@ -606,21 +606,23 @@ mod tests {
 
     #[test]
     fn w_max_is_preserved_for_the_variants_that_read_it() {
+        // The variants whose departure probabilities divide by w_max keep
+        // the whole weight table, so the heaviest task stays visible, and
+        // their threshold is built from it.
         let g = complete(8);
         let mut weights: Vec<f64> = vec![1.0; 40];
         weights[17] = 9.5;
         let tasks = TaskSet::new(weights);
-        let mixed =
-            MixedStepper::new(&g, &tasks, Placement::AllOnOne(0), &Default::default(), &mut rng(2));
-        assert_eq!(mixed.w_max(), 9.5);
-        let user = UserControlledStepper::new(
-            8,
-            &tasks,
-            Placement::AllOnOne(0),
-            &Default::default(),
-            &mut rng(2),
-        );
-        assert_eq!(user.w_max(), 9.5);
+        let heaviest = |w: &[f64]| w.iter().copied().fold(0.0, f64::max);
+        let mcfg = MixedConfig::default();
+        let mixed = MixedStepper::new(&g, &tasks, Placement::AllOnOne(0), &mcfg, &mut rng(2));
+        assert_eq!(heaviest(mixed.weights()), 9.5);
+        assert_eq!(mixed.threshold(), mcfg.threshold.value(tasks.total_weight(), 8, 9.5));
+        let ucfg = UserControlledConfig::default();
+        let user =
+            UserControlledStepper::new(8, &tasks, Placement::AllOnOne(0), &ucfg, &mut rng(2));
+        assert_eq!(heaviest(user.weights()), 9.5);
+        assert_eq!(user.threshold(), ucfg.threshold.value(tasks.total_weight(), 8, 9.5));
     }
 
     #[test]

@@ -174,11 +174,6 @@ impl UserControlledStepper {
         &self.eng.weights
     }
 
-    /// The `w_max` this run's departure probabilities divide by.
-    pub fn w_max(&self) -> f64 {
-        self.w_max
-    }
-
     /// Deterministic observability counters accumulated so far.
     pub fn obs_stats(&self) -> EngineStats {
         self.eng.obs_stats()

@@ -3,12 +3,30 @@
 //!
 //! Each epoch the scheduler: (1) applies resource churn (scripted rack
 //! drains and stochastic failures/recoveries, draining tasks off leaving
-//! resources), (2) departs tasks, (3) admits streaming arrivals, then
-//! (4) runs the resource-controlled protocol (the paper's Algorithm 5.1)
-//! as an *incremental* rebalancing pass — up to `rounds_per_epoch`
-//! protocol rounds — and (5) records an [`EpochRecord`]. The threshold
-//! is recomputed every epoch from the *live* population (total weight,
+//! resources), (2) departs each live task independently with probability
+//! `departure_prob`, (3) admits streaming arrivals, then (4) runs the
+//! resource-controlled protocol (the paper's Algorithm 5.1) as an
+//! *incremental* rebalancing pass — up to `rounds_per_epoch` protocol
+//! rounds — and (5) records an [`EpochRecord`]. The threshold is
+//! recomputed every epoch from the *live* population (total weight,
 //! active resources, live `w_max`), so the target tracks the traffic.
+//!
+//! ## Cost of an epoch
+//!
+//! Outside the rebalancing pass, a steady epoch costs O(n + arrivals +
+//! departures) for n resources, not O(m) in the live population m:
+//!
+//! * departures are geometric skips over the concatenated stacks — one
+//!   draw per departure, plus an O(n) walk over the stack lengths;
+//! * the live `w_max` and its multiplicity are cached in [`SimState`];
+//!   the O(m) rescan runs only when the last task carrying it departs;
+//! * the metrics are one pass over the stacks, reading task weights only
+//!   on overloaded ones;
+//! * a single tenant's SLO violations are counted from the cached stack
+//!   loads. Several tenants still gather per-(tenant, resource) loads in
+//!   O(m).
+//!
+//! [`OnlineSim::audit`] checks the cached state against full recomputes.
 //!
 //! The rebalancing pass always runs through the sharded engine of
 //! [`crate::shard`]: the stacks are split into `SimConfig::shards`
@@ -642,7 +660,7 @@ impl OnlineSim {
         state.tenant_of = snap.tenant_of;
         state.free_ids = snap.free_ids;
         state.live = snap.live;
-        (state.w_max, state.w_max_count) = state.scan_w_max();
+        state.w_max = state.scan_w_max();
         state.domain_down_until = snap.domain_down_until;
         state.admission_tokens = snap.admission_tokens;
         Ok(OnlineSim {
@@ -847,7 +865,7 @@ impl OnlineSim {
         // --- 4. recompute the live threshold.
         let n_active = state.dg.num_active();
         let total_weight = state.total_weight();
-        let w_max = state.w_max;
+        let w_max = state.w_max.max;
         let threshold = if state.live > 0 {
             self.cfg.threshold.value(total_weight, n_active, w_max)
         } else {
@@ -1576,10 +1594,10 @@ mod tests {
         for _ in 0..2000 {
             sim.run_epoch();
             sim.audit().unwrap_or_else(|e| panic!("epoch {}: {e}", sim.epoch()));
-            if sim.state.w_max < prev {
+            if sim.state.w_max.max < prev {
                 drops += 1;
             }
-            prev = sim.state.w_max;
+            prev = sim.state.w_max.max;
         }
         assert!(drops >= 50, "w_max dropped only {drops} times in 2000 epochs");
     }

@@ -28,6 +28,25 @@ use crate::domains::DomainSpec;
 /// scale.
 const LOAD_AUDIT_REL_TOL: f64 = 1e-9;
 
+/// The largest weight of a task multiset and how many tasks carry it
+/// (`max = 0, count = 0` when empty).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct MaxCount {
+    pub(crate) max: f64,
+    pub(crate) count: usize,
+}
+
+impl MaxCount {
+    /// Fold one more weight in.
+    fn add(&mut self, w: f64) {
+        if w > self.max {
+            *self = MaxCount { max: w, count: 1 };
+        } else if w == self.max {
+            self.count += 1;
+        }
+    }
+}
+
 /// All state an online simulation owns between epochs (see the module
 /// docs for the state/scheduler split).
 #[derive(Debug, Clone)]
@@ -47,12 +66,10 @@ pub struct SimState {
     pub(crate) tenant_of: Vec<u16>,
     pub(crate) free_ids: Vec<TaskId>,
     pub(crate) live: usize,
-    /// Largest live task weight (0 when empty), kept incrementally by
-    /// [`admit`](Self::admit) and the departure draw.
-    pub(crate) w_max: f64,
-    /// How many live tasks weigh exactly `w_max`. The O(m) rescan runs
-    /// only when a departure takes this to zero.
-    pub(crate) w_max_count: usize,
+    /// Largest live task weight and its multiplicity, kept incrementally
+    /// by [`admit`](Self::admit) and the departure draw. The O(m) rescan
+    /// runs only when a departure takes the count to zero.
+    pub(crate) w_max: MaxCount,
     /// Reused per-epoch buffer for departure draws.
     pub(crate) departed: Vec<TaskId>,
     /// Per failure domain (index = position in the config's domain
@@ -79,8 +96,7 @@ impl SimState {
             tenant_of: Vec::new(),
             free_ids: Vec::new(),
             live: 0,
-            w_max: 0.0,
-            w_max_count: 0,
+            w_max: MaxCount::default(),
             departed: Vec::new(),
             domain_down_until: Vec::new(),
             admission_tokens: Vec::new(),
@@ -306,12 +322,12 @@ impl SimState {
         let departures = self.departed.len() as u64;
         self.live -= self.departed.len();
         for &t in &self.departed {
-            if self.weights[t as usize] == self.w_max {
-                self.w_max_count -= 1;
+            if self.weights[t as usize] == self.w_max.max {
+                self.w_max.count -= 1;
             }
         }
-        if self.w_max_count == 0 {
-            (self.w_max, self.w_max_count) = self.scan_w_max();
+        if self.w_max.count == 0 {
+            self.w_max = self.scan_w_max();
         }
         self.free_ids.append(&mut self.departed);
         departures
@@ -321,11 +337,7 @@ impl SimState {
     /// record its weight and tenant, stack it on `dest`, and fold its
     /// weight into the cached `w_max`.
     pub(crate) fn admit(&mut self, weight: f64, tenant: u16, dest: NodeId) {
-        if weight > self.w_max {
-            (self.w_max, self.w_max_count) = (weight, 1);
-        } else if weight == self.w_max {
-            self.w_max_count += 1;
-        }
+        self.w_max.add(weight);
         let id = match self.free_ids.pop() {
             Some(id) => {
                 self.weights[id as usize] = weight;
@@ -388,19 +400,13 @@ impl SimState {
         self.stacks.iter().map(ResourceStack::load).sum()
     }
 
-    /// Full O(m) recompute of the largest live weight and how many live
-    /// tasks carry it (`(0.0, 0)` when empty). The epoch loop calls it only
-    /// when the last max-weight task departs; restore and the audit call
-    /// it once.
-    pub(crate) fn scan_w_max(&self) -> (f64, usize) {
-        let mut best = (0.0, 0);
+    /// Full O(m) recompute of the largest live weight and its
+    /// multiplicity. The epoch loop calls it only when the last max-weight
+    /// task departs; restore and the audit call it once.
+    pub(crate) fn scan_w_max(&self) -> MaxCount {
+        let mut best = MaxCount::default();
         for &t in self.stacks.iter().flat_map(ResourceStack::tasks) {
-            let w = self.weights[t as usize];
-            if w > best.0 {
-                best = (w, 1);
-            } else if w == best.0 {
-                best.1 += 1;
-            }
+            best.add(self.weights[t as usize]);
         }
         best
     }
@@ -431,18 +437,15 @@ impl SimState {
             }
         }
         let scanned = self.scan_w_max();
-        if (self.w_max, self.w_max_count) != scanned {
-            return Err(format!(
-                "cached w_max {} x{} but a rescan finds {} x{}",
-                self.w_max, self.w_max_count, scanned.0, scanned.1
-            ));
+        if self.w_max != scanned {
+            return Err(format!("cached {:?} but a rescan finds {scanned:?}", self.w_max));
         }
         for (v, stack) in self.stacks.iter().enumerate() {
             if !stack.is_empty() && !self.dg.is_active(v as NodeId) {
                 return Err(format!("inactive resource {v} holds {} tasks", stack.num_tasks()));
             }
             let exact: f64 = stack.tasks().iter().map(|&t| self.weights[t as usize]).sum();
-            let scale = exact.max(self.w_max).max(1.0);
+            let scale = exact.max(self.w_max.max).max(1.0);
             if (stack.load() - exact).abs() > LOAD_AUDIT_REL_TOL * scale {
                 return Err(format!(
                     "resource {v} caches load {} but its tasks weigh {exact}",
@@ -568,16 +571,16 @@ mod tests {
         for w in [2.0, 5.0, 1.0, 5.0] {
             state.admit(w, 0, 0);
         }
-        assert_eq!((state.w_max, state.w_max_count), (5.0, 2));
+        assert_eq!(state.w_max, MaxCount { max: 5.0, count: 2 });
         // Departing everything empties the cache back to (0, 0).
         let mut rng = SmallRng::seed_from_u64(4);
         while state.live > 0 {
             state.depart(0.5, &mut rng);
             state.audit().unwrap();
         }
-        assert_eq!((state.w_max, state.w_max_count), (0.0, 0));
+        assert_eq!(state.w_max, MaxCount::default());
         state.admit(3.0, 0, 1);
-        assert_eq!((state.w_max, state.w_max_count), (3.0, 1));
+        assert_eq!(state.w_max, MaxCount { max: 3.0, count: 1 });
         state.audit().unwrap();
     }
 }

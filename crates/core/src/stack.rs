@@ -239,7 +239,7 @@ impl ResourceStack {
         }
         self.tasks.truncate(write);
         self.load -= removed_weight;
-        positions.len()
+        k
     }
 
     /// Recompute the cached load from scratch (guards against f64 drift in

@@ -4,7 +4,7 @@
 //! over run. A second snapshot, `BENCH_sweep.json`, covers this PR's two
 //! batching axes: the walk-step kernel (scalar vs wide-lane-batched vs the PR 4
 //! fused replay, on d8/d16 expanders)
-//! and sweep scheduling (whole-sweep `run_sweep` vs the per-point loop on
+//! and sweep scheduling (whole-sweep `run_sweep_map` vs the per-point loop on
 //! an uneven sweep).
 //!
 //! Usage: `harness_smoke [--trials N] [--batches B] [--reps R] [--out PATH]

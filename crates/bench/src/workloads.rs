@@ -82,7 +82,7 @@ pub fn sweep_point_seeds(points: usize) -> Vec<u64> {
     (0..points as u64).map(|p| trial_seed(0x5EED, p)).collect()
 }
 
-/// The scheduling baseline `run_sweep` replaces: one pool batch per sweep
+/// The scheduling baseline `run_sweep_map` replaces: one pool batch per sweep
 /// point, with the implicit straggler barrier after each.
 pub fn run_sweep_per_point(point_seeds: &[u64], trials: usize) -> Vec<Vec<f64>> {
     point_seeds
@@ -94,7 +94,7 @@ pub fn run_sweep_per_point(point_seeds: &[u64], trials: usize) -> Vec<Vec<f64>> 
 
 /// The whole-sweep scheduling under test: the flattened single batch.
 pub fn run_sweep_whole(point_seeds: &[u64], trials: usize) -> Vec<Vec<f64>> {
-    harness::run_sweep(point_seeds, trials, uneven_sweep_trial)
+    harness::run_sweep_map(point_seeds, trials, uneven_sweep_trial)
 }
 
 /// The pre-pool execution strategy, kept as a measured baseline: split the

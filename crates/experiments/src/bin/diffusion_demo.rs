@@ -1,17 +1,8 @@
 //! A5: footnote-1 diffusion average estimation vs mixing time.
+//! Flags: see `tlb_experiments::cli`.
 
-use tlb_experiments::cli::Options;
-use tlb_experiments::figures::diffusion_expt;
+use tlb_experiments::{cli, figures::diffusion_expt};
 
 fn main() {
-    let opts = Options::from_env();
-    let cfg = if opts.quick {
-        diffusion_expt::Config::quick()
-    } else {
-        diffusion_expt::Config::default()
-    };
-    let table = diffusion_expt::run(&cfg);
-    print!("{}", table.render());
-    let path = table.save(&opts.out_dir).expect("write results");
-    eprintln!("saved {}", path.display());
+    cli::main(diffusion_expt::run);
 }

@@ -1,32 +1,8 @@
 //! A4: tight vs above-average thresholds for the user-controlled protocol.
-//!
-//! `--obs-out PATH` additionally writes the sweep's observability
-//! report (deterministic counters + wall timings + pool diagnostics;
-//! see `tlb-obs`). The table artifacts are byte-identical with or
-//! without it.
+//! Flags: see `tlb_experiments::cli`.
 
-use tlb_experiments::cli::Options;
-use tlb_experiments::figures::epsilon_sweep;
+use tlb_experiments::{cli, figures::epsilon_sweep};
 
 fn main() {
-    let opts = Options::from_env();
-    let mut cfg = if opts.full {
-        epsilon_sweep::Config::full()
-    } else if opts.quick {
-        epsilon_sweep::Config::quick()
-    } else {
-        epsilon_sweep::Config::default()
-    };
-    if let Some(t) = opts.trials {
-        cfg.trials = t;
-    }
-    let (table, obs) = epsilon_sweep::run_obs(&cfg);
-    print!("{}", table.render());
-    let path = table.save(&opts.out_dir).expect("write results");
-    eprintln!("saved {}", path.display());
-    if let Some(obs_out) = &opts.obs_out {
-        std::fs::write(obs_out, format!("{}\n", obs.to_json()))
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", obs_out.display()));
-        eprintln!("saved {}", obs_out.display());
-    }
+    cli::main(epsilon_sweep::run);
 }

@@ -1,20 +1,12 @@
 //! Regenerate the paper's Figure 1 (balancing time vs W for k heavy tasks).
+//! Flags: see `tlb_experiments::cli`.
 
-use tlb_experiments::cli::Options;
-use tlb_experiments::figures::figure1;
+use tlb_experiments::{cli, figures::figure1};
 
 fn main() {
-    let opts = Options::from_env();
-    let mut cfg = if opts.quick { figure1::Config::quick() } else { figure1::Config::default() };
-    if let Some(t) = opts.trials {
-        cfg.trials = t;
-    }
-    let table = figure1::run(&cfg);
-    print!("{}", table.render());
+    let (cfg, table) = cli::main(figure1::run);
     println!("\nlog-fit per k (rounds ~ a + b ln m):");
     for (k, slope, r2) in figure1::log_fit_per_k(&cfg, &table) {
         println!("  k = {k:>3}: slope = {slope:.2}, r^2 = {r2:.4}");
     }
-    let path = table.save(&opts.out_dir).expect("write results");
-    eprintln!("saved {}", path.display());
 }

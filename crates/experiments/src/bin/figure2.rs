@@ -1,22 +1,14 @@
 //! Regenerate the paper's Figure 2 (normalized balancing time vs m per w_max).
+//! Flags: see `tlb_experiments::cli`.
 
-use tlb_experiments::cli::Options;
-use tlb_experiments::figures::figure2;
+use tlb_experiments::{cli, figures::figure2};
 
 fn main() {
-    let opts = Options::from_env();
-    let mut cfg = if opts.quick { figure2::Config::quick() } else { figure2::Config::default() };
-    if let Some(t) = opts.trials {
-        cfg.trials = t;
-    }
-    let table = figure2::run(&cfg);
-    print!("{}", table.render());
+    let (cfg, table) = cli::main(figure2::run);
     let (flatness, (slope, r2)) = figure2::shape_checks(&cfg, &table);
     println!("\nper-w_max flatness of rounds/log m (max/min over m):");
     for (w, ratio) in flatness {
         println!("  w_max = {w:>4}: {ratio:.2}x");
     }
     println!("plateau ~ a + b*w_max fit: slope = {slope:.4}, r^2 = {r2:.4}");
-    let path = table.save(&opts.out_dir).expect("write results");
-    eprintln!("saved {}", path.display());
 }

@@ -1,22 +1,8 @@
 //! A7: the Section-8 mixed protocol vs the paper's two protocols.
+//! Flags: see `tlb_experiments::cli`.
 
-use tlb_experiments::cli::Options;
-use tlb_experiments::figures::mixed;
+use tlb_experiments::{cli, figures::mixed};
 
 fn main() {
-    let opts = Options::from_env();
-    let mut cfg = if opts.full {
-        mixed::Config::full()
-    } else if opts.quick {
-        mixed::Config::quick()
-    } else {
-        mixed::Config::default()
-    };
-    if let Some(t) = opts.trials {
-        cfg.trials = t;
-    }
-    let table = mixed::run(&cfg);
-    print!("{}", table.render());
-    let path = table.save(&opts.out_dir).expect("write results");
-    eprintln!("saved {}", path.display());
+    cli::main(mixed::run);
 }

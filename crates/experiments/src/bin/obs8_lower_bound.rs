@@ -1,22 +1,8 @@
 //! A2: Observation-8 lower-bound family (lollipop, tight thresholds).
+//! Flags: see `tlb_experiments::cli`.
 
-use tlb_experiments::cli::Options;
-use tlb_experiments::figures::obs8;
+use tlb_experiments::{cli, figures::obs8};
 
 fn main() {
-    let opts = Options::from_env();
-    let mut cfg = if opts.full {
-        obs8::Config::full()
-    } else if opts.quick {
-        obs8::Config::quick()
-    } else {
-        obs8::Config::default()
-    };
-    if let Some(t) = opts.trials {
-        cfg.trials = t;
-    }
-    let table = obs8::run(&cfg);
-    print!("{}", table.render());
-    let path = table.save(&opts.out_dir).expect("write results");
-    eprintln!("saved {}", path.display());
+    cli::main(obs8::run);
 }

@@ -57,6 +57,11 @@
 //! * `--bench-out PATH` writes a small perf JSON (epochs/sec, peak-RSS
 //!   flatness) for the advisory `bench_compare` gate.
 //!
+//! The driver also runs [`OnlineSim::audit`] — the engine's cached
+//! state against full recomputes — right after `--restore`, at every
+//! checkpoint it writes, and after its last epoch, and fails on the
+//! first broken invariant; CI's soak job runs it that way.
+//!
 //! The report JSON contains no wall-clock fields, so two runs with the
 //! same seed are byte-identical regardless of machine or thread count —
 //! CI diffs `RAYON_NUM_THREADS=1` against `=4` as a reproducibility gate.
@@ -324,6 +329,12 @@ fn write_obs_line(
     Ok(())
 }
 
+/// Run [`OnlineSim::audit`], naming where the run stood on failure.
+fn audit(sim: &OnlineSim, when: &str) -> anyhow::Result<()> {
+    sim.audit()
+        .map_err(|e| anyhow::anyhow!("audit failed {when} (epoch {}): {e}", sim.epoch()))
+}
+
 fn main() -> anyhow::Result<()> {
     let args = parse_args();
     let (cfg, base) = scenario(&args.scenario, args.quick, args.epochs, args.seed);
@@ -334,6 +345,7 @@ fn main() -> anyhow::Result<()> {
         Some(path) => {
             let snap = SimSnapshot::load(path)?;
             let resumed = OnlineSim::restore(snap, base)?;
+            audit(&resumed, "after restore")?;
             println!("restored from {path} at epoch {}", resumed.epoch());
             resumed
         }
@@ -375,6 +387,7 @@ fn main() -> anyhow::Result<()> {
         if let Some(every) = args.checkpoint_every {
             let done = sim.epoch();
             if done % every == 0 && done < total {
+                audit(&sim, "at checkpoint")?;
                 sim.checkpoint()?.save(&args.checkpoint)?;
                 println!("checkpoint at epoch {done} -> {}", args.checkpoint);
             }
@@ -388,6 +401,7 @@ fn main() -> anyhow::Result<()> {
     }
     let secs = started.elapsed().as_secs_f64();
     let segment_epochs = sim.epoch() - start_epoch;
+    audit(&sim, "after the last epoch")?;
     if let Some(mut sink) = sim.set_sink(None) {
         sink.flush()?;
     }

@@ -1,32 +1,8 @@
 //! A6: measured potential decay vs Lemma 10's analytic delta.
-//!
-//! `--obs-out PATH` additionally writes the sweep's observability
-//! report (deterministic counters + wall timings + pool diagnostics;
-//! see `tlb-obs`). The table artifacts are byte-identical with or
-//! without it.
+//! Flags: see `tlb_experiments::cli`.
 
-use tlb_experiments::cli::Options;
-use tlb_experiments::figures::potential_decay;
+use tlb_experiments::{cli, figures::potential_decay};
 
 fn main() {
-    let opts = Options::from_env();
-    let mut cfg = if opts.full {
-        potential_decay::Config::full()
-    } else if opts.quick {
-        potential_decay::Config::quick()
-    } else {
-        potential_decay::Config::default()
-    };
-    if let Some(t) = opts.trials {
-        cfg.trials = t;
-    }
-    let (table, obs) = potential_decay::run_obs(&cfg);
-    print!("{}", table.render());
-    let path = table.save(&opts.out_dir).expect("write results");
-    eprintln!("saved {}", path.display());
-    if let Some(obs_out) = &opts.obs_out {
-        std::fs::write(obs_out, format!("{}\n", obs.to_json()))
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", obs_out.display()));
-        eprintln!("saved {}", obs_out.display());
-    }
+    cli::main(potential_decay::run);
 }

@@ -1,33 +1,9 @@
 //! M1: any protocol × any graph × any arrival scenario through the
 //! generic protocol harness (the `BENCH_matrix` CI artifact).
-//!
-//! `--obs-out PATH` additionally writes the sweep's observability
-//! report (deterministic counters + wall timings + pool diagnostics;
-//! see `tlb-obs`). The table artifacts are byte-identical with or
-//! without it.
+//! Flags: see `tlb_experiments::cli`.
 
-use tlb_experiments::cli::Options;
-use tlb_experiments::figures::protocol_matrix;
+use tlb_experiments::{cli, figures::protocol_matrix};
 
 fn main() {
-    let opts = Options::from_env();
-    let mut cfg = if opts.full {
-        protocol_matrix::Config::full()
-    } else if opts.quick {
-        protocol_matrix::Config::quick()
-    } else {
-        protocol_matrix::Config::default()
-    };
-    if let Some(t) = opts.trials {
-        cfg.trials = t;
-    }
-    let (table, obs) = protocol_matrix::run_obs(&cfg);
-    print!("{}", table.render());
-    let path = table.save(&opts.out_dir).expect("write results");
-    eprintln!("saved {}", path.display());
-    if let Some(obs_out) = &opts.obs_out {
-        std::fs::write(obs_out, format!("{}\n", obs.to_json()))
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", obs_out.display()));
-        eprintln!("saved {}", obs_out.display());
-    }
+    cli::main(protocol_matrix::run);
 }

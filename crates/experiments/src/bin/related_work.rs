@@ -1,22 +1,13 @@
 //! A8: related-work allocators (greedy d-choice, (1+beta), threshold
 //! schemes) on the paper's weighted workloads.
+//! Flags: see `tlb_experiments::cli`.
 
-use tlb_experiments::cli::Options;
-use tlb_experiments::figures::related_work;
+use tlb_experiments::{cli, figures::related_work};
 
 fn main() {
-    let opts = Options::from_env();
-    let mut cfg =
-        if opts.quick { related_work::Config::quick() } else { related_work::Config::default() };
-    if let Some(t) = opts.trials {
-        cfg.trials = t;
-    }
-    let table = related_work::run(&cfg);
-    print!("{}", table.render());
+    let (cfg, table) = cli::main(related_work::run);
     println!("\ngap growth ratios (gap at largest m / smallest m):");
     for (scheme, ratio) in related_work::growth_ratios(&cfg, &table) {
         println!("  {scheme:<18} {ratio:.2}x");
     }
-    let path = table.save(&opts.out_dir).expect("write results");
-    eprintln!("saved {}", path.display());
 }

@@ -1,32 +1,8 @@
 //! A1: resource-controlled balancing time vs tau(G) log m (Theorem 3 shape).
-//!
-//! `--obs-out PATH` additionally writes the sweep's observability
-//! report (deterministic counters + wall timings + pool diagnostics;
-//! see `tlb-obs`). The table artifacts are byte-identical with or
-//! without it.
+//! Flags: see `tlb_experiments::cli`.
 
-use tlb_experiments::cli::Options;
-use tlb_experiments::figures::resource_scaling;
+use tlb_experiments::{cli, figures::resource_scaling};
 
 fn main() {
-    let opts = Options::from_env();
-    let mut cfg = if opts.full {
-        resource_scaling::Config::full()
-    } else if opts.quick {
-        resource_scaling::Config::quick()
-    } else {
-        resource_scaling::Config::default()
-    };
-    if let Some(t) = opts.trials {
-        cfg.trials = t;
-    }
-    let (table, obs) = resource_scaling::run_obs(&cfg);
-    print!("{}", table.render());
-    let path = table.save(&opts.out_dir).expect("write results");
-    eprintln!("saved {}", path.display());
-    if let Some(obs_out) = &opts.obs_out {
-        std::fs::write(obs_out, format!("{}\n", obs.to_json()))
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", obs_out.display()));
-        eprintln!("saved {}", obs_out.display());
-    }
+    cli::main(resource_scaling::run);
 }

@@ -1,13 +1,8 @@
 //! Regenerate the paper's Table 1 (mixing & hitting times per family).
+//! Flags: see `tlb_experiments::cli`.
 
-use tlb_experiments::cli::Options;
-use tlb_experiments::figures::table1;
+use tlb_experiments::{cli, figures::table1};
 
 fn main() {
-    let opts = Options::from_env();
-    let cfg = if opts.quick { table1::Config::quick() } else { table1::Config::default() };
-    let table = table1::run(&cfg);
-    print!("{}", table.render());
-    let path = table.save(&opts.out_dir).expect("write results");
-    eprintln!("saved {}", path.display());
+    cli::main(table1::run);
 }

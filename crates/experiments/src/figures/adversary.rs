@@ -24,6 +24,11 @@
 //!   `max_load` first falls back to the pre-outage peak. Load shedding
 //!   must recover within a bounded number of epochs — also pinned.
 //!
+//! Every cell audits its engine after the run ([`OnlineSim::audit`]:
+//! conservation, cached loads and `w_max`, no task on an inactive
+//! resource) and panics on a broken invariant, so CI's `chaos` job
+//! checks the audit across its whole thread × shard grid.
+//!
 //! The driver (`adversary_sweep`) persists the grid as
 //! `adversary_sweep.{csv,json}` plus the `BENCH_adversary.json`
 //! snapshot; no wall-clock field enters the snapshot, so CI byte-diffs
@@ -194,6 +199,15 @@ fn gap_stats(report: &SimReport, warmup: u64) -> (f64, f64, f64) {
     (if count > 0 { sum / count as f64 } else { 0.0 }, peak_gap, peak_load)
 }
 
+/// Run one cell on the `side × side` torus, then audit the engine
+/// ([`OnlineSim::audit`]); panics on a broken invariant.
+fn run_audited(cfg: &Config, sim_cfg: SimConfig) -> SimReport {
+    let mut sim = OnlineSim::new(torus2d(cfg.side, cfg.side), sim_cfg);
+    let report = sim.run();
+    sim.audit().unwrap_or_else(|e| panic!("{}: audit failed: {e}", report.scenario));
+    report
+}
+
 /// Run the overload-gap grid: every adversary over the identical
 /// stochastic-outage scenario.
 fn run_gap(cfg: &Config) -> Vec<GapRow> {
@@ -221,7 +235,7 @@ fn run_gap(cfg: &Config) -> Vec<GapRow> {
             sim_cfg.arrival_placement = placement;
             sim_cfg.churn.domain_outage = cfg.domain_outage;
             sim_cfg.churn.steering = steering;
-            let report = OnlineSim::new(torus2d(cfg.side, cfg.side), sim_cfg).run();
+            let report = run_audited(cfg, sim_cfg);
             let (mean_gap, peak_gap, peak_load) = gap_stats(&report, cfg.warmup);
             GapRow { adversary: label, oblivious, mean_gap, peak_gap, peak_load }
         })
@@ -254,7 +268,7 @@ fn run_recovery(cfg: &Config) -> Vec<RecoveryRow> {
                 down_at,
                 ChurnEvent::DomainOutage { domain: 0, duration: cfg.outage_epochs },
             )];
-            let report = OnlineSim::new(torus2d(cfg.side, cfg.side), sim_cfg).run();
+            let report = run_audited(cfg, sim_cfg);
             // Pre-outage peak over the last stretch of warmup (the
             // population has equilibrated by then): what "recovered"
             // means for this run.

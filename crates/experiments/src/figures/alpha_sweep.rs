@@ -12,13 +12,13 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlb_core::drift::analysis_alpha;
 use tlb_core::placement::Placement;
-use tlb_core::protocol::EngineStats;
 use tlb_core::threshold::ThresholdPolicy;
 use tlb_core::user_protocol::{run_user_controlled_with_stats, UserControlledConfig};
 use tlb_core::weights::WeightSpec;
-use tlb_obs::{ObsReport, Registry};
+use tlb_obs::ObsReport;
 
-use crate::harness;
+use super::{Sweep, Trial};
+use crate::cli::Experiment;
 use crate::output::Table;
 use crate::stats::Summary;
 
@@ -55,18 +55,17 @@ impl Default for Config {
     }
 }
 
-impl Config {
-    /// Reduced configuration for smoke tests and benches.
-    pub fn quick() -> Self {
+impl Experiment for Config {
+    fn quick() -> Self {
         Config { n: 100, m: 500, trials: 20, ..Default::default() }
     }
 
-    /// Paper-fidelity configuration: the Section-7 trial count (every
-    /// data point averaged over 1000 independent trials).
-    pub fn full() -> Self {
-        Config { trials: 1000, ..Default::default() }
+    fn trials_mut(&mut self) -> Option<&mut usize> {
+        Some(&mut self.trials)
     }
+}
 
+impl Config {
     /// The α ladder actually swept.
     pub fn alpha_ladder(&self) -> Vec<f64> {
         if !self.alphas.is_empty() {
@@ -81,23 +80,11 @@ impl Config {
 
 /// Run the sweep. Columns: alpha, rounds_mean, rounds_ci95, alpha_x_rounds.
 ///
-/// The whole α ladder runs as **one** pool batch through
-/// [`harness::run_sweep`]; per-point seeds match the old per-point loop,
-/// so results are bit-identical to it at any thread count. The ladder is
-/// maximally uneven work — small α balances an order of magnitude slower
-/// than α = 1 — exactly the shape the flattened batch exists for.
-pub fn run(cfg: &Config) -> Table {
-    run_obs(cfg).0
-}
-
-/// [`run`], also returning the sweep's observability report (the shape
-/// `protocol_matrix` reports): deterministic per-point totals plus the
-/// engine's [`EngineStats`] merged across every trial under the `alpha.`
-/// counter prefix, the sweep wall time, and the rayon pool deltas.
-pub fn run_obs(cfg: &Config) -> (Table, ObsReport) {
-    let reg = Registry::new();
-    let pool_base = rayon::pool_stats();
-    let t_sweep = std::time::Instant::now();
+/// The whole α ladder runs as one [`Sweep`] batch (obs prefix `alpha`).
+/// The ladder is maximally uneven work — small α balances an order of
+/// magnitude slower than α = 1 — exactly the shape the flattened batch
+/// exists for.
+pub fn run(cfg: &Config) -> (Table, ObsReport) {
     let mut table = Table::new(
         "alpha_sweep",
         format!(
@@ -118,23 +105,15 @@ pub fn run_obs(cfg: &Config) -> (Table, ObsReport) {
         .collect();
     let seeds: Vec<u64> = ladder.iter().map(|&alpha| cfg.seed ^ (alpha * 1e6) as u64).collect();
     let n = cfg.n;
-    let results = harness::run_sweep_map(&seeds, cfg.trials, |i, s| {
+    let (results, reg) = Sweep::new("alpha").run(&seeds, cfg.trials, |i, s| {
         let mut rng = SmallRng::seed_from_u64(s);
         let tasks = spec.generate(&mut rng);
         let (out, stats) =
             run_user_controlled_with_stats(n, &tasks, Placement::AllOnOne(0), &protos[i], &mut rng);
-        (out.rounds as f64, stats)
+        Trial { value: out.rounds as f64, rounds: out.rounds, stats: Some(stats) }
     });
-    let mut merged = EngineStats::default();
-    for (alpha, samples) in ladder.iter().zip(&results) {
-        reg.add("alpha.points", 1);
-        reg.add("alpha.trials", samples.len() as u64);
-        reg.add("alpha.rounds", samples.iter().map(|(r, _)| *r as u64).sum());
-        for (_, stats) in samples {
-            merged.merge(stats);
-        }
-        let rounds: Vec<f64> = samples.iter().map(|(r, _)| *r).collect();
-        let s = Summary::of(&rounds);
+    for (alpha, rounds) in ladder.iter().zip(&results) {
+        let s = Summary::of(rounds);
         table.push_row(vec![
             format!("{alpha:.6}"),
             format!("{:.2}", s.mean),
@@ -142,15 +121,6 @@ pub fn run_obs(cfg: &Config) -> (Table, ObsReport) {
             format!("{:.2}", alpha * s.mean),
         ]);
     }
-    super::record_engine_stats(&reg, "alpha", &merged);
-    reg.record_ns("alpha.sweep_ns", t_sweep.elapsed().as_nanos() as u64);
-    let pool = rayon::pool_stats();
-    reg.set_exec("pool.threads", pool.threads as u64);
-    reg.set_exec("pool.batches", pool.batches.saturating_sub(pool_base.batches));
-    reg.set_exec(
-        "pool.chunks_claimed",
-        pool.chunks_claimed.saturating_sub(pool_base.chunks_claimed),
-    );
     (table, reg.snapshot())
 }
 
@@ -170,7 +140,7 @@ mod tests {
     #[test]
     fn rounds_decrease_with_alpha() {
         let cfg = Config { alphas: vec![0.05, 1.0], trials: 15, n: 60, m: 300, ..Config::quick() };
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         let rounds = t.column_f64("rounds_mean");
         assert_eq!(rounds.len(), 2);
         assert!(
@@ -187,26 +157,10 @@ mod tests {
         // since small-α runs have extra constant overhead.
         let cfg =
             Config { alphas: vec![0.2, 0.5, 1.0], trials: 25, n: 60, m: 300, ..Config::quick() };
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         let prods = t.column_f64("alpha_x_rounds");
         let max = prods.iter().fold(f64::MIN, |a, &b| a.max(b));
         let min = prods.iter().fold(f64::MAX, |a, &b| a.min(b));
         assert!(max / min < 4.0, "alpha*rounds spread too wide: {prods:?}");
-    }
-
-    #[test]
-    fn obs_counters_aggregate_the_sweep_deterministically() {
-        let cfg = Config { trials: 3, ..Config::quick() };
-        let (table, obs) = run_obs(&cfg);
-        assert_eq!(obs.counters["alpha.points"], table.rows.len() as u64);
-        assert_eq!(obs.counters["alpha.trials"], (table.rows.len() * cfg.trials) as u64);
-        assert!(obs.counters["alpha.rounds"] > 0);
-        assert!(obs.counters["alpha.uniform_jump_draws"] > 0);
-        assert!(obs.timings.contains_key("alpha.sweep_ns"));
-        // The deterministic subtree is byte-stable run to run; the table
-        // itself must be unchanged by the instrumentation.
-        let (again_table, again) = run_obs(&cfg);
-        assert_eq!(again_table, table);
-        assert_eq!(again.counters_json(), obs.counters_json());
     }
 }

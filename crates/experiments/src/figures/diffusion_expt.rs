@@ -10,10 +10,13 @@
 
 use tlb_core::diffusion::{estimate_average_to_tolerance, DiffusionKind};
 use tlb_graphs::generators::Family;
+use tlb_obs::ObsReport;
 use tlb_walks::mixing;
 use tlb_walks::spectral::spectral_gap_power;
 use tlb_walks::TransitionMatrix;
 
+use super::{Sweep, Trial};
+use crate::cli::Experiment;
 use crate::figures::table1::build_family;
 use crate::output::Table;
 
@@ -36,16 +39,22 @@ impl Default for Config {
     }
 }
 
-impl Config {
-    /// Reduced configuration for smoke tests and benches.
-    pub fn quick() -> Self {
+impl Experiment for Config {
+    fn quick() -> Self {
         Config { size: 64, max_steps: 200_000, ..Default::default() }
+    }
+
+    fn trials_mut(&mut self) -> Option<&mut usize> {
+        None
     }
 }
 
 /// Run the experiment. Columns: family, n, steps_to_tol, tau_lemma2,
-/// steps_over_tau.
-pub fn run(cfg: &Config) -> Table {
+/// steps_over_tau. Every family is one point of a [`Sweep`] batch (obs
+/// prefix `diffusion`, the diffusion steps counted as rounds) with a
+/// single trial; the measurement is deterministic, so the trial seed
+/// goes unused.
+pub fn run(cfg: &Config) -> (Table, ObsReport) {
     let mut table = Table::new(
         "diffusion",
         format!(
@@ -55,24 +64,28 @@ pub fn run(cfg: &Config) -> Table {
         ),
         &["family", "n", "steps_to_tol", "tau_lemma2", "steps_over_tau"],
     );
-    for family in Family::ALL {
-        let (g, kind) = build_family(family, cfg.size, cfg.seed);
-        let n = g.num_nodes();
-        // Hotspot initial loads: everything on node 0; average = 1.
-        let mut init = vec![0.0; n];
-        init[0] = n as f64;
-        // Damped diffusion: convergent on every family (the pure
-        // max-degree chain is periodic on the bipartite ones).
-        let (_, steps) = estimate_average_to_tolerance(
-            &g,
-            &init,
-            cfg.rel_tol,
-            cfg.max_steps,
-            DiffusionKind::Damped,
-        );
-        let p = TransitionMatrix::build(&g, kind);
-        let gap = spectral_gap_power(&p, &g, 1e-10, 100_000);
-        let tau = mixing::lemma2_mixing_time(n, &gap).unwrap_or(u64::MAX) as f64;
+    let (results, reg) =
+        Sweep::new("diffusion").run(&vec![cfg.seed; Family::ALL.len()], 1, |i, _| {
+            let (g, kind) = build_family(Family::ALL[i], cfg.size, cfg.seed);
+            let n = g.num_nodes();
+            // Hotspot initial loads: everything on node 0; average = 1.
+            let mut init = vec![0.0; n];
+            init[0] = n as f64;
+            // Damped diffusion: convergent on every family (the pure
+            // max-degree chain is periodic on the bipartite ones).
+            let (_, steps) = estimate_average_to_tolerance(
+                &g,
+                &init,
+                cfg.rel_tol,
+                cfg.max_steps,
+                DiffusionKind::Damped,
+            );
+            let p = TransitionMatrix::build(&g, kind);
+            let gap = spectral_gap_power(&p, &g, 1e-10, 100_000);
+            let tau = mixing::lemma2_mixing_time(n, &gap).unwrap_or(u64::MAX) as f64;
+            Trial { value: (n, steps, tau), rounds: steps as u64, stats: None }
+        });
+    for (family, &(n, steps, tau)) in Family::ALL.iter().zip(results.iter().flatten()) {
         table.push_row(vec![
             family.name().to_string(),
             n.to_string(),
@@ -81,7 +94,7 @@ pub fn run(cfg: &Config) -> Table {
             format!("{:.3}", steps as f64 / tau),
         ]);
     }
-    table
+    (table, reg.snapshot())
 }
 
 #[cfg(test)]
@@ -91,7 +104,7 @@ mod tests {
     #[test]
     fn all_families_converge_within_cap() {
         let cfg = Config::quick();
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         assert_eq!(t.rows.len(), Family::ALL.len());
         for (row, steps) in t.rows.iter().zip(t.column_f64("steps_to_tol")) {
             assert!((steps as usize) < cfg.max_steps, "family {} did not converge", row[0]);
@@ -103,7 +116,7 @@ mod tests {
         // Steps/tau should be O(1)-ish: never more than a few multiples of
         // the Lemma-2 bound (which is itself conservative).
         let cfg = Config::quick();
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         for ratio in t.column_f64("steps_over_tau") {
             assert!(ratio < 5.0, "diffusion needed {ratio}x the mixing time");
         }

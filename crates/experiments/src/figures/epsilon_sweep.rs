@@ -9,13 +9,13 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlb_core::placement::Placement;
-use tlb_core::protocol::EngineStats;
 use tlb_core::threshold::ThresholdPolicy;
 use tlb_core::user_protocol::{run_user_controlled_with_stats, UserControlledConfig};
 use tlb_core::weights::WeightSpec;
-use tlb_obs::{ObsReport, Registry};
+use tlb_obs::ObsReport;
 
-use crate::harness;
+use super::{Sweep, Trial};
+use crate::cli::Experiment;
 use crate::output::Table;
 use crate::stats::Summary;
 
@@ -59,9 +59,8 @@ impl Default for Config {
     }
 }
 
-impl Config {
-    /// Reduced configuration for smoke tests and benches.
-    pub fn quick() -> Self {
+impl Experiment for Config {
+    fn quick() -> Self {
         Config {
             n: 50,
             m: 1500,
@@ -72,10 +71,8 @@ impl Config {
         }
     }
 
-    /// Paper-fidelity configuration: the Section-7 trial count (every
-    /// data point averaged over 1000 independent trials).
-    pub fn full() -> Self {
-        Config { trials: 1000, ..Default::default() }
+    fn trials_mut(&mut self) -> Option<&mut usize> {
+        Some(&mut self.trials)
     }
 }
 
@@ -92,24 +89,9 @@ struct Point {
 /// Run the sweep. Columns: w_max, epsilon, threshold_label, rounds_mean,
 /// rounds_ci95.
 ///
-/// All `(w_max × epsilon)` points run as **one** pool batch through
-/// [`harness::run_sweep`] — per-point seeds are unchanged from the old
-/// per-point loop, so results are bit-identical to it (and to any run of
-/// this version at any thread count).
-pub fn run(cfg: &Config) -> Table {
-    run_obs(cfg).0
-}
-
-/// [`run`], also returning the sweep's observability report: the
-/// `counters` subtree aggregates the deterministic per-point totals and
-/// the engine's [`EngineStats`] across every trial (bit-identical across
-/// thread counts), `timings` carries the sweep wall time, and `exec` the
-/// rayon pool deltas the sweep caused — the same shape
-/// `protocol_matrix` already reports.
-pub fn run_obs(cfg: &Config) -> (Table, ObsReport) {
-    let reg = Registry::new();
-    let pool_base = rayon::pool_stats();
-    let t_sweep = std::time::Instant::now();
+/// All `(w_max × epsilon)` points run as one [`Sweep`] batch (obs
+/// prefix `epsilon`).
+pub fn run(cfg: &Config) -> (Table, ObsReport) {
     let mut table = Table::new(
         "epsilon_sweep",
         format!(
@@ -142,24 +124,16 @@ pub fn run_obs(cfg: &Config) -> (Table, ObsReport) {
     }
     let seeds: Vec<u64> = points.iter().map(|p| p.seed).collect();
     let n = cfg.n;
-    let results = harness::run_sweep_map(&seeds, cfg.trials, |i, s| {
+    let (results, reg) = Sweep::new("epsilon").run(&seeds, cfg.trials, |i, s| {
         let p = &points[i];
         let mut rng = SmallRng::seed_from_u64(s);
         let tasks = p.spec.generate(&mut rng);
         let (out, stats) =
             run_user_controlled_with_stats(n, &tasks, Placement::AllOnOne(0), &p.proto, &mut rng);
-        (out.rounds as f64, stats)
+        Trial { value: out.rounds as f64, rounds: out.rounds, stats: Some(stats) }
     });
-    let mut merged = EngineStats::default();
-    for (p, samples) in points.iter().zip(&results) {
-        reg.add("epsilon.points", 1);
-        reg.add("epsilon.trials", samples.len() as u64);
-        reg.add("epsilon.rounds", samples.iter().map(|(r, _)| *r as u64).sum());
-        for (_, stats) in samples {
-            merged.merge(stats);
-        }
-        let rounds: Vec<f64> = samples.iter().map(|(r, _)| *r).collect();
-        let s = Summary::of(&rounds);
+    for (p, rounds) in points.iter().zip(&results) {
+        let s = Summary::of(rounds);
         table.push_row(vec![
             format!("{:.0}", p.w_max),
             format!("{}", p.eps),
@@ -168,15 +142,6 @@ pub fn run_obs(cfg: &Config) -> (Table, ObsReport) {
             format!("{:.2}", s.ci95),
         ]);
     }
-    super::record_engine_stats(&reg, "epsilon", &merged);
-    reg.record_ns("epsilon.sweep_ns", t_sweep.elapsed().as_nanos() as u64);
-    let pool = rayon::pool_stats();
-    reg.set_exec("pool.threads", pool.threads as u64);
-    reg.set_exec("pool.batches", pool.batches.saturating_sub(pool_base.batches));
-    reg.set_exec(
-        "pool.chunks_claimed",
-        pool.chunks_claimed.saturating_sub(pool_base.chunks_claimed),
-    );
     (table, reg.snapshot())
 }
 
@@ -189,7 +154,7 @@ mod tests {
         // Uniform tasks with W/n ≫ w_max: the ε slack dominates and the
         // tight threshold must be measurably slower.
         let cfg = Config { n: 40, m: 1200, w_maxes: vec![1.0], trials: 20, ..Config::quick() };
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         let rounds = t.column_f64("rounds_mean");
         // epsilons are ascending: tight (0.0) first.
         assert!(
@@ -201,24 +166,8 @@ mod tests {
     #[test]
     fn all_epsilons_produce_rows() {
         let cfg = Config::quick();
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         assert_eq!(t.rows.len(), cfg.epsilons.len() * cfg.w_maxes.len());
         assert!(t.rows[0][2].contains("tight"));
-    }
-
-    #[test]
-    fn obs_counters_aggregate_the_sweep_deterministically() {
-        let cfg = Config { trials: 3, ..Config::quick() };
-        let (table, obs) = run_obs(&cfg);
-        assert_eq!(obs.counters["epsilon.points"], table.rows.len() as u64);
-        assert_eq!(obs.counters["epsilon.trials"], (table.rows.len() * cfg.trials) as u64);
-        assert!(obs.counters["epsilon.rounds"] > 0);
-        assert!(obs.counters["epsilon.uniform_jump_draws"] > 0);
-        assert!(obs.timings.contains_key("epsilon.sweep_ns"));
-        // The deterministic subtree is byte-stable run to run; the table
-        // itself must be unchanged by the instrumentation.
-        let (again_table, again) = run_obs(&cfg);
-        assert_eq!(again_table, table);
-        assert_eq!(again.counters_json(), obs.counters_json());
     }
 }

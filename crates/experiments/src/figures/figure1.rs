@@ -11,10 +11,12 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlb_core::placement::Placement;
 use tlb_core::threshold::ThresholdPolicy;
-use tlb_core::user_protocol::{run_user_controlled, UserControlledConfig};
+use tlb_core::user_protocol::{run_user_controlled_with_stats, UserControlledConfig};
 use tlb_core::weights::WeightSpec;
+use tlb_obs::ObsReport;
 
-use crate::harness;
+use super::{Sweep, Trial};
+use crate::cli::Experiment;
 use crate::output::Table;
 use crate::stats::{linear_fit, Summary};
 
@@ -54,9 +56,8 @@ impl Default for Config {
     }
 }
 
-impl Config {
-    /// Reduced sweep for smoke tests and benches.
-    pub fn quick() -> Self {
+impl Experiment for Config {
+    fn quick() -> Self {
         Config {
             n: 200,
             ks: vec![1, 10, 50],
@@ -65,30 +66,17 @@ impl Config {
             ..Default::default()
         }
     }
-}
 
-/// Mean balancing time for one `(W, k)` point.
-pub fn point(cfg: &Config, w_total: f64, k: usize) -> Summary {
-    let spec = WeightSpec::TwoPoint { total: w_total, k, heavy: cfg.w_max };
-    let proto = UserControlledConfig {
-        threshold: ThresholdPolicy::AboveAverage { epsilon: cfg.epsilon },
-        alpha: cfg.alpha,
-        ..Default::default()
-    };
-    let n = cfg.n;
-    let samples =
-        harness::run_trials(cfg.trials, cfg.seed ^ (w_total as u64) ^ ((k as u64) << 32), |s| {
-            let mut rng = SmallRng::seed_from_u64(s);
-            let tasks = spec.generate(&mut rng);
-            run_user_controlled(n, &tasks, Placement::AllOnOne(0), &proto, &mut rng).rounds as f64
-        });
-    Summary::of(&samples)
+    fn trials_mut(&mut self) -> Option<&mut usize> {
+        Some(&mut self.trials)
+    }
 }
 
 /// Run the sweep. Columns: `W, k, m, rounds_mean, rounds_ci95,
 /// rounds_over_log_m` — the last reproducing the paper's observation that
-/// the curves collapse under the `log(m+k)` normalization.
-pub fn run(cfg: &Config) -> Table {
+/// the curves collapse under the `log(m+k)` normalization. All `(k, W)`
+/// points run as one [`Sweep`] batch (obs prefix `figure1`).
+pub fn run(cfg: &Config) -> (Table, ObsReport) {
     let mut table = Table::new(
         "figure1",
         format!(
@@ -97,26 +85,50 @@ pub fn run(cfg: &Config) -> Table {
         ),
         &["W", "k", "m", "rounds_mean", "rounds_ci95", "rounds_over_log_m"],
     );
+    let mut points: Vec<(f64, usize, WeightSpec)> = Vec::new();
     for &k in &cfg.ks {
         for &w_total in &cfg.w_totals {
             // k heavy tasks cannot outweigh the requested total (e.g. the
             // paper's k = 50 curve cannot start at W = 2000 < 50·50).
-            if (k as f64) * cfg.w_max > w_total {
-                continue;
+            if (k as f64) * cfg.w_max <= w_total {
+                points.push((
+                    w_total,
+                    k,
+                    WeightSpec::TwoPoint { total: w_total, k, heavy: cfg.w_max },
+                ));
             }
-            let m = WeightSpec::TwoPoint { total: w_total, k, heavy: cfg.w_max }.num_tasks();
-            let s = point(cfg, w_total, k);
-            table.push_row(vec![
-                format!("{w_total:.0}"),
-                k.to_string(),
-                m.to_string(),
-                format!("{:.2}", s.mean),
-                format!("{:.2}", s.ci95),
-                format!("{:.3}", s.mean / (m as f64).ln()),
-            ]);
         }
     }
-    table
+    let seeds: Vec<u64> = points
+        .iter()
+        .map(|&(w_total, k, _)| cfg.seed ^ (w_total as u64) ^ ((k as u64) << 32))
+        .collect();
+    let proto = UserControlledConfig {
+        threshold: ThresholdPolicy::AboveAverage { epsilon: cfg.epsilon },
+        alpha: cfg.alpha,
+        ..Default::default()
+    };
+    let n = cfg.n;
+    let (results, reg) = Sweep::new("figure1").run(&seeds, cfg.trials, |i, s| {
+        let mut rng = SmallRng::seed_from_u64(s);
+        let tasks = points[i].2.generate(&mut rng);
+        let (out, stats) =
+            run_user_controlled_with_stats(n, &tasks, Placement::AllOnOne(0), &proto, &mut rng);
+        Trial { value: out.rounds as f64, rounds: out.rounds, stats: Some(stats) }
+    });
+    for ((w_total, k, spec), rounds) in points.iter().zip(&results) {
+        let m = spec.num_tasks();
+        let s = Summary::of(rounds);
+        table.push_row(vec![
+            format!("{w_total:.0}"),
+            k.to_string(),
+            m.to_string(),
+            format!("{:.2}", s.mean),
+            format!("{:.2}", s.ci95),
+            format!("{:.3}", s.mean / (m as f64).ln()),
+        ]);
+    }
+    (table, reg.snapshot())
 }
 
 /// Shape check used by EXPERIMENTS.md: fit `rounds ~ a + b·ln m` per `k`
@@ -159,7 +171,7 @@ mod tests {
     #[test]
     fn sweep_produces_all_points() {
         let cfg = tiny();
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         assert_eq!(t.rows.len(), 4);
         for r in t.column_f64("rounds_mean") {
             assert!(r >= 1.0, "hotspot start must need at least one round, got {r}");
@@ -168,21 +180,20 @@ mod tests {
 
     #[test]
     fn rounds_grow_with_total_weight() {
-        let cfg = tiny();
-        let small = point(&cfg, 500.0, 1);
-        let large = point(&cfg, 1500.0, 1);
+        let cfg = Config { ks: vec![1], ..tiny() };
+        let (t, _) = run(&cfg);
+        let rounds = t.column_f64("rounds_mean");
+        let (small, large) = (rounds[0], rounds[1]);
         assert!(
-            large.mean >= small.mean * 0.8,
-            "larger W should not balance dramatically faster: {} vs {}",
-            small.mean,
-            large.mean
+            large >= small * 0.8,
+            "larger W should not balance dramatically faster: {small} vs {large}"
         );
     }
 
     #[test]
     fn log_fit_reports_each_k() {
         let cfg = tiny();
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         let fits = log_fit_per_k(&cfg, &t);
         assert_eq!(fits.len(), 2);
         for (_, slope, _) in fits {

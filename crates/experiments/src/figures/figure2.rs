@@ -11,10 +11,12 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlb_core::placement::Placement;
 use tlb_core::threshold::ThresholdPolicy;
-use tlb_core::user_protocol::{run_user_controlled, UserControlledConfig};
+use tlb_core::user_protocol::{run_user_controlled_with_stats, UserControlledConfig};
 use tlb_core::weights::WeightSpec;
+use tlb_obs::ObsReport;
 
-use crate::harness;
+use super::{Sweep, Trial};
+use crate::cli::Experiment;
 use crate::output::Table;
 use crate::stats::{linear_fit, Summary};
 
@@ -51,9 +53,8 @@ impl Default for Config {
     }
 }
 
-impl Config {
-    /// Reduced sweep for smoke tests and benches.
-    pub fn quick() -> Self {
+impl Experiment for Config {
+    fn quick() -> Self {
         Config {
             n: 200,
             w_maxes: vec![1.0, 8.0, 64.0],
@@ -62,29 +63,17 @@ impl Config {
             ..Default::default()
         }
     }
-}
 
-/// Mean balancing time for one `(m, w_max)` point.
-pub fn point(cfg: &Config, m: usize, w_max: f64) -> Summary {
-    let spec = WeightSpec::figure2(m, w_max);
-    let proto = UserControlledConfig {
-        threshold: ThresholdPolicy::AboveAverage { epsilon: cfg.epsilon },
-        alpha: cfg.alpha,
-        ..Default::default()
-    };
-    let n = cfg.n;
-    let samples =
-        harness::run_trials(cfg.trials, cfg.seed ^ ((m as u64) << 20) ^ (w_max as u64), |s| {
-            let mut rng = SmallRng::seed_from_u64(s);
-            let tasks = spec.generate(&mut rng);
-            run_user_controlled(n, &tasks, Placement::AllOnOne(0), &proto, &mut rng).rounds as f64
-        });
-    Summary::of(&samples)
+    fn trials_mut(&mut self) -> Option<&mut usize> {
+        Some(&mut self.trials)
+    }
 }
 
 /// Run the sweep. Columns: `w_max, m, rounds_mean, rounds_ci95,
 /// normalized` where `normalized = rounds / ln m` is the paper's y-axis.
-pub fn run(cfg: &Config) -> Table {
+/// All `(w_max, m)` points run as one [`Sweep`] batch (obs prefix
+/// `figure2`).
+pub fn run(cfg: &Config) -> (Table, ObsReport) {
     let mut table = Table::new(
         "figure2",
         format!(
@@ -93,19 +82,41 @@ pub fn run(cfg: &Config) -> Table {
         ),
         &["w_max", "m", "rounds_mean", "rounds_ci95", "normalized"],
     );
-    for &w_max in &cfg.w_maxes {
-        for &m in &cfg.ms {
-            let s = point(cfg, m, w_max);
-            table.push_row(vec![
-                format!("{w_max:.0}"),
-                m.to_string(),
-                format!("{:.2}", s.mean),
-                format!("{:.2}", s.ci95),
-                format!("{:.3}", s.mean / (m as f64).ln()),
-            ]);
-        }
+    let points: Vec<(f64, usize)> = cfg
+        .w_maxes
+        .iter()
+        .flat_map(|&w_max| cfg.ms.iter().map(move |&m| (w_max, m)))
+        .collect();
+    let seeds: Vec<u64> = points
+        .iter()
+        .map(|&(w_max, m)| cfg.seed ^ ((m as u64) << 20) ^ (w_max as u64))
+        .collect();
+    let specs: Vec<WeightSpec> =
+        points.iter().map(|&(w_max, m)| WeightSpec::figure2(m, w_max)).collect();
+    let proto = UserControlledConfig {
+        threshold: ThresholdPolicy::AboveAverage { epsilon: cfg.epsilon },
+        alpha: cfg.alpha,
+        ..Default::default()
+    };
+    let n = cfg.n;
+    let (results, reg) = Sweep::new("figure2").run(&seeds, cfg.trials, |i, s| {
+        let mut rng = SmallRng::seed_from_u64(s);
+        let tasks = specs[i].generate(&mut rng);
+        let (out, stats) =
+            run_user_controlled_with_stats(n, &tasks, Placement::AllOnOne(0), &proto, &mut rng);
+        Trial { value: out.rounds as f64, rounds: out.rounds, stats: Some(stats) }
+    });
+    for (&(w_max, m), rounds) in points.iter().zip(&results) {
+        let s = Summary::of(rounds);
+        table.push_row(vec![
+            format!("{w_max:.0}"),
+            m.to_string(),
+            format!("{:.2}", s.mean),
+            format!("{:.2}", s.ci95),
+            format!("{:.3}", s.mean / (m as f64).ln()),
+        ]);
     }
-    table
+    (table, reg.snapshot())
 }
 
 /// Shape checks for EXPERIMENTS.md:
@@ -154,27 +165,23 @@ mod tests {
     #[test]
     fn sweep_produces_all_points() {
         let cfg = tiny();
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         assert_eq!(t.rows.len(), 4);
     }
 
     #[test]
     fn heavier_wmax_increases_normalized_time() {
-        let cfg = tiny();
-        let light = point(&cfg, 900, 1.0);
-        let heavy = point(&cfg, 900, 16.0);
-        assert!(
-            heavy.mean > light.mean,
-            "w_max = 16 should balance slower: {} vs {}",
-            light.mean,
-            heavy.mean
-        );
+        let cfg = Config { ms: vec![900], ..tiny() };
+        let (t, _) = run(&cfg);
+        let rounds = t.column_f64("rounds_mean");
+        let (light, heavy) = (rounds[0], rounds[1]);
+        assert!(heavy > light, "w_max = 16 should balance slower: {light} vs {heavy}");
     }
 
     #[test]
     fn shape_checks_return_per_wmax_entries() {
         let cfg = tiny();
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         let (flatness, (slope, _r2)) = shape_checks(&cfg, &t);
         assert_eq!(flatness.len(), 2);
         for (_w, ratio) in &flatness {

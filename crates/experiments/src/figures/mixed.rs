@@ -7,12 +7,11 @@
 //! resource-controlled — the mixed protocol trades slower single-round
 //! drain (Bernoulli departures) for the same walk-limited spreading.
 //!
-//! All `(family × protocol)` cells run as **one** pool batch through the
-//! protocol-generic [`harness::run_protocol_sweep`] — each cell is a
-//! [`ProtocolPoint`] holding its [`ProtocolKind`], so adding a fourth
-//! protocol is one more point, not another hand-rolled closure. Per-cell
-//! seeds match the old per-protocol loops, so results are bit-identical
-//! to them.
+//! All `(family × protocol)` cells run as one [`Sweep`] batch (obs
+//! prefix `mixed`) through the protocol-generic
+//! [`harness::run_protocol_once`] — each cell is a [`ProtocolPoint`]
+//! holding its [`ProtocolKind`], so adding a fourth protocol is one more
+//! point, not another hand-rolled closure.
 
 use tlb_core::mixed_protocol::{Departure, MixedConfig};
 use tlb_core::placement::Placement;
@@ -21,7 +20,10 @@ use tlb_core::resource_protocol::ResourceControlledConfig;
 use tlb_core::user_protocol::UserControlledConfig;
 use tlb_core::weights::WeightSpec;
 use tlb_graphs::generators::Family;
+use tlb_obs::ObsReport;
 
+use super::{Sweep, Trial};
+use crate::cli::Experiment;
 use crate::figures::table1::build_family;
 use crate::harness::{self, MatrixProtocol, ProtocolPoint};
 use crate::output::Table;
@@ -46,22 +48,19 @@ impl Default for Config {
     }
 }
 
-impl Config {
-    /// Reduced configuration for smoke tests and benches.
-    pub fn quick() -> Self {
+impl Experiment for Config {
+    fn quick() -> Self {
         Config { size: 64, trials: 15, ..Default::default() }
     }
 
-    /// Paper-fidelity configuration: the Section-7 trial count (every
-    /// data point averaged over 1000 independent trials).
-    pub fn full() -> Self {
-        Config { trials: 1000, ..Default::default() }
+    fn trials_mut(&mut self) -> Option<&mut usize> {
+        Some(&mut self.trials)
     }
 }
 
 /// Run the comparison. Columns: family, protocol, rounds_mean,
 /// rounds_ci95, migrations_mean.
-pub fn run(cfg: &Config) -> Table {
+pub fn run(cfg: &Config) -> (Table, ObsReport) {
     let mut table = Table::new(
         "mixed_comparison",
         format!(
@@ -110,8 +109,11 @@ pub fn run(cfg: &Config) -> Table {
             points.push((family, mk(ProtocolKind::User(UserControlledConfig::default()), 3)));
         }
     }
-    let cells: Vec<ProtocolPoint> = points.iter().map(|(_, p)| p.clone()).collect();
-    let results = harness::run_protocol_sweep(&cells, cfg.trials);
+    let seeds: Vec<u64> = points.iter().map(|(_, p)| p.seed).collect();
+    let (results, reg) = Sweep::new("mixed").run(&seeds, cfg.trials, |i, s| {
+        let outcome = harness::run_protocol_once(&points[i].1, s);
+        Trial { rounds: outcome.rounds, value: outcome, stats: None }
+    });
     for ((family, point), outcomes) in points.iter().zip(&results) {
         let rounds: Vec<f64> = outcomes.iter().map(|o| o.rounds as f64).collect();
         let migs: Vec<f64> = outcomes.iter().map(|o| o.migrations as f64).collect();
@@ -125,7 +127,7 @@ pub fn run(cfg: &Config) -> Table {
             format!("{:.0}", ms.mean),
         ]);
     }
-    table
+    (table, reg.snapshot())
 }
 
 #[cfg(test)]
@@ -135,7 +137,7 @@ mod tests {
     #[test]
     fn comparison_covers_three_families_and_protocols() {
         let cfg = Config::quick();
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         // complete: 3 protocols; expander + grid: 2 each = 7 rows
         assert_eq!(t.rows.len(), 7);
         for r in t.column_f64("rounds_mean") {
@@ -146,7 +148,7 @@ mod tests {
     #[test]
     fn mixed_and_user_agree_on_complete_graph() {
         let cfg = Config::quick();
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         let get = |proto: &str| -> f64 {
             t.rows
                 .iter()

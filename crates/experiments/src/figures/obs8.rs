@@ -20,14 +20,16 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlb_core::placement::Placement;
-use tlb_core::resource_protocol::{run_resource_controlled, ResourceControlledConfig};
+use tlb_core::resource_protocol::{run_resource_controlled_with_stats, ResourceControlledConfig};
 use tlb_core::task::TaskSet;
 use tlb_core::threshold::ThresholdPolicy;
 use tlb_graphs::generators::lollipop;
 use tlb_graphs::NodeId;
+use tlb_obs::ObsReport;
 use tlb_walks::{hitting, TransitionMatrix, WalkKind};
 
-use crate::harness;
+use super::{Sweep, Trial};
+use crate::cli::Experiment;
 use crate::output::Table;
 use crate::stats::Summary;
 
@@ -51,16 +53,13 @@ impl Default for Config {
     }
 }
 
-impl Config {
-    /// Reduced configuration for smoke tests and benches.
-    pub fn quick() -> Self {
+impl Experiment for Config {
+    fn quick() -> Self {
         Config { n: 20, ks: vec![1, 4, 16], trials: 10, ..Default::default() }
     }
 
-    /// Paper-fidelity configuration: the Section-7 trial count (every
-    /// data point averaged over 1000 independent trials).
-    pub fn full() -> Self {
-        Config { trials: 1000, ..Default::default() }
+    fn trials_mut(&mut self) -> Option<&mut usize> {
+        Some(&mut self.trials)
     }
 }
 
@@ -88,12 +87,10 @@ pub fn workload(n: usize) -> (TaskSet, Placement) {
 /// Run the sweep. Columns: k, H_exact, rounds_mean, rounds_ci95, ratio
 /// (= rounds / (H · ln m)).
 ///
-/// All `k` points run as **one** pool batch through
-/// [`harness::run_sweep`] — the slow-mixing `k = 1` point costs an order
-/// of magnitude more than `k = 32`, exactly the straggler shape
-/// whole-sweep scheduling wins on. Per-point seeds match the old
-/// per-point loop, so results are bit-identical to it.
-pub fn run(cfg: &Config) -> Table {
+/// All `k` points run as one [`Sweep`] batch (obs prefix `obs8`) — the
+/// slow-mixing `k = 1` point costs an order of magnitude more than
+/// `k = 32`, exactly the straggler shape whole-sweep scheduling wins on.
+pub fn run(cfg: &Config) -> (Table, ObsReport) {
     let mut table = Table::new(
         "obs8_lower_bound",
         format!(
@@ -121,10 +118,16 @@ pub fn run(cfg: &Config) -> Table {
         })
         .collect();
     let seeds: Vec<u64> = points.iter().map(|&(k, _, _)| cfg.seed ^ (k as u64) << 16).collect();
-    let results = harness::run_sweep(&seeds, cfg.trials, |i, s| {
+    let (results, reg) = Sweep::new("obs8").run(&seeds, cfg.trials, |i, s| {
         let mut rng = SmallRng::seed_from_u64(s);
-        run_resource_controlled(&points[i].1, &tasks, placement.clone(), &proto, &mut rng).rounds
-            as f64
+        let (out, stats) = run_resource_controlled_with_stats(
+            &points[i].1,
+            &tasks,
+            placement.clone(),
+            &proto,
+            &mut rng,
+        );
+        Trial { value: out.rounds as f64, rounds: out.rounds, stats: Some(stats) }
     });
     for (&(k, _, h), samples) in points.iter().zip(&results) {
         let s = Summary::of(samples);
@@ -138,7 +141,7 @@ pub fn run(cfg: &Config) -> Table {
             format!("{:.5}", s.mean / (h * (m as f64).ln())),
         ]);
     }
-    table
+    (table, reg.snapshot())
 }
 
 #[cfg(test)]
@@ -187,7 +190,7 @@ mod tests {
     #[test]
     fn quick_sweep_has_finite_ratios_and_h_scaling() {
         let cfg = Config::quick();
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         assert_eq!(t.rows.len(), cfg.ks.len());
         for ratio in t.column_f64("ratio") {
             assert!(ratio.is_finite() && ratio > 0.0);

@@ -12,13 +12,13 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlb_core::drift::lemma10_delta;
 use tlb_core::placement::Placement;
-use tlb_core::protocol::EngineStats;
 use tlb_core::threshold::ThresholdPolicy;
 use tlb_core::user_protocol::{run_user_controlled_with_stats, UserControlledConfig};
 use tlb_core::weights::WeightSpec;
-use tlb_obs::{ObsReport, Registry};
+use tlb_obs::ObsReport;
 
-use crate::harness;
+use super::{Sweep, Trial};
+use crate::cli::Experiment;
 use crate::output::Table;
 use crate::stats::Summary;
 
@@ -55,16 +55,13 @@ impl Default for Config {
     }
 }
 
-impl Config {
-    /// Reduced configuration for smoke tests and benches.
-    pub fn quick() -> Self {
+impl Experiment for Config {
+    fn quick() -> Self {
         Config { n: 100, m: 500, w_maxes: vec![1.0, 16.0], trials: 15, ..Default::default() }
     }
 
-    /// Paper-fidelity configuration: the Section-7 trial count (every
-    /// data point averaged over 1000 independent trials).
-    pub fn full() -> Self {
-        Config { trials: 1000, ..Default::default() }
+    fn trials_mut(&mut self) -> Option<&mut usize> {
+        Some(&mut self.trials)
     }
 }
 
@@ -86,21 +83,8 @@ pub fn mean_decay(series: &[f64]) -> Option<f64> {
 /// Run the sweep. Columns: w_max, measured_decay_mean, measured_decay_ci95,
 /// lemma10_delta_at_alpha (analytic, *at the swept α*), ratio.
 ///
-/// All `w_max` points run as **one** pool batch through
-/// [`harness::run_sweep`]; per-point seeds match the old per-point loop,
-/// so results are bit-identical to it at any thread count.
-pub fn run(cfg: &Config) -> Table {
-    run_obs(cfg).0
-}
-
-/// [`run`], also returning the sweep's observability report in the
-/// `protocol_matrix` shape: deterministic per-point totals and merged
-/// [`EngineStats`] under the `decay.` prefix, plus the sweep wall time
-/// and rayon pool deltas. The decay table itself is unchanged.
-pub fn run_obs(cfg: &Config) -> (Table, ObsReport) {
-    let reg = Registry::new();
-    let pool_base = rayon::pool_stats();
-    let t_sweep = std::time::Instant::now();
+/// All `w_max` points run as one [`Sweep`] batch (obs prefix `decay`).
+pub fn run(cfg: &Config) -> (Table, ObsReport) {
     let mut table = Table::new(
         "potential_decay",
         format!(
@@ -120,23 +104,19 @@ pub fn run_obs(cfg: &Config) -> (Table, ObsReport) {
     let seeds: Vec<u64> =
         cfg.w_maxes.iter().map(|&w_max| cfg.seed ^ (w_max as u64) << 24).collect();
     let n = cfg.n;
-    let results = harness::run_sweep_map(&seeds, cfg.trials, |i, s| {
+    let (results, reg) = Sweep::new("decay").run(&seeds, cfg.trials, |i, s| {
         let mut rng = SmallRng::seed_from_u64(s);
         let tasks = specs[i].generate(&mut rng);
         let (out, stats) =
             run_user_controlled_with_stats(n, &tasks, Placement::AllOnOne(0), &proto, &mut rng);
-        (mean_decay(&out.potential_series).unwrap_or(1.0), out.rounds, stats)
-    });
-    let mut merged = EngineStats::default();
-    for (&w_max, samples) in cfg.w_maxes.iter().zip(&results) {
-        reg.add("decay.points", 1);
-        reg.add("decay.trials", samples.len() as u64);
-        reg.add("decay.rounds", samples.iter().map(|(_, r, _)| *r).sum());
-        for (_, _, stats) in samples {
-            merged.merge(stats);
+        Trial {
+            value: mean_decay(&out.potential_series).unwrap_or(1.0),
+            rounds: out.rounds,
+            stats: Some(stats),
         }
-        let decays: Vec<f64> = samples.iter().map(|(d, _, _)| *d).collect();
-        let s = Summary::of(&decays);
+    });
+    for (&w_max, decays) in cfg.w_maxes.iter().zip(&results) {
+        let s = Summary::of(decays);
         let delta = lemma10_delta(cfg.epsilon, cfg.alpha, w_max, 1.0);
         table.push_row(vec![
             format!("{w_max:.0}"),
@@ -146,15 +126,6 @@ pub fn run_obs(cfg: &Config) -> (Table, ObsReport) {
             format!("{:.2}", s.mean / delta),
         ]);
     }
-    super::record_engine_stats(&reg, "decay", &merged);
-    reg.record_ns("decay.sweep_ns", t_sweep.elapsed().as_nanos() as u64);
-    let pool = rayon::pool_stats();
-    reg.set_exec("pool.threads", pool.threads as u64);
-    reg.set_exec("pool.batches", pool.batches.saturating_sub(pool_base.batches));
-    reg.set_exec(
-        "pool.chunks_claimed",
-        pool.chunks_claimed.saturating_sub(pool_base.chunks_claimed),
-    );
     (table, reg.snapshot())
 }
 
@@ -177,7 +148,7 @@ mod tests {
         // decay should be comfortably above the analytic delta (which the
         // run-time bound uses with the conservative alpha).
         let cfg = Config::quick();
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         for ratio in t.column_f64("measured_over_delta") {
             assert!(ratio > 1.0, "measured decay fell below Lemma-10 delta: {ratio}");
         }
@@ -186,24 +157,8 @@ mod tests {
     #[test]
     fn decay_shrinks_with_heterogeneity() {
         let cfg = Config::quick();
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         let decays = t.column_f64("measured_decay");
         assert!(decays[0] > decays[1], "uniform workload should decay faster: {decays:?}");
-    }
-
-    #[test]
-    fn obs_counters_aggregate_the_sweep_deterministically() {
-        let cfg = Config { trials: 3, ..Config::quick() };
-        let (table, obs) = run_obs(&cfg);
-        assert_eq!(obs.counters["decay.points"], table.rows.len() as u64);
-        assert_eq!(obs.counters["decay.trials"], (table.rows.len() * cfg.trials) as u64);
-        assert!(obs.counters["decay.rounds"] > 0);
-        assert!(obs.counters["decay.uniform_jump_draws"] > 0);
-        assert!(obs.timings.contains_key("decay.sweep_ns"));
-        // The deterministic subtree is byte-stable run to run; the table
-        // itself must be unchanged by the instrumentation.
-        let (again_table, again) = run_obs(&cfg);
-        assert_eq!(again_table, table);
-        assert_eq!(again.counters_json(), obs.counters_json());
     }
 }

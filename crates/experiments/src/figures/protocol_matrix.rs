@@ -4,9 +4,9 @@
 //! The cross-product no pre-trait layer could express: all three paper
 //! protocols (resource-, user-controlled, mixed) *and* the related-work
 //! baselines (`Greedy[d]`, `(1+β)`, sequential/parallel threshold-retry)
-//! run through [`harness::run_protocol_sweep`] over every configured
+//! run through [`harness::run_protocol_once`] over every configured
 //! graph family and arrival scenario (initial placement × weight
-//! distribution), as **one** self-scheduled pool batch. Every cell
+//! distribution), as **one** [`Sweep`] batch. Every cell
 //! reports balancing rounds, migration volume, and completion rate
 //! against the same threshold policy — the apples-to-apples comparison
 //! the shared round engine exists for.
@@ -24,8 +24,10 @@ use tlb_core::threshold::ThresholdPolicy;
 use tlb_core::user_protocol::UserControlledConfig;
 use tlb_core::weights::WeightSpec;
 use tlb_graphs::generators::Family;
-use tlb_obs::{ObsReport, Registry};
+use tlb_obs::ObsReport;
 
+use super::{Sweep, Trial};
+use crate::cli::Experiment;
 use crate::figures::table1::build_family;
 use crate::harness::{self, MatrixProtocol, ProtocolPoint};
 use crate::output::Table;
@@ -97,10 +99,8 @@ impl Default for Config {
     }
 }
 
-impl Config {
-    /// Reduced configuration for smoke tests and the CI reproducibility
-    /// gate.
-    pub fn quick() -> Self {
+impl Experiment for Config {
+    fn quick() -> Self {
         Config {
             size: 32,
             families: vec![Family::Complete, Family::Grid],
@@ -110,10 +110,8 @@ impl Config {
         }
     }
 
-    /// Paper-fidelity configuration: the Section-7 trial count (every
-    /// cell averaged over 1000 independent trials).
-    pub fn full() -> Self {
-        Config { trials: 1000, ..Default::default() }
+    fn trials_mut(&mut self) -> Option<&mut usize> {
+        Some(&mut self.trials)
     }
 }
 
@@ -160,19 +158,11 @@ fn roster(
 
 /// Run the matrix. Columns: protocol, family, scenario, workload, n, m,
 /// rounds_mean, rounds_ci95, migrations_mean, completed_fraction.
-pub fn run(cfg: &Config) -> Table {
-    run_obs(cfg).0
-}
-
-/// [`run`], also returning the sweep's observability report: the
-/// `counters` subtree aggregates deterministic per-cell totals (rounds,
-/// migrations, completed trials — bit-identical across thread counts),
-/// `timings` carries the sweep wall time, and `exec` the rayon pool
-/// deltas the sweep caused.
-pub fn run_obs(cfg: &Config) -> (Table, ObsReport) {
-    let reg = Registry::new();
-    let pool_base = rayon::pool_stats();
-    let t_sweep = std::time::Instant::now();
+///
+/// The obs report counts the sweep under the `matrix` prefix, with the
+/// points called `cells`, and adds the deterministic per-cell totals
+/// `matrix.migrations` and `matrix.completed_trials`.
+pub fn run(cfg: &Config) -> (Table, ObsReport) {
     let mut table = Table::new(
         "protocol_matrix",
         format!(
@@ -241,14 +231,14 @@ pub fn run_obs(cfg: &Config) -> (Table, ObsReport) {
             }
         }
     }
-    let points: Vec<ProtocolPoint> = cells.iter().map(|c| c.point.clone()).collect();
-    let results = harness::run_protocol_sweep(&points, cfg.trials);
+    let seeds: Vec<u64> = cells.iter().map(|c| c.point.seed).collect();
+    let (results, reg) = Sweep::new("matrix").unit("cells").run(&seeds, cfg.trials, |i, s| {
+        let outcome = harness::run_protocol_once(&cells[i].point, s);
+        Trial { rounds: outcome.rounds, value: outcome, stats: None }
+    });
     for (cell, outcomes) in cells.iter().zip(&results) {
         // Deterministic sweep totals: u64 sums over outcomes, identical
         // no matter how the pool scheduled the trials.
-        reg.add("matrix.cells", 1);
-        reg.add("matrix.trials", outcomes.len() as u64);
-        reg.add("matrix.rounds", outcomes.iter().map(|o| o.rounds).sum());
         reg.add("matrix.migrations", outcomes.iter().map(|o| o.migrations).sum());
         reg.add("matrix.completed_trials", outcomes.iter().filter(|o| o.completed).count() as u64);
         let rounds: Vec<f64> = outcomes.iter().map(|o| o.rounds as f64).collect();
@@ -270,14 +260,6 @@ pub fn run_obs(cfg: &Config) -> (Table, ObsReport) {
             format!("{completed:.2}"),
         ]);
     }
-    reg.record_ns("matrix.sweep_ns", t_sweep.elapsed().as_nanos() as u64);
-    let pool = rayon::pool_stats();
-    reg.set_exec("pool.threads", pool.threads as u64);
-    reg.set_exec("pool.batches", pool.batches.saturating_sub(pool_base.batches));
-    reg.set_exec(
-        "pool.chunks_claimed",
-        pool.chunks_claimed.saturating_sub(pool_base.chunks_claimed),
-    );
     (table, reg.snapshot())
 }
 
@@ -288,7 +270,7 @@ mod tests {
     #[test]
     fn quick_matrix_covers_every_cell() {
         let cfg = Config::quick();
-        let t = run(&cfg);
+        let (t, obs) = run(&cfg);
         // 7 protocols × 2 families × 2 scenarios × 1 workload.
         assert_eq!(t.rows.len(), 7 * 2 * 2);
         // All three paper protocols and all four baselines appear.
@@ -306,35 +288,19 @@ mod tests {
         for frac in t.column_f64("completed_fraction") {
             assert!(frac > 0.0, "some protocol never completed");
         }
+        assert!(obs.counters["matrix.completed_trials"] <= obs.counters["matrix.trials"]);
     }
 
     #[test]
     fn matrix_runs_are_deterministic() {
         let cfg = Config::quick();
-        assert_eq!(run(&cfg), run(&cfg));
-    }
-
-    #[test]
-    fn obs_counters_aggregate_the_sweep_deterministically() {
-        let cfg = Config::quick();
-        let (table, obs) = run_obs(&cfg);
-        assert_eq!(obs.counters["matrix.cells"], table.rows.len() as u64);
-        assert_eq!(obs.counters["matrix.trials"], (table.rows.len() * cfg.trials) as u64);
-        assert!(obs.counters["matrix.rounds"] > 0);
-        assert!(obs.counters["matrix.migrations"] > 0);
-        assert!(obs.counters["matrix.completed_trials"] <= obs.counters["matrix.trials"]);
-        assert!(obs.timings.contains_key("matrix.sweep_ns"));
-        // The deterministic subtree is byte-stable run to run; the table
-        // itself must be unchanged by the instrumentation.
-        let (again_table, again) = run_obs(&cfg);
-        assert_eq!(again_table, table);
-        assert_eq!(again.counters_json(), obs.counters_json());
+        assert_eq!(run(&cfg).0, run(&cfg).0);
     }
 
     #[test]
     fn hotspot_is_no_easier_than_scattered_for_the_resource_protocol() {
         let cfg = Config::quick();
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         let mean = |scenario: &str| -> f64 {
             let rows: Vec<f64> = t
                 .rows

@@ -16,8 +16,10 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlb_baselines::{greedy, one_plus_beta, parallel_threshold, sequential_threshold};
 use tlb_core::weights::WeightSpec;
+use tlb_obs::ObsReport;
 
-use crate::harness;
+use super::{Sweep, Trial};
+use crate::cli::Experiment;
 use crate::output::Table;
 use crate::stats::Summary;
 
@@ -48,10 +50,13 @@ impl Default for Config {
     }
 }
 
-impl Config {
-    /// Reduced configuration for smoke tests and benches.
-    pub fn quick() -> Self {
+impl Experiment for Config {
+    fn quick() -> Self {
         Config { n: 100, ms: vec![1_000, 8_000], trials: 15, ..Default::default() }
+    }
+
+    fn trials_mut(&mut self) -> Option<&mut usize> {
+        Some(&mut self.trials)
     }
 }
 
@@ -88,8 +93,10 @@ fn run_scheme(scheme: &str, spec: &WeightSpec, n: usize, seed: u64) -> (f64, u64
 }
 
 /// Run the sweep. Columns: scheme, m, gap_mean, gap_ci95,
-/// choices_per_ball.
-pub fn run(cfg: &Config) -> Table {
+/// choices_per_ball. All `(scheme, m)` points run as one [`Sweep`]
+/// batch (obs prefix `related`); the allocators have no round loop, so
+/// `related.rounds` stays 0.
+pub fn run(cfg: &Config) -> (Table, ObsReport) {
     let mut table = Table::new(
         "related_work",
         format!(
@@ -98,28 +105,36 @@ pub fn run(cfg: &Config) -> Table {
         ),
         &["scheme", "m", "gap_mean", "gap_ci95", "choices_per_ball"],
     );
-    for scheme in SCHEMES {
-        for &m in &cfg.ms {
-            let spec = WeightSpec::ParetoTruncated { m, alpha: 1.5, cap: cfg.weight_cap };
-            let results = harness::run_trials_map(
-                cfg.trials,
-                cfg.seed ^ ((m as u64) << 8) ^ scheme.len() as u64,
-                |s| run_scheme(scheme, &spec, cfg.n, s),
-            );
-            let gaps: Vec<f64> = results.iter().map(|r| r.0).collect();
-            let choices: f64 =
-                results.iter().map(|r| r.1 as f64).sum::<f64>() / results.len() as f64;
-            let g = Summary::of(&gaps);
-            table.push_row(vec![
-                scheme.to_string(),
-                m.to_string(),
-                format!("{:.3}", g.mean),
-                format!("{:.3}", g.ci95),
-                format!("{:.2}", choices / m as f64),
-            ]);
-        }
+    let points: Vec<(&str, usize)> = SCHEMES
+        .iter()
+        .flat_map(|&scheme| cfg.ms.iter().map(move |&m| (scheme, m)))
+        .collect();
+    let seeds: Vec<u64> = points
+        .iter()
+        .map(|&(scheme, m)| cfg.seed ^ ((m as u64) << 8) ^ scheme.len() as u64)
+        .collect();
+    let specs: Vec<WeightSpec> = points
+        .iter()
+        .map(|&(_, m)| WeightSpec::ParetoTruncated { m, alpha: 1.5, cap: cfg.weight_cap })
+        .collect();
+    let (results, reg) = Sweep::new("related").run(&seeds, cfg.trials, |i, s| Trial {
+        value: run_scheme(points[i].0, &specs[i], cfg.n, s),
+        rounds: 0,
+        stats: None,
+    });
+    for (&(scheme, m), results) in points.iter().zip(&results) {
+        let gaps: Vec<f64> = results.iter().map(|r| r.0).collect();
+        let choices: f64 = results.iter().map(|r| r.1 as f64).sum::<f64>() / results.len() as f64;
+        let g = Summary::of(&gaps);
+        table.push_row(vec![
+            scheme.to_string(),
+            m.to_string(),
+            format!("{:.3}", g.mean),
+            format!("{:.3}", g.ci95),
+            format!("{:.2}", choices / m as f64),
+        ]);
     }
-    table
+    (table, reg.snapshot())
 }
 
 /// Shape check: per scheme, the ratio gap(m_max)/gap(m_min) — one-choice
@@ -150,7 +165,7 @@ mod tests {
     #[test]
     fn sweep_covers_all_schemes_and_sizes() {
         let cfg = Config::quick();
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         assert_eq!(t.rows.len(), SCHEMES.len() * cfg.ms.len());
         for g in t.column_f64("gap_mean") {
             assert!(g >= 0.0 && g.is_finite());
@@ -160,7 +175,7 @@ mod tests {
     #[test]
     fn one_choice_grows_multi_choice_does_not() {
         let cfg = Config { trials: 20, ..Config::quick() };
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         let ratios = growth_ratios(&cfg, &t);
         let get = |s: &str| ratios.iter().find(|(name, _)| name == s).unwrap().1;
         let one = get("one-choice");

@@ -11,15 +11,15 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlb_core::placement::Placement;
-use tlb_core::protocol::EngineStats;
 use tlb_core::resource_protocol::{run_resource_controlled_with_stats, ResourceControlledConfig};
 use tlb_core::threshold::ThresholdPolicy;
 use tlb_core::weights::WeightSpec;
 use tlb_graphs::generators::Family;
-use tlb_obs::{ObsReport, Registry};
+use tlb_obs::ObsReport;
 
+use super::{Sweep, Trial};
+use crate::cli::Experiment;
 use crate::figures::table1::build_family;
-use crate::harness;
 use crate::output::Table;
 use crate::stats::Summary;
 
@@ -44,16 +44,13 @@ impl Default for Config {
     }
 }
 
-impl Config {
-    /// Reduced configuration for smoke tests and benches.
-    pub fn quick() -> Self {
+impl Experiment for Config {
+    fn quick() -> Self {
         Config { size: 64, trials: 15, ..Default::default() }
     }
 
-    /// Paper-fidelity configuration: the Section-7 trial count (every
-    /// data point averaged over 1000 independent trials).
-    pub fn full() -> Self {
-        Config { trials: 1000, ..Default::default() }
+    fn trials_mut(&mut self) -> Option<&mut usize> {
+        Some(&mut self.trials)
     }
 }
 
@@ -80,26 +77,13 @@ struct FamilyPoint {
 /// Run the sweep. Columns: family, n, m, workload, tau, rounds_mean,
 /// rounds_ci95, rounds_over_tau_logm.
 ///
-/// All `(family × workload)` points run as **one** pool batch through
-/// [`harness::run_sweep`] — the sweep's per-point costs differ by orders
-/// of magnitude (cycle vs expander mixing times), which is exactly the
-/// straggler shape whole-sweep scheduling wins on. Seeds per point match
-/// the old per-point loop, so results are bit-identical to it.
-pub fn run(cfg: &Config) -> Table {
-    run_obs(cfg).0
-}
-
-/// [`run`], also returning the sweep's observability report (the shape
-/// `protocol_matrix` reports): deterministic per-point totals plus the
-/// engine's [`EngineStats`] merged across every trial under the
-/// `scaling.` counter prefix — this is the driver where the kernel
-/// counters (walk steps, fused lazy draws, regular fast-path hits) carry
-/// real signal, since every Table-1 family walks — the sweep wall time,
-/// and the rayon pool deltas.
-pub fn run_obs(cfg: &Config) -> (Table, ObsReport) {
-    let reg = Registry::new();
-    let pool_base = rayon::pool_stats();
-    let t_sweep = std::time::Instant::now();
+/// All `(family × workload)` points run as one [`Sweep`] batch (obs
+/// prefix `scaling`). The per-point costs differ by orders of magnitude
+/// (cycle vs expander mixing times), the straggler shape whole-sweep
+/// scheduling wins on. Every Table-1 family walks, so this is the
+/// driver whose kernel counters (walk steps, fused lazy draws, regular
+/// fast-path hits) carry the most signal.
+pub fn run(cfg: &Config) -> (Table, ObsReport) {
     let mut table = Table::new(
         "resource_scaling",
         format!(
@@ -138,7 +122,7 @@ pub fn run_obs(cfg: &Config) -> (Table, ObsReport) {
         .iter()
         .map(|&(fi, _, _)| cfg.seed ^ (families[fi].family as u64) << 8)
         .collect();
-    let results = harness::run_sweep_map(&seeds, cfg.trials, |i, s| {
+    let (results, reg) = Sweep::new("scaling").run(&seeds, cfg.trials, |i, s| {
         let (fi, _, ref spec) = points[i];
         let fp = &families[fi];
         let mut rng = SmallRng::seed_from_u64(s);
@@ -150,19 +134,11 @@ pub fn run_obs(cfg: &Config) -> (Table, ObsReport) {
             &fp.proto,
             &mut rng,
         );
-        (out.rounds as f64, stats)
+        Trial { value: out.rounds as f64, rounds: out.rounds, stats: Some(stats) }
     });
-    let mut merged = EngineStats::default();
-    for (&(fi, wname, _), samples) in points.iter().zip(&results) {
+    for (&(fi, wname, _), rounds) in points.iter().zip(&results) {
         let fp = &families[fi];
-        reg.add("scaling.points", 1);
-        reg.add("scaling.trials", samples.len() as u64);
-        reg.add("scaling.rounds", samples.iter().map(|(r, _)| *r as u64).sum());
-        for (_, stats) in samples {
-            merged.merge(stats);
-        }
-        let rounds: Vec<f64> = samples.iter().map(|(r, _)| *r).collect();
-        let s = Summary::of(&rounds);
+        let s = Summary::of(rounds);
         let denom = fp.tau * (fp.m as f64).ln();
         table.push_row(vec![
             fp.family.name().to_string(),
@@ -175,15 +151,6 @@ pub fn run_obs(cfg: &Config) -> (Table, ObsReport) {
             format!("{:.5}", s.mean / denom),
         ]);
     }
-    super::record_engine_stats(&reg, "scaling", &merged);
-    reg.record_ns("scaling.sweep_ns", t_sweep.elapsed().as_nanos() as u64);
-    let pool = rayon::pool_stats();
-    reg.set_exec("pool.threads", pool.threads as u64);
-    reg.set_exec("pool.batches", pool.batches.saturating_sub(pool_base.batches));
-    reg.set_exec(
-        "pool.chunks_claimed",
-        pool.chunks_claimed.saturating_sub(pool_base.chunks_claimed),
-    );
     (table, reg.snapshot())
 }
 
@@ -194,7 +161,7 @@ mod tests {
     #[test]
     fn quick_sweep_covers_all_families_and_workloads() {
         let cfg = Config::quick();
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         assert_eq!(t.rows.len(), Family::ALL.len() * WORKLOADS.len());
         for ratio in t.column_f64("ratio") {
             assert!(ratio > 0.0 && ratio.is_finite());
@@ -206,7 +173,7 @@ mod tests {
         // The collapse claim: rounds/(tau ln m) varies far less across
         // families than tau itself does. Allow a generous factor.
         let cfg = Config::quick();
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         let ratios = t.column_f64("ratio");
         let max = ratios.iter().fold(f64::MIN, |a, &b| a.max(b));
         let min = ratios.iter().fold(f64::MAX, |a, &b| a.min(b));
@@ -219,21 +186,5 @@ mod tests {
             max / min,
             tau_spread
         );
-    }
-
-    #[test]
-    fn obs_counters_aggregate_the_sweep_deterministically() {
-        let cfg = Config { trials: 3, ..Config::quick() };
-        let (table, obs) = run_obs(&cfg);
-        assert_eq!(obs.counters["scaling.points"], table.rows.len() as u64);
-        assert_eq!(obs.counters["scaling.trials"], (table.rows.len() * cfg.trials) as u64);
-        assert!(obs.counters["scaling.rounds"] > 0);
-        assert!(obs.counters["scaling.walk_steps"] > 0);
-        assert!(obs.timings.contains_key("scaling.sweep_ns"));
-        // The deterministic subtree is byte-stable run to run; the table
-        // itself must be unchanged by the instrumentation.
-        let (again_table, again) = run_obs(&cfg);
-        assert_eq!(again_table, table);
-        assert_eq!(again.counters_json(), obs.counters_json());
     }
 }

@@ -19,11 +19,14 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlb_graphs::generators::{self, Family};
 use tlb_graphs::Graph;
+use tlb_obs::ObsReport;
 use tlb_walks::hitting;
 use tlb_walks::mixing;
 use tlb_walks::spectral::spectral_gap_power;
 use tlb_walks::transition::{TransitionMatrix, WalkKind};
 
+use super::{Sweep, Trial};
+use crate::cli::Experiment;
 use crate::output::Table;
 
 /// Configuration of the Table-1 sweep.
@@ -47,10 +50,13 @@ impl Default for Config {
     }
 }
 
-impl Config {
-    /// Reduced sweep for smoke tests and benches.
-    pub fn quick() -> Self {
+impl Experiment for Config {
+    fn quick() -> Self {
         Config { sizes: vec![32, 64], exact_hitting_cap: 128, mc_trials: 50, seed: 1 }
+    }
+
+    fn trials_mut(&mut self) -> Option<&mut usize> {
+        None
     }
 }
 
@@ -120,8 +126,11 @@ pub fn measure(family: Family, size: usize, cfg: &Config) -> Row {
     Row { family, n, gap, tau_lemma2, tau_tv, hitting, hitting_exact }
 }
 
-/// Run the full sweep and format the paper-shaped table.
-pub fn run(cfg: &Config) -> Table {
+/// Run the full sweep and format the paper-shaped table. Every
+/// `(family, size)` measurement is one point of a [`Sweep`] batch (obs
+/// prefix `table1`) with a single trial; the measurements are
+/// deterministic, so the trial seed goes unused.
+pub fn run(cfg: &Config) -> (Table, ObsReport) {
     let mut table = Table::new(
         "table1",
         "Table 1: measured mixing & hitting times per graph family (walk: max-degree; lazy on bipartite families)",
@@ -137,24 +146,30 @@ pub fn run(cfg: &Config) -> Table {
             "theory_hitting",
         ],
     );
-    for family in Family::ALL {
-        for &size in &cfg.sizes {
-            let row = measure(family, size, cfg);
-            let (tm, th) = theory(family);
-            table.push_row(vec![
-                family.name().to_string(),
-                row.n.to_string(),
-                format!("{:.6}", row.gap),
-                format!("{:.1}", row.tau_lemma2),
-                row.tau_tv.map_or("-".into(), |t| t.to_string()),
-                format!("{:.1}", row.hitting),
-                if row.hitting_exact { "exact".into() } else { "monte-carlo".into() },
-                tm.to_string(),
-                th.to_string(),
-            ]);
-        }
+    let points: Vec<(Family, usize)> = Family::ALL
+        .iter()
+        .flat_map(|&family| cfg.sizes.iter().map(move |&size| (family, size)))
+        .collect();
+    let (rows, reg) = Sweep::new("table1").run(&vec![cfg.seed; points.len()], 1, |i, _| Trial {
+        value: measure(points[i].0, points[i].1, cfg),
+        rounds: 0,
+        stats: None,
+    });
+    for row in rows.iter().flatten() {
+        let (tm, th) = theory(row.family);
+        table.push_row(vec![
+            row.family.name().to_string(),
+            row.n.to_string(),
+            format!("{:.6}", row.gap),
+            format!("{:.1}", row.tau_lemma2),
+            row.tau_tv.map_or("-".into(), |t| t.to_string()),
+            format!("{:.1}", row.hitting),
+            if row.hitting_exact { "exact".into() } else { "monte-carlo".into() },
+            tm.to_string(),
+            th.to_string(),
+        ]);
     }
-    table
+    (table, reg.snapshot())
 }
 
 /// The paper's Table-1 asymptotics for a family.
@@ -207,7 +222,7 @@ mod tests {
     #[test]
     fn full_quick_table_has_all_rows() {
         let cfg = Config::quick();
-        let t = run(&cfg);
+        let (t, _) = run(&cfg);
         assert_eq!(t.rows.len(), Family::ALL.len() * cfg.sizes.len());
         // every row's hitting time is positive
         for h in t.column_f64("max_hitting") {

@@ -10,19 +10,20 @@
 //! so sweeps whose trials have very different costs (slow-mixing graphs
 //! next to fast ones) still keep every core busy.
 //!
-//! Whole sweeps go through [`run_sweep`], which flattens the
+//! Whole sweeps go through [`run_sweep_map`], which flattens the
 //! `(sweep-point × trial)` grid into one pool batch — no per-point
 //! straggler barrier — while staying bit-identical to the per-point
-//! [`run_trials`] loop.
+//! [`run_trials`] loop. The experiment drivers reach it through
+//! [`crate::figures::Sweep`], which adds the sweep's obs counters.
 //!
 //! The harness is also generic over the protocol abstraction: a
 //! [`ProtocolPoint`] names a `(protocol × graph × workload × placement)`
 //! cell through the unified [`MatrixProtocol`] surface (core
-//! [`ProtocolKind`] variants and `tlb-baselines` adapters alike), and
-//! [`run_protocol_trials`]/[`run_protocol_sweep`] fan its trials out over
-//! the pool, returning full [`ProtocolOutcome`]s. Trait dispatch adds no
-//! RNG draws, so these paths are bit-identical to calling the concrete
-//! `run_*` entry points with the same derived seeds.
+//! [`ProtocolKind`] variants and `tlb-baselines` adapters alike);
+//! [`run_protocol_once`] runs one trial of it and [`run_protocol_sweep`]
+//! a whole sweep on the pool, returning full [`ProtocolOutcome`]s. Trait
+//! dispatch adds no RNG draws, so these paths are bit-identical to
+//! calling the concrete `run_*` entry points with the same derived seeds.
 
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
@@ -45,10 +46,13 @@ pub fn trial_seed(base: u64, index: u64) -> u64 {
 }
 
 /// Run `trials` independent trials in parallel; `f(seed)` must be a pure
-/// function of its seed. Results are returned in trial order.
-pub fn run_trials<F>(trials: usize, base_seed: u64, f: F) -> Vec<f64>
+/// function of its seed and may return any `Send` payload (a round
+/// count, or a struct when a trial yields more than one metric).
+/// Results are returned in trial order.
+pub fn run_trials<T, F>(trials: usize, base_seed: u64, f: F) -> Vec<T>
 where
-    F: Fn(u64) -> f64 + Sync,
+    T: Send,
+    F: Fn(u64) -> T + Sync,
 {
     (0..trials as u64)
         .into_par_iter()
@@ -65,19 +69,6 @@ where
     (0..trials as u64).map(|t| f(trial_seed(base_seed, t))).collect()
 }
 
-/// Run a generic per-trial function returning any `Send` payload (used
-/// when a trial yields more than one metric).
-pub fn run_trials_map<T, F>(trials: usize, base_seed: u64, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    (0..trials as u64)
-        .into_par_iter()
-        .map(|t| f(trial_seed(base_seed, t)))
-        .collect()
-}
-
 /// Run a whole sweep — `point_seeds.len()` parameter points × `trials`
 /// trials each — as **one** self-scheduled pool batch instead of one
 /// batch per point.
@@ -91,18 +82,10 @@ where
 /// pool's chunk self-scheduling fill every core until the *whole sweep*
 /// runs dry — the only barrier is the final one.
 ///
-/// Output contract (proptest-pinned): `run_sweep(seeds, trials, f)[i]` is
-/// bit-identical to `run_trials(trials, seeds[i], |s| f(i, s))`, for any
-/// thread count — trial `t` of point `i` always runs with seed
-/// `trial_seed(point_seeds[i], t)`, regardless of scheduling.
-pub fn run_sweep<F>(point_seeds: &[u64], trials: usize, f: F) -> Vec<Vec<f64>>
-where
-    F: Fn(usize, u64) -> f64 + Sync,
-{
-    run_sweep_map(point_seeds, trials, f)
-}
-
-/// Generic-payload variant of [`run_sweep`] (the `run_trials_map` analog).
+/// Output contract (proptest-pinned): `run_sweep_map(seeds, trials,
+/// f)[i]` is bit-identical to `run_trials(trials, seeds[i], |s| f(i,
+/// s))`, for any thread count — trial `t` of point `i` always runs with
+/// seed `trial_seed(point_seeds[i], t)`, regardless of scheduling.
 pub fn run_sweep_map<T, F>(point_seeds: &[u64], trials: usize, f: F) -> Vec<Vec<T>>
 where
     T: Send,
@@ -187,7 +170,7 @@ pub struct ProtocolPoint {
 
 /// One trial of a protocol point: generate the workload, run the
 /// protocol to completion through the trait surface, report the outcome.
-fn run_protocol_once(p: &ProtocolPoint, seed: u64) -> ProtocolOutcome {
+pub fn run_protocol_once(p: &ProtocolPoint, seed: u64) -> ProtocolOutcome {
     let mut rng = SmallRng::seed_from_u64(seed);
     let tasks = p.weights.generate(&mut rng);
     let mut stepper = p.protocol.new_stepper(&p.graph, &tasks, p.placement.clone(), &mut rng);
@@ -195,15 +178,10 @@ fn run_protocol_once(p: &ProtocolPoint, seed: u64) -> ProtocolOutcome {
     stepper.into_outcome()
 }
 
-/// Run `trials` independent trials of one protocol point in parallel;
-/// outcomes are returned in trial order.
-pub fn run_protocol_trials(point: &ProtocolPoint, trials: usize) -> Vec<ProtocolOutcome> {
-    run_trials_map(trials, point.seed, |s| run_protocol_once(point, s))
-}
-
 /// Run a whole protocol sweep — every `(point × trial)` pair as **one**
-/// self-scheduled pool batch, like [`run_sweep`]. `out[i]` is
-/// bit-identical to `run_protocol_trials(&points[i], trials)`.
+/// self-scheduled pool batch, like [`run_sweep_map`]. `out[i]` is
+/// bit-identical to `run_trials(trials, points[i].seed, |s|
+/// run_protocol_once(&points[i], s))`.
 pub fn run_protocol_sweep(points: &[ProtocolPoint], trials: usize) -> Vec<Vec<ProtocolOutcome>> {
     let seeds: Vec<u64> = points.iter().map(|p| p.seed).collect();
     run_sweep_map(&seeds, trials, |i, s| run_protocol_once(&points[i], s))
@@ -252,7 +230,6 @@ mod tests {
         let trials = 257;
         let seq = run_trials_sequential(trials, 11, uneven);
         assert_eq!(run_trials(trials, 11, uneven), seq);
-        assert_eq!(run_trials_map(trials, 11, uneven), seq);
     }
 
     #[test]
@@ -282,7 +259,7 @@ mod tests {
         // exactly — same seeds, same order — on the uneven workload.
         let seeds = [3u64, 99, 3, 0xDEAD]; // duplicate seeds are legal
         let trials = 37;
-        let swept = run_sweep(&seeds, trials, |_, s| uneven(s));
+        let swept = run_sweep_map(&seeds, trials, |_, s| uneven(s));
         assert_eq!(swept.len(), seeds.len());
         for (i, &seed) in seeds.iter().enumerate() {
             assert_eq!(swept[i], run_trials(trials, seed, uneven), "point {i}");
@@ -303,11 +280,11 @@ mod tests {
 
     #[test]
     fn run_sweep_degenerate_shapes() {
-        let empty: Vec<Vec<f64>> = run_sweep(&[], 10, |_, s| s as f64);
+        let empty: Vec<Vec<f64>> = run_sweep_map(&[], 10, |_, s| s as f64);
         assert!(empty.is_empty());
-        let zero_trials = run_sweep(&[1, 2], 0, |_, s| s as f64);
+        let zero_trials = run_sweep_map(&[1, 2], 0, |_, s| s as f64);
         assert_eq!(zero_trials, vec![Vec::<f64>::new(), Vec::new()]);
-        let single = run_sweep(&[7], 1, |_, s| s as f64);
+        let single = run_sweep_map(&[7], 1, |_, s| s as f64);
         assert_eq!(single, vec![vec![trial_seed(7, 0) as f64]]);
     }
 
@@ -324,7 +301,7 @@ mod tests {
             protocol: MatrixProtocol::Core(ProtocolKind::Resource(pcfg.clone())),
             seed: 77,
         };
-        let outcomes = run_protocol_trials(&point, 6);
+        let outcomes = run_trials(6, 77, |s| run_protocol_once(&point, s));
         for (t, out) in outcomes.iter().enumerate() {
             let mut rng = SmallRng::seed_from_u64(trial_seed(77, t as u64));
             let tasks = spec.generate(&mut rng);
@@ -352,7 +329,8 @@ mod tests {
         let swept = run_protocol_sweep(&points, 5);
         assert_eq!(swept.len(), 3);
         for (i, point) in points.iter().enumerate() {
-            assert_eq!(swept[i], run_protocol_trials(point, 5), "point {i}");
+            let per_point = run_trials(5, point.seed, |s| run_protocol_once(point, s));
+            assert_eq!(swept[i], per_point, "point {i}");
             assert!(swept[i].iter().all(|o| o.balanced()));
         }
     }
@@ -370,7 +348,7 @@ mod tests {
     fn map_variant_carries_structs() {
         #[derive(PartialEq, Debug)]
         struct Pair(u64, f64);
-        let out = run_trials_map(10, 5, |s| Pair(s, s as f64 * 0.5));
+        let out = run_trials(10, 5, |s| Pair(s, s as f64 * 0.5));
         assert_eq!(out.len(), 10);
         assert_eq!(out[3], Pair(trial_seed(5, 3), trial_seed(5, 3) as f64 * 0.5));
     }

@@ -14,8 +14,11 @@
 //! * [`output`] — aligned-text tables and CSV/JSON persistence under
 //!   `results/`,
 //! * [`figures`] — one module per paper artifact (Table 1, Figures 1–2)
-//!   and per ablation, each exposing a `run(&Config) -> Table` function
-//!   used by both the `--bin` drivers and the Criterion benches.
+//!   and per ablation, each exposing a `run(&Config) -> (Table,
+//!   ObsReport)` function over the one whole-sweep runner
+//!   [`figures::Sweep`],
+//! * [`cli`] — the command line every one-shot `--bin` driver shares
+//!   ([`cli::main`]).
 //!
 //! Every experiment accepts a quality knob (trial count, sweep density) so
 //! the same code path serves quick smoke runs and full paper-fidelity
@@ -24,7 +27,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod baselines;
 pub mod cli;
 pub mod figures;
 pub mod harness;

@@ -18,7 +18,7 @@ proptest! {
     }
 
     /// Whole-sweep scheduling is observationally pure scheduling: for any
-    /// point-seed list and trial count, `run_sweep` output is
+    /// point-seed list and trial count, `run_sweep_map` output is
     /// bit-identical to the per-point `run_trials` loop it replaced.
     #[test]
     fn run_sweep_equals_per_point_loop(
@@ -30,7 +30,7 @@ proptest! {
         let f = |point: usize, s: u64| {
             (s ^ (point as u64).wrapping_mul(0x9E3779B97F4A7C15)) as f64
         };
-        let swept = harness::run_sweep(&point_seeds, trials, f);
+        let swept = harness::run_sweep_map(&point_seeds, trials, f);
         let per_point: Vec<Vec<f64>> = point_seeds
             .iter()
             .enumerate()

@@ -47,33 +47,27 @@ pub enum ArrivalProcess {
 
 impl ArrivalProcess {
     /// Check the parameters, so a bad config literal fails at engine
-    /// construction instead of at the first in-window sample.
+    /// construction (or snapshot restore) instead of at the first
+    /// in-window sample.
     ///
-    /// # Panics
+    /// # Errors
     /// If a Poisson rate is non-positive or non-finite, or a period is
     /// zero.
-    pub fn validate(&self) {
-        match *self {
-            ArrivalProcess::Off => {}
-            ArrivalProcess::Poisson { rate } => {
-                assert!(
-                    rate.is_finite() && rate > 0.0,
-                    "arrival rate must be positive and finite, got {rate}"
-                );
-            }
-            ArrivalProcess::Batched { every, .. } => {
-                assert!(every >= 1, "batch period must be >= 1");
-            }
+    pub fn validate(&self) -> Result<(), String> {
+        let ok = match *self {
+            ArrivalProcess::Off => true,
+            ArrivalProcess::Poisson { rate } => rate.is_finite() && rate > 0.0,
+            ArrivalProcess::Batched { every, .. } => every >= 1,
             ArrivalProcess::Bursty { base, burst, period, .. } => {
-                assert!(period >= 1, "burst period must be >= 1");
-                for (name, rate) in [("base", base), ("burst", burst)] {
-                    assert!(
-                        rate.is_finite() && rate >= 0.0,
-                        "{name} rate must be non-negative and finite, got {rate}"
-                    );
-                }
+                period >= 1 && [base, burst].iter().all(|r| r.is_finite() && *r >= 0.0)
             }
-        }
+        };
+        ok.then_some(()).ok_or_else(|| {
+            format!(
+                "invalid arrival process {self:?}: rates must be finite (Poisson > 0, bursty \
+                 >= 0) and periods >= 1"
+            )
+        })
     }
 
     /// Sample the number of arrivals for `epoch`.
@@ -142,11 +136,12 @@ pub enum ArrivalPlacement {
 impl ArrivalPlacement {
     /// Check the parameters (see [`ArrivalProcess::validate`]).
     ///
-    /// # Panics
+    /// # Errors
     /// If an adaptive spread is zero.
-    pub fn validate(&self) {
-        if let ArrivalPlacement::Adaptive { spread } = *self {
-            assert!(spread >= 1, "adaptive spread must be >= 1");
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            ArrivalPlacement::Adaptive { spread: 0 } => Err("adaptive spread must be >= 1".into()),
+            _ => Ok(()),
         }
     }
 }
@@ -175,17 +170,23 @@ pub enum ArrivalWeights {
 impl ArrivalWeights {
     /// Check the parameters (see [`ArrivalProcess::validate`]).
     ///
-    /// # Panics
-    /// If a bound violates the `w_min = 1` normalization or a Pareto
-    /// shape is non-positive.
-    pub fn validate(&self) {
-        match *self {
-            ArrivalWeights::Unit => {}
-            ArrivalWeights::UniformRange { hi } => assert!(hi >= 1.0, "hi must be >= 1, got {hi}"),
+    /// # Errors
+    /// If a bound is non-finite or violates the `w_min = 1`
+    /// normalization, or a Pareto shape is non-positive.
+    pub fn validate(&self) -> Result<(), String> {
+        let ok = match *self {
+            ArrivalWeights::Unit => true,
+            ArrivalWeights::UniformRange { hi } => hi.is_finite() && hi >= 1.0,
             ArrivalWeights::ParetoTruncated { alpha, cap } => {
-                assert!(alpha > 0.0 && cap >= 1.0, "invalid Pareto parameters ({alpha}, {cap})");
+                alpha.is_finite() && alpha > 0.0 && cap.is_finite() && cap >= 1.0
             }
-        }
+        };
+        ok.then_some(()).ok_or_else(|| {
+            format!(
+                "invalid arrival weights {self:?}: bounds must be finite and >= 1, a Pareto \
+                 shape positive"
+            )
+        })
     }
 
     /// Sample one task weight.
@@ -271,6 +272,21 @@ mod tests {
             assert!((1.0..=64.0).contains(&p));
             assert_eq!(ArrivalWeights::Unit.sample(&mut r), 1.0);
         }
+    }
+
+    #[test]
+    fn validate_rejects_bad_literals_without_panicking() {
+        assert!(ArrivalProcess::Poisson { rate: -1.0 }.validate().is_err());
+        assert!(ArrivalProcess::Poisson { rate: f64::NAN }.validate().is_err());
+        assert!(ArrivalProcess::Batched { size: 3, every: 0 }.validate().is_err());
+        let bursty = ArrivalProcess::Bursty { base: 1.0, burst: 2.0, period: 0, burst_len: 0 };
+        assert!(bursty.validate().is_err());
+        assert!(ArrivalProcess::Poisson { rate: 2.0 }.validate().is_ok());
+        assert!(ArrivalWeights::ParetoTruncated { alpha: 0.0, cap: 8.0 }.validate().is_err());
+        assert!(ArrivalWeights::UniformRange { hi: f64::INFINITY }.validate().is_err());
+        assert!(ArrivalWeights::ParetoTruncated { alpha: 1.5, cap: 8.0 }.validate().is_ok());
+        assert!(ArrivalPlacement::Adaptive { spread: 0 }.validate().is_err());
+        assert!(ArrivalPlacement::Adaptive { spread: 2 }.validate().is_ok());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use serde::{Deserialize, Serialize};
 use tlb_graphs::NodeId;
 
-use crate::domains::{DomainSpec, DomainSteering, OutageDuration};
+use crate::domains::{validate_domains_against_graph, DomainSpec, DomainSteering, OutageDuration};
 
 /// One scripted topology change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -126,6 +126,37 @@ impl ChurnProcess {
             || self.random_up > 0.0
             || (!self.domains.is_empty() && self.domain_outage > 0.0)
     }
+
+    /// Node-count-dependent checks: every failure domain and every
+    /// scripted node id, id range and edge fits an `n`-node graph, and no
+    /// scripted edge is a self-loop. The engine runs this wherever a
+    /// config meets a graph (construction, restore, reconfigure), so a
+    /// bad id is rejected there instead of panicking on its epoch.
+    ///
+    /// # Errors
+    /// Naming the first offending domain or event.
+    pub fn validate_against_graph(&self, n: usize) -> Result<(), String> {
+        validate_domains_against_graph(&self.domains, n)?;
+        let fits = |v: NodeId| (v as usize) < n;
+        for &(epoch, ev) in &self.scripted {
+            let ok = match ev {
+                ChurnEvent::Deactivate(v) | ChurnEvent::Activate(v) => fits(v),
+                ChurnEvent::DeactivateRange { from, to }
+                | ChurnEvent::ActivateRange { from, to } => from <= to && to as usize <= n,
+                ChurnEvent::AddEdge(u, v) | ChurnEvent::RemoveEdge(u, v) => {
+                    u != v && fits(u) && fits(v)
+                }
+                // Checked against the domain list by the engine.
+                ChurnEvent::DomainOutage { .. } => true,
+            };
+            if !ok {
+                return Err(format!(
+                    "scripted {ev:?} at epoch {epoch} does not fit the {n}-node graph"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -143,6 +174,32 @@ mod tests {
         assert_eq!(at3, vec![ChurnEvent::Deactivate(1), ChurnEvent::AddEdge(0, 2)]);
         assert_eq!(c.events_at(4).count(), 0);
         assert_eq!(c.events_at(5).count(), 1);
+    }
+
+    #[test]
+    fn scripted_events_are_checked_against_the_graph() {
+        let ok = ChurnProcess::scripted(vec![
+            (0, ChurnEvent::Deactivate(7)),
+            (1, ChurnEvent::DeactivateRange { from: 4, to: 8 }),
+            (2, ChurnEvent::AddEdge(0, 7)),
+            (3, ChurnEvent::DomainOutage { domain: 0, duration: 2 }),
+        ]);
+        assert!(ok.validate_against_graph(8).is_ok());
+        assert!(ok.validate_against_graph(7).is_err());
+        for bad in [
+            ChurnEvent::Activate(8),
+            ChurnEvent::ActivateRange { from: 2, to: 9 },
+            ChurnEvent::DeactivateRange { from: 5, to: 3 },
+            ChurnEvent::RemoveEdge(3, 3),
+            ChurnEvent::AddEdge(0, 99),
+        ] {
+            let churn = ChurnProcess::scripted(vec![(0, bad)]);
+            assert!(churn.validate_against_graph(8).is_err(), "{bad:?} accepted");
+        }
+        let domains = vec![DomainSpec::new("rack0", 0, 9)];
+        assert!(ChurnProcess { domains, ..Default::default() }
+            .validate_against_graph(8)
+            .is_err());
     }
 
     #[test]

@@ -75,7 +75,7 @@ use tlb_walks::WalkKind;
 use crate::admission::AdmissionPolicy;
 use crate::arrivals::{ArrivalPlacement, ArrivalProcess, ArrivalWeights};
 use crate::churn::{ChurnEvent, ChurnProcess};
-use crate::domains::{validate_domain_list, validate_domains_against_graph, DomainSteering};
+use crate::domains::{validate_domain_list, DomainSteering};
 use crate::metrics::{EpochRecord, RunningSummary, SimReport};
 use crate::shard::{rebalance_seed, ShardedEngine};
 use crate::sink::MetricsSink;
@@ -221,13 +221,14 @@ impl OnlineSim {
     /// # Panics
     /// If the graph is empty, the tenant list is empty or has
     /// non-positive shares, `departure_prob` is not in `[0, 1)`, a churn
-    /// probability is not in `[0, 1]`, `shards` is zero, or the walk is
-    /// [`WalkKind::Simple`].
+    /// probability is not in `[0, 1]`, a failure domain or scripted
+    /// churn event does not fit the graph, `shards` is zero, or the walk
+    /// is [`WalkKind::Simple`].
     pub fn new(base: Graph, cfg: SimConfig) -> Self {
         let n = base.num_nodes();
         assert!(n > 0, "need at least one resource");
         Self::validate(&cfg);
-        if let Err(msg) = validate_domains_against_graph(&cfg.churn.domains, n) {
+        if let Err(msg) = cfg.churn.validate_against_graph(n) {
             panic!("{msg}");
         }
         let tenants = TenantSet::new(cfg.tenants.clone());
@@ -248,13 +249,20 @@ impl OnlineSim {
         }
     }
 
-    /// Parameters come from config literals, so reject bad ones up front
-    /// instead of panicking deep inside a sampler mid-run.
-    ///
-    /// # Panics
-    /// Via the arrival/weight sub-validators on malformed distribution
-    /// literals (those have no `Result` surface).
+    /// Parameters come from config literals and snapshots, so reject bad
+    /// ones up front instead of panicking deep inside a sampler mid-run.
+    /// The graph-size checks live in
+    /// [`ChurnProcess::validate_against_graph`].
     fn try_validate(cfg: &SimConfig) -> Result<(), String> {
+        if cfg.tenants.is_empty() {
+            return Err("need at least one tenant".to_string());
+        }
+        if let Some(t) = cfg.tenants.iter().find(|t| !(t.share.is_finite() && t.share > 0.0)) {
+            return Err(format!(
+                "tenant {:?} share must be positive and finite, got {}",
+                t.name, t.share
+            ));
+        }
         if !(0.0..1.0).contains(&cfg.departure_prob) {
             return Err(format!("departure_prob must be in [0, 1), got {}", cfg.departure_prob));
         }
@@ -286,9 +294,9 @@ impl OnlineSim {
             }
         }
         cfg.admission.validate()?;
-        cfg.arrivals.validate();
-        cfg.arrival_weights.validate();
-        cfg.arrival_placement.validate();
+        cfg.arrivals.validate()?;
+        cfg.arrival_weights.validate()?;
+        cfg.arrival_placement.validate()?;
         if cfg.shards == 0 {
             return Err("shards must be >= 1".to_string());
         }
@@ -337,7 +345,8 @@ impl OnlineSim {
     ///   fine);
     /// * any config [`try_validate`](Self::try_validate) rejects, which
     ///   includes `WalkKind::Simple` (undefined on the isolated nodes
-    ///   churn creates).
+    ///   churn creates);
+    /// * scripted churn naming a node, range or edge outside the graph.
     ///
     /// Swapping the *admission* policy resets its token balances to the
     /// new policy's initial state (an unchanged policy keeps mid-bucket
@@ -352,6 +361,9 @@ impl OnlineSim {
             "failure domains cannot change mid-run (recovery deadlines index into them)"
         );
         Self::try_validate(&cfg).map_err(anyhow::Error::msg)?;
+        cfg.churn
+            .validate_against_graph(self.base.num_nodes())
+            .map_err(anyhow::Error::msg)?;
         if self.cfg.admission != cfg.admission {
             self.state.admission_tokens = cfg.admission.initial_tokens(self.tenants.len());
         }
@@ -590,8 +602,7 @@ impl OnlineSim {
         Self::try_validate(&snap.config).map_err(anyhow::Error::msg)?;
         let n = base.num_nodes();
         anyhow::ensure!(n > 0, "need at least one resource");
-        validate_domains_against_graph(&snap.config.churn.domains, n)
-            .map_err(anyhow::Error::msg)?;
+        snap.config.churn.validate_against_graph(n).map_err(anyhow::Error::msg)?;
         anyhow::ensure!(
             snap.domain_down_until.len() == snap.config.churn.domains.len(),
             "snapshot carries {} domain deadlines for {} configured domains",
@@ -1213,6 +1224,28 @@ mod tests {
         wrong_tables.tenant_of.push(0);
         assert!(OnlineSim::restore(wrong_tables, complete(8)).is_err());
 
+        // Malformed config literals inside the snapshot are errors, not
+        // sampler or tenant-set panics.
+        let corrupt = |edit: &dyn Fn(&mut SimConfig)| {
+            let mut bad = snap.clone();
+            edit(&mut bad.config);
+            OnlineSim::restore(bad, complete(8)).err().map(|e| e.to_string())
+        };
+        let negative_rate = corrupt(&|c| c.arrivals = ArrivalProcess::Poisson { rate: -1.0 });
+        assert!(negative_rate.unwrap().contains("arrival process"));
+        let zero_alpha = corrupt(&|c| {
+            c.arrival_weights = ArrivalWeights::ParetoTruncated { alpha: 0.0, cap: 8.0 }
+        });
+        assert!(zero_alpha.unwrap().contains("Pareto"));
+        assert!(corrupt(&|c| c.tenants.clear()).unwrap().contains("at least one tenant"));
+        assert!(corrupt(&|c| c.tenants[0].share = 0.0).unwrap().contains("share"));
+        // A scripted event naming a node the graph does not have is
+        // caught at restore, not at its epoch.
+        let ghost = corrupt(&|c| {
+            c.churn.scripted = vec![(snap.epoch, ChurnEvent::Deactivate(99))];
+        });
+        assert!(ghost.unwrap().contains("8-node graph"));
+
         // Wrong base graph: node count mismatch surfaces as a delta error.
         assert!(OnlineSim::restore(snap, complete(9)).is_err());
     }
@@ -1234,6 +1267,15 @@ mod tests {
         let mut tenants = quick_cfg("reconf");
         tenants.tenants.push(TenantSpec::new("late", ThresholdPolicy::Tight, 1.0));
         assert!(sim.reconfigure(tenants).is_err());
+
+        // Malformed arrival literals and out-of-graph scripted churn are
+        // errors, not panics at the next epoch.
+        let mut negative_rate = quick_cfg("reconf");
+        negative_rate.arrivals = ArrivalProcess::Poisson { rate: -1.0 };
+        assert!(sim.reconfigure(negative_rate).is_err());
+        let mut ghost = quick_cfg("reconf");
+        ghost.churn.scripted = vec![(sim.epoch(), ChurnEvent::Deactivate(99))];
+        assert!(sim.reconfigure(ghost).is_err());
 
         // A legal phase swap applies and the run continues.
         let mut ok = quick_cfg("reconf");
@@ -1275,7 +1317,7 @@ mod tests {
         };
         let plain = OnlineSim::new(torus2d(4, 4), cfg.clone()).run();
 
-        let run_obs = |shards: usize| {
+        let run_observed = |shards: usize| {
             let mut cfg = cfg.clone();
             cfg.shards = shards;
             let mut sim = OnlineSim::new(torus2d(4, 4), cfg);
@@ -1284,7 +1326,7 @@ mod tests {
             let report = sim.run();
             (report, sim.obs_report().expect("obs was enabled"))
         };
-        let (report, obs) = run_obs(1);
+        let (report, obs) = run_observed(1);
         // Neutrality: the instrumented run's records are bit-identical.
         assert_eq!(report, plain);
         // Counter semantics against the run-level report.
@@ -1301,7 +1343,7 @@ mod tests {
         // The counters subtree is byte-identical across shard counts;
         // exec (layout diagnostics) legitimately differs.
         for shards in [2usize, 5] {
-            let (sharded_report, sharded_obs) = run_obs(shards);
+            let (sharded_report, sharded_obs) = run_observed(shards);
             assert_eq!(sharded_report, plain, "shard count {shards} diverged");
             assert_eq!(
                 sharded_obs.counters_json(),

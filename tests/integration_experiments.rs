@@ -1,6 +1,7 @@
 //! Cross-crate integration: quick-scale runs of the figure/table drivers,
 //! asserting the *shapes* the paper reports (not absolute numbers).
 
+use tlb_experiments::cli::Experiment;
 use tlb_experiments::figures::{figure1, figure2, obs8, table1};
 use tlb_experiments::stats::linear_fit;
 
@@ -14,7 +15,7 @@ fn figure1_shape_log_m_and_k_independence() {
         trials: 40,
         ..figure1::Config::default()
     };
-    let table = figure1::run(&cfg);
+    let (table, _) = figure1::run(&cfg);
     let fits = figure1::log_fit_per_k(&cfg, &table);
     assert_eq!(fits.len(), 2);
     for (k, slope, r2) in &fits {
@@ -48,7 +49,7 @@ fn figure2_shape_flat_in_m_linear_in_wmax() {
         trials: 40,
         ..figure2::Config::default()
     };
-    let table = figure2::run(&cfg);
+    let (table, _) = figure2::run(&cfg);
     let (flatness, (slope, r2)) = figure2::shape_checks(&cfg, &table);
     for (w, ratio) in &flatness {
         assert!(
@@ -70,7 +71,7 @@ fn table1_hitting_time_shapes() {
         mc_trials: 100,
         seed: 5,
     };
-    let t = table1::run(&cfg);
+    let (t, _) = table1::run(&cfg);
     // For each family fit log H ~ a + b log n; complete graph must have
     // b ≈ 1, grid b > 1 (n log n), none should exceed ~1.6.
     use tlb_graphs::generators::Family;
@@ -103,7 +104,7 @@ fn table1_hitting_time_shapes() {
 #[test]
 fn obs8_ratio_stays_bounded() {
     let cfg = obs8::Config { n: 32, ks: vec![1, 4, 16], trials: 25, ..obs8::Config::default() };
-    let t = obs8::run(&cfg);
+    let (t, _) = obs8::run(&cfg);
     let hs = t.column_f64("H_exact");
     let ratios = t.column_f64("ratio");
     let h_spread =
@@ -121,7 +122,7 @@ fn obs8_ratio_stays_bounded() {
 #[test]
 fn tables_persist_and_reload() {
     let cfg = table1::Config::quick();
-    let t = table1::run(&cfg);
+    let (t, _) = table1::run(&cfg);
     let dir = std::env::temp_dir().join("tlb_integration_results");
     let csv = t.save(&dir).unwrap();
     assert!(csv.exists());

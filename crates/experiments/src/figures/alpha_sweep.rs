@@ -163,4 +163,9 @@ mod tests {
         let min = prods.iter().fold(f64::MAX, |a, &b| a.min(b));
         assert!(max / min < 4.0, "alpha*rounds spread too wide: {prods:?}");
     }
+
+    #[test]
+    fn obs_counters_aggregate_the_sweep_deterministically() {
+        crate::figures::tests::check(run, 3, "alpha", "points", &["rounds", "uniform_jump_draws"]);
+    }
 }

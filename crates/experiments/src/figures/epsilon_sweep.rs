@@ -170,4 +170,15 @@ mod tests {
         assert_eq!(t.rows.len(), cfg.epsilons.len() * cfg.w_maxes.len());
         assert!(t.rows[0][2].contains("tight"));
     }
+
+    #[test]
+    fn obs_counters_aggregate_the_sweep_deterministically() {
+        crate::figures::tests::check(
+            run,
+            3,
+            "epsilon",
+            "points",
+            &["rounds", "uniform_jump_draws"],
+        );
+    }
 }

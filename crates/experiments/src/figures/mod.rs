@@ -199,7 +199,7 @@ mod tests {
 
     /// Run a driver twice at a small config and check the report shape
     /// every runner-driven driver shares.
-    fn check<C: Experiment>(
+    pub(crate) fn check<C: Experiment>(
         run: fn(&C) -> (Table, ObsReport),
         trials: usize,
         prefix: &str,
@@ -226,13 +226,11 @@ mod tests {
         assert_eq!(again.counters_json(), obs.counters_json(), "{prefix}: counters drifted");
     }
 
+    /// `alpha_sweep`, `epsilon_sweep`, `resource_scaling`,
+    /// `potential_decay` and `protocol_matrix` make the same check from
+    /// their own test modules.
     #[test]
     fn every_driver_reports_its_sweep_through_the_runner() {
-        check(alpha_sweep::run, 3, "alpha", "points", &["rounds", "uniform_jump_draws"]);
-        check(epsilon_sweep::run, 3, "epsilon", "points", &["rounds", "uniform_jump_draws"]);
-        check(resource_scaling::run, 2, "scaling", "points", &["rounds", "walk_steps"]);
-        check(potential_decay::run, 3, "decay", "points", &["rounds", "uniform_jump_draws"]);
-        check(protocol_matrix::run, 2, "matrix", "cells", &["rounds", "migrations"]);
         check(obs8::run, 2, "obs8", "points", &["rounds", "walk_steps"]);
         check(mixed::run, 2, "mixed", "points", &["rounds"]);
         check(figure1::run, 2, "figure1", "points", &["rounds", "uniform_jump_draws"]);

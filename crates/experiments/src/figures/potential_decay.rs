@@ -161,4 +161,9 @@ mod tests {
         let decays = t.column_f64("measured_decay");
         assert!(decays[0] > decays[1], "uniform workload should decay faster: {decays:?}");
     }
+
+    #[test]
+    fn obs_counters_aggregate_the_sweep_deterministically() {
+        crate::figures::tests::check(run, 3, "decay", "points", &["rounds", "uniform_jump_draws"]);
+    }
 }

@@ -317,4 +317,9 @@ mod tests {
             mean("scattered")
         );
     }
+
+    #[test]
+    fn obs_counters_aggregate_the_sweep_deterministically() {
+        crate::figures::tests::check(run, 2, "matrix", "cells", &["rounds", "migrations"]);
+    }
 }

@@ -187,4 +187,9 @@ mod tests {
             tau_spread
         );
     }
+
+    #[test]
+    fn obs_counters_aggregate_the_sweep_deterministically() {
+        crate::figures::tests::check(run, 2, "scaling", "points", &["rounds", "walk_steps"]);
+    }
 }

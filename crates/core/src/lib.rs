@@ -19,10 +19,6 @@
 //!   object-safe [`protocol::Protocol`] stepping trait, and the
 //!   [`protocol::ProtocolKind`]/[`protocol::AnyStepper`] dispatch pair
 //!   (see "Protocol abstraction" below),
-//! * the **fragment surface** ([`fragment`]): per-resource stacks split
-//!   into contiguous per-shard [`fragment::StackFragment`]s, the unit of
-//!   parallelism of the sharded online engine in `tlb-sim` (which runs
-//!   Algorithm 5.1 only, through its own `ShardedEngine`),
 //! * the model substrate both share: weighted tasks ([`task`], [`weights`]),
 //!   stack semantics with heights and threshold cutting ([`stack`]),
 //!   threshold policies ([`threshold`]), initial placements ([`placement`]),
@@ -109,7 +105,6 @@
 pub mod assignment;
 pub mod diffusion;
 pub mod drift;
-pub mod fragment;
 pub mod mixed_protocol;
 pub mod nonuniform;
 pub mod placement;
@@ -125,7 +120,6 @@ pub mod weights;
 
 /// Convenient re-exports of the types most programs need.
 pub mod prelude {
-    pub use crate::fragment::StackFragment;
     pub use crate::placement::Placement;
     pub use crate::protocol::{AnyStepper, Protocol, ProtocolKind, ProtocolOutcome, RoundEngine};
     pub use crate::resource_protocol::{

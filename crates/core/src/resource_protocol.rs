@@ -52,9 +52,10 @@ pub struct ResourceControlledConfig {
     /// order their source resources were scanned (deterministic), `true`
     /// randomizes — an ablation that should not change the asymptotics.
     pub shuffle_arrivals: bool,
-    /// Record a full [`RoundTrace`] (potential, overload count, max load,
-    /// migrations per round) in the outcome. Costs one stack scan per
-    /// resource per round, like `track_potential`.
+    /// Record a full [`RoundTrace`](crate::trace::RoundTrace) (potential,
+    /// overload count, max load, migrations per round) in the outcome.
+    /// Costs one stack scan per resource per round, like
+    /// `track_potential`.
     pub record_trace: bool,
 }
 

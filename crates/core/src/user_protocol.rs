@@ -52,8 +52,9 @@ pub struct UserControlledConfig {
     /// Shuffle arrival order each round (the paper allows arbitrary
     /// order; this ablates it).
     pub shuffle_arrivals: bool,
-    /// Record a full [`RoundTrace`] in the outcome (one stack scan per
-    /// resource per round, like `track_potential`).
+    /// Record a full [`RoundTrace`](crate::trace::RoundTrace) in the
+    /// outcome (one stack scan per resource per round, like
+    /// `track_potential`).
     pub record_trace: bool,
 }
 

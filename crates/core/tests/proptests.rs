@@ -158,8 +158,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Wide-lane kernel layout properties: degree-bucketed cohort sorting and
-// the SoA fragment surface.
+// Wide-lane kernel layout properties: degree-bucketed cohort sorting.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -242,39 +241,5 @@ proptest! {
         moves_unsorted.sort_unstable();
         moves_sorted.sort_unstable();
         prop_assert_eq!(moves_unsorted, moves_sorted);
-    }
-
-    /// `StackFragment::split` then `join` round-trips the SoA stepper
-    /// state bit-identically at every shard count — loads, task order
-    /// within each stack, everything — so sharding the engine can never
-    /// move a trajectory by reshaping state.
-    #[test]
-    fn fragment_split_join_round_trips_across_shard_counts(
-        n in 1usize..40,
-        m in 0usize..160,
-        shards in 1usize..12,
-        seed in any::<u64>(),
-    ) {
-        use tlb_core::fragment::StackFragment;
-        use tlb_core::stack::ResourceStack;
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut stacks: Vec<ResourceStack> = (0..n).map(|_| ResourceStack::new()).collect();
-        let mut weights = Vec::new();
-        for t in 0..m as u32 {
-            let w = 1.0 + (rng.gen_range(0u32..64) as f64) / 8.0;
-            weights.push(w);
-            let v = rng.gen_range(0..n);
-            stacks[v].push(t, w);
-        }
-        let partition = tlb_graphs::Partition::contiguous(n, shards);
-        let fragments = StackFragment::split(stacks.clone(), &partition);
-        prop_assert_eq!(fragments.len(), partition.num_shards());
-        let rejoined = StackFragment::join(fragments);
-        // PartialEq on ResourceStack compares task ids in stack order and
-        // exact load bits — bit-identity, not just equal sums.
-        prop_assert_eq!(&stacks, &rejoined);
-        let before: f64 = stacks.iter().map(|s| s.load()).sum();
-        let after: f64 = rejoined.iter().map(|s| s.load()).sum();
-        prop_assert_eq!(before.to_bits(), after.to_bits());
     }
 }

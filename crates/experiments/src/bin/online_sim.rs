@@ -49,7 +49,7 @@
 //!   PATH` at every epoch divisible by `N` (the metrics stream is
 //!   flushed first, so the NDJSON on disk never lags the snapshot).
 //! * `--metrics-out PATH` turns record buffering **off** and streams one
-//!   compact JSON [`EpochRecord`] per line to `PATH`; memory stays flat
+//!   compact JSON [`EpochRecord`](tlb_sim::EpochRecord) per line to `PATH`; memory stays flat
 //!   no matter how long the run is. Concatenating segment streams must
 //!   reproduce the uninterrupted stream byte for byte — the CI `soak`
 //!   job diffs exactly that, across different `RAYON_NUM_THREADS` per

@@ -3,9 +3,9 @@
 //!
 //! A [`Partition`] splits the node id space `0..n` into `k` contiguous,
 //! disjoint, covering ranges ("shards"). Contiguity is what makes shards
-//! cheap: a shard's per-resource state is a plain sub-`Vec` of the global
-//! state arrays (see `tlb_core::fragment`), splitting and re-joining are
-//! `O(k)` pointer moves, and mapping a node to its shard is a binary
+//! cheap: a shard's per-resource state is a plain sub-slice of the global
+//! state arrays (`tlb_sim::ShardedEngine` takes one `split_at_mut` per
+//! shard and moves nothing), and mapping a node to its shard is a binary
 //! search over `k+1` boundaries. The layout is a pure function of
 //! `(n, k)`, never of scheduling, so sharded runs can be reproduced
 //! bit-for-bit at any shard count.

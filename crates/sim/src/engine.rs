@@ -29,9 +29,9 @@
 //! [`OnlineSim::audit`] checks the cached state against full recomputes.
 //!
 //! The rebalancing pass always runs through the sharded engine of
-//! [`crate::shard`]: the stacks are split into `SimConfig::shards`
-//! contiguous fragments, each stepped as one task on the persistent
-//! rayon pool, with cross-shard walk handoffs batched at round
+//! [`crate::shard`]: the stacks are rebalanced in place, split into
+//! `SimConfig::shards` contiguous slices, each stepped as one task on the
+//! persistent rayon pool, with cross-shard walk handoffs batched at round
 //! boundaries. At `shards = 1` this is the sequential reference.
 //!
 //! ## Determinism
@@ -64,7 +64,6 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use tlb_core::potential::is_balanced;
 use tlb_core::stack::ResourceStack;
 use tlb_core::threshold::ThresholdPolicy;
 use tlb_graphs::DynamicGraph;
@@ -343,7 +342,7 @@ impl OnlineSim {
     /// * a changed failure-domain list — the recovery deadlines index
     ///   into it (swapping outage probability/duration/steering is
     ///   fine);
-    /// * any config [`try_validate`](Self::try_validate) rejects, which
+    /// * any config [`new`](Self::new) rejects, which
     ///   includes `WalkKind::Simple` (undefined on the isolated nodes
     ///   churn creates);
     /// * scripted churn naming a node, range or edge outside the graph.
@@ -401,13 +400,15 @@ impl OnlineSim {
     /// epoch loop never calls it (it is O(m)); tests and soaks call it
     /// between epochs. It checks that:
     ///
-    /// * live tasks = Σ stack sizes = id slots − free ids;
+    /// * there is one stack per resource, and live tasks = Σ stack sizes
+    ///   = id slots − free ids;
     /// * the cached `w_max` and the number of live tasks carrying it equal
     ///   a full rescan;
     /// * every stack's cached load is within a relative 10⁻⁹ of its exact
     ///   weight sum (relative to the larger of that sum, `w_max` and 1);
     /// * no task sits on an inactive resource;
-    /// * every id slot is stacked once or free once, never both or twice.
+    /// * every id slot is stacked once or free once, never both or twice;
+    /// * every stacked task's weight is finite and positive.
     ///
     /// # Errors
     /// A description of the first broken invariant.
@@ -589,9 +590,9 @@ impl OnlineSim {
     ///
     /// # Errors
     /// If the snapshot version is unsupported, the config fails
-    /// validation, the graph delta does not apply to `base`, or the task
-    /// tables are inconsistent (stacked tasks vs. live count, freelist
-    /// vs. slot capacity).
+    /// validation, the graph delta does not apply to `base`, or the
+    /// restored state fails [`audit`](Self::audit) (task tables, id
+    /// accounting, weights, cached loads).
     pub fn restore(snap: SimSnapshot, base: Graph) -> anyhow::Result<Self> {
         anyhow::ensure!(
             snap.version == SNAPSHOT_VERSION,
@@ -627,37 +628,6 @@ impl OnlineSim {
         }
         let dg = DynamicGraph::from_delta(base.clone(), &snap.graph)
             .map_err(|e| anyhow::anyhow!("snapshot graph delta does not apply: {e}"))?;
-        anyhow::ensure!(
-            snap.stacks.len() == n,
-            "snapshot has {} stacks for a {n}-node base graph",
-            snap.stacks.len()
-        );
-        anyhow::ensure!(
-            snap.weights.len() == snap.tenant_of.len(),
-            "task tables out of sync: {} weights vs {} tenant slots",
-            snap.weights.len(),
-            snap.tenant_of.len()
-        );
-        let stacked: usize = snap.stacks.iter().map(|s| s.num_tasks()).sum();
-        anyhow::ensure!(
-            stacked == snap.live,
-            "snapshot stacks hold {stacked} tasks but live = {}",
-            snap.live
-        );
-        anyhow::ensure!(
-            snap.live + snap.free_ids.len() == snap.weights.len(),
-            "id accounting broken: live {} + free {} != capacity {}",
-            snap.live,
-            snap.free_ids.len(),
-            snap.weights.len()
-        );
-        for &t in snap.stacks.iter().flat_map(|s| s.tasks()) {
-            anyhow::ensure!(
-                (t as usize) < snap.weights.len(),
-                "stacked task id {t} outside the {}-slot table",
-                snap.weights.len()
-            );
-        }
         let tenants = TenantSet::new(snap.config.tenants.clone());
         // At an epoch boundary the walk graph always equals the overlay
         // snapshot (any topology change refreshes it within the epoch),
@@ -671,9 +641,18 @@ impl OnlineSim {
         state.tenant_of = snap.tenant_of;
         state.free_ids = snap.free_ids;
         state.live = snap.live;
-        state.w_max = state.scan_w_max();
         state.domain_down_until = snap.domain_down_until;
         state.admission_tokens = snap.admission_tokens;
+        let inconsistent = |e: String| anyhow::anyhow!("snapshot state is inconsistent: {e}");
+        // The tables first: the `w_max` scan indexes the weight table.
+        state.audit_tables().map_err(inconsistent)?;
+        anyhow::ensure!(
+            state.tenant_of.iter().all(|&c| (c as usize) < tenants.len()),
+            "snapshot names a tenant index outside the {} configured tenants",
+            tenants.len()
+        );
+        state.w_max = state.scan_w_max();
+        state.audit().map_err(inconsistent)?;
         Ok(OnlineSim {
             cfg: snap.config,
             tenants,
@@ -717,9 +696,10 @@ impl OnlineSim {
         // before this epoch's churn/departures disturb it. Every branch
         // below is feature-gated, so configs without the new knobs draw
         // the exact RNG sequence they always did.
-        let adaptive_ranking =
-            matches!(self.cfg.arrival_placement, ArrivalPlacement::Adaptive { .. })
-                .then(|| state.load_ranking());
+        let adaptive_ranking = match self.cfg.arrival_placement {
+            ArrivalPlacement::Adaptive { spread } => Some((spread, state.load_ranking())),
+            _ => None,
+        };
 
         // --- 1. churn: due domain recoveries (scheduled, no RNG), then
         // scripted events in list order, then the stochastic domain
@@ -821,20 +801,14 @@ impl OnlineSim {
             let count = self.cfg.arrivals.sample_count(self.epoch, &mut rng);
             let active = state.active_ids();
             // The adaptive adversary's targets for this whole epoch:
-            // last epoch's `spread` most-loaded resources still active.
-            let adaptive_targets: Option<Vec<tlb_graphs::NodeId>> =
-                adaptive_ranking.as_ref().map(|ranking| {
-                    let spread = match self.cfg.arrival_placement {
-                        ArrivalPlacement::Adaptive { spread } => spread,
-                        _ => unreachable!("ranking only captured for adaptive placement"),
-                    };
-                    ranking
-                        .iter()
-                        .copied()
-                        .filter(|&v| state.dg.is_active(v))
-                        .take(spread)
-                        .collect()
-                });
+            // last epoch's `spread` most-loaded resources still active
+            // (empty for the other placements).
+            let adaptive_targets: Vec<tlb_graphs::NodeId> = match adaptive_ranking {
+                Some((spread, ranking)) => {
+                    ranking.into_iter().filter(|&v| state.dg.is_active(v)).take(spread).collect()
+                }
+                None => Vec::new(),
+            };
             // Projected total live weight, tracked incrementally for
             // the load-shedding decision (unused by the other policies,
             // so their epochs skip the O(n) sum).
@@ -859,13 +833,13 @@ impl OnlineSim {
                     tenant_rejected[tenant as usize] += 1;
                     continue;
                 }
-                let dest = match &adaptive_targets {
-                    // Round-robin over the targets by admitted index.
-                    Some(targets) => targets[admitted as usize % targets.len()],
-                    None => {
-                        state.arrival_destination(self.cfg.arrival_placement, &active, &mut rng)
-                    }
-                };
+                let dest = state.arrival_destination(
+                    self.cfg.arrival_placement,
+                    &active,
+                    &adaptive_targets,
+                    admitted,
+                    &mut rng,
+                );
                 state.admit(weight, tenant, dest);
                 projected_weight += weight;
                 admitted += 1;
@@ -887,34 +861,33 @@ impl OnlineSim {
         let mut rebalance_rounds = 0u64;
         let mut migrations = 0u64;
         let t_arrivals = obs_on.then(Instant::now);
-        if state.live > 0 && !is_balanced(&state.stacks, threshold) {
+        if state.live > 0 {
             // The sharded engine — at shards = 1 this *is* the reference
             // sequential semantics, so every run goes through one code
-            // path regardless of k.
+            // path regardless of k. It rebalances the stacks in place and
+            // does the epoch's one balance scan itself.
             let RebalancePolicy::Resource { walk } = self.cfg.rebalance;
-            let stacks = std::mem::take(&mut state.stacks);
             let partition = state.dg.partition(self.cfg.shards);
-            let mut engine = ShardedEngine::from_parts(
-                stacks,
-                partition,
-                threshold,
-                walk,
-                self.cfg.rounds_per_epoch,
-            );
+            let mut engine =
+                ShardedEngine::new(partition, threshold, walk, self.cfg.rounds_per_epoch);
             if obs_on {
                 engine.enable_obs();
             }
             engine.run(
+                &mut state.stacks,
                 &state.walk_graph,
                 &state.weights,
                 rebalance_seed(self.cfg.seed, self.epoch),
             );
             rebalance_rounds = engine.rounds();
             migrations = engine.migrations();
-            if let (Some(obs), Some(s)) = (&self.obs, engine.obs()) {
+            // A pass that started balanced is not a rebalance: it ran no
+            // round and leaves no trace in the counters.
+            let started_unbalanced = rebalance_rounds > 0 || !engine.is_balanced();
+            if let (Some(obs), Some(s)) = (&self.obs, engine.obs().filter(|_| started_unbalanced)) {
                 let reg = &obs.reg;
                 // Shard-count-invariant (counters subtree).
-                reg.add("rebalance.ejected", s.ejected);
+                reg.add("rebalance.ejected", migrations);
                 reg.gauge("rebalance.max_round_cohort").record_max(s.max_round_cohort);
                 // Layout-dependent (exec) and wall clock (timings).
                 obs.reg.add_exec("shard.cross_shard_handoffs", s.cross_shard_handoffs);
@@ -922,7 +895,6 @@ impl OnlineSim {
                 reg.record_ns("shard.route_ns", s.route_ns);
                 reg.record_ns("shard.apply_ns", s.apply_ns);
             }
-            state.stacks = engine.into_parts();
         }
 
         let t_rebalance = obs_on.then(Instant::now);
@@ -1212,37 +1184,53 @@ mod tests {
         }
         let snap = sim.checkpoint().unwrap();
 
-        let mut wrong_version = snap.clone();
-        wrong_version.version = 99;
-        assert!(OnlineSim::restore(wrong_version, complete(8)).is_err());
+        // Corrupt a copy of the snapshot; the restore error, if any.
+        let corrupt = |edit: &dyn Fn(&mut SimSnapshot)| {
+            let mut bad = snap.clone();
+            edit(&mut bad);
+            OnlineSim::restore(bad, complete(8)).err().map(|e| e.to_string())
+        };
+        assert!(corrupt(&|s| s.version = 99).is_some());
+        assert!(corrupt(&|s| s.live += 1).is_some());
+        assert!(corrupt(&|s| s.tenant_of.push(0)).is_some());
 
-        let mut wrong_live = snap.clone();
-        wrong_live.live += 1;
-        assert!(OnlineSim::restore(wrong_live, complete(8)).is_err());
-
-        let mut wrong_tables = snap.clone();
-        wrong_tables.tenant_of.push(0);
-        assert!(OnlineSim::restore(wrong_tables, complete(8)).is_err());
+        // Counts kept consistent (with one more id slot where needed), so
+        // only the per-id checks catch these; each used to restore fine
+        // and then panic or run on corrupt state.
+        let t = snap.stacks.iter().flat_map(|s| s.tasks()).copied().next().unwrap();
+        let free_out_of_range = corrupt(&|s| {
+            s.weights.push(1.0);
+            s.tenant_of.push(0);
+            s.free_ids.push(1_000_000);
+        });
+        assert!(free_out_of_range.unwrap().contains("outside the"));
+        let nan_weight = corrupt(&|s| s.weights[t as usize] = f64::NAN);
+        assert!(nan_weight.unwrap().contains("finite and positive"));
+        let stacked_twice = corrupt(&|s| {
+            s.weights.push(1.0);
+            s.tenant_of.push(0);
+            s.live += 1;
+            let w = s.weights[t as usize];
+            s.stacks[0].push(t, w);
+        });
+        assert!(stacked_twice.unwrap().contains("twice"));
+        assert!(corrupt(&|s| s.tenant_of[t as usize] = 7).unwrap().contains("tenant index"));
 
         // Malformed config literals inside the snapshot are errors, not
         // sampler or tenant-set panics.
-        let corrupt = |edit: &dyn Fn(&mut SimConfig)| {
-            let mut bad = snap.clone();
-            edit(&mut bad.config);
-            OnlineSim::restore(bad, complete(8)).err().map(|e| e.to_string())
-        };
-        let negative_rate = corrupt(&|c| c.arrivals = ArrivalProcess::Poisson { rate: -1.0 });
+        let negative_rate =
+            corrupt(&|s| s.config.arrivals = ArrivalProcess::Poisson { rate: -1.0 });
         assert!(negative_rate.unwrap().contains("arrival process"));
-        let zero_alpha = corrupt(&|c| {
-            c.arrival_weights = ArrivalWeights::ParetoTruncated { alpha: 0.0, cap: 8.0 }
+        let zero_alpha = corrupt(&|s| {
+            s.config.arrival_weights = ArrivalWeights::ParetoTruncated { alpha: 0.0, cap: 8.0 }
         });
         assert!(zero_alpha.unwrap().contains("Pareto"));
-        assert!(corrupt(&|c| c.tenants.clear()).unwrap().contains("at least one tenant"));
-        assert!(corrupt(&|c| c.tenants[0].share = 0.0).unwrap().contains("share"));
+        assert!(corrupt(&|s| s.config.tenants.clear()).unwrap().contains("at least one tenant"));
+        assert!(corrupt(&|s| s.config.tenants[0].share = 0.0).unwrap().contains("share"));
         // A scripted event naming a node the graph does not have is
         // caught at restore, not at its epoch.
-        let ghost = corrupt(&|c| {
-            c.churn.scripted = vec![(snap.epoch, ChurnEvent::Deactivate(99))];
+        let ghost = corrupt(&|s| {
+            s.config.churn.scripted = vec![(snap.epoch, ChurnEvent::Deactivate(99))];
         });
         assert!(ghost.unwrap().contains("8-node graph"));
 

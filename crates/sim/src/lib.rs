@@ -27,10 +27,10 @@
 //! ([`OnlineSim`] in [`engine`]: the epoch loop deciding when churn,
 //! departures, arrivals, and the rebalancing pass run). The rebalancing
 //! pass runs through the **sharded engine** ([`ShardedEngine`] in
-//! [`shard`]): the stacks split into
-//! contiguous node-range fragments (`tlb_core::fragment`), each stepped
-//! as one task on the persistent rayon pool, with cross-shard walk
-//! handoffs batched at round boundaries.
+//! [`shard`]): it borrows the stacks and splits them in place into
+//! contiguous node-range slices, each stepped as one task on the
+//! persistent rayon pool, with cross-shard walk handoffs batched at round
+//! boundaries.
 //!
 //! Runs are bit-reproducible across thread counts **and shard counts**:
 //! each epoch's churn/departure/arrival draws come from its own

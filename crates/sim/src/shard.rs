@@ -1,11 +1,14 @@
-//! The sharded rebalancing engine: Algorithm 5.1 rounds over
-//! fragment-partitioned state, stepped in parallel on the rayon pool.
+//! The sharded rebalancing engine: Algorithm 5.1 rounds over the online
+//! engine's stacks, rebalanced in place and stepped in parallel on the
+//! rayon pool.
 //!
 //! ## Shard model
 //!
 //! The node id space is split into contiguous ranges by a
-//! [`Partition`]; each shard owns the [`StackFragment`] of its range.
-//! One protocol round runs in three phases:
+//! [`Partition`]. [`ShardedEngine::run`] borrows the flat stack slice and
+//! splits it once per pass with `split_at_mut`, so each shard holds the
+//! `&mut` stacks of its range; nothing is moved or copied. One protocol
+//! round runs in three phases:
 //!
 //! 1. **eject + walk** (parallel, one task per shard): every overloaded
 //!    resource in the shard ejects its cutting/above tasks in ascending
@@ -45,7 +48,7 @@
 use std::time::Instant;
 
 use rayon::prelude::*;
-use tlb_core::fragment::StackFragment;
+use tlb_core::potential::is_balanced;
 use tlb_core::stack::ResourceStack;
 use tlb_core::task::TaskId;
 use tlb_graphs::{Graph, NodeId, Partition};
@@ -93,51 +96,33 @@ pub fn walk_dest(g: &Graph, kind: WalkKind, v: NodeId, word: u64) -> NodeId {
     if d == 0 {
         return v;
     }
-    match kind {
-        WalkKind::MaxDegree => {
-            let slot = rand::lemire_u64(word, d) as usize;
-            let nbrs = g.neighbors(v);
-            if slot < nbrs.len() {
-                nbrs[slot]
-            } else {
-                v
-            }
-        }
-        WalkKind::Lazy => {
-            if word >> 63 != 0 {
-                return v;
-            }
-            let slot = rand::lemire_u64(word << 1, d) as usize;
-            let nbrs = g.neighbors(v);
-            if slot < nbrs.len() {
-                nbrs[slot]
-            } else {
-                v
-            }
-        }
+    let slot_word = match kind {
+        WalkKind::MaxDegree => word,
+        WalkKind::Lazy if word >> 63 != 0 => return v,
+        WalkKind::Lazy => word << 1,
         WalkKind::Simple => panic!("the simple walk cannot drive the sharded engine"),
-    }
+    };
+    let slot = rand::lemire_u64(slot_word, d) as usize;
+    g.neighbors(v).get(slot).copied().unwrap_or(v)
 }
 
 /// Per-pass observability for the sharded engine, collected only when
 /// [`ShardedEngine::enable_obs`] was called (a pass with obs off never
-/// reads a clock and skips every tally).
+/// reads a clock).
 ///
 /// The split follows the obs contract (`tlb-obs` crate docs):
 ///
-/// * `ejected` / `max_round_cohort` are **deterministic and
-///   shard-count-invariant** — pure functions of the pass inputs,
-///   accumulated shard-locally and merged in shard order at the round's
-///   sequential route barrier;
+/// * `max_round_cohort` is **deterministic and shard-count-invariant** —
+///   a pure function of the pass inputs, tallied at the round's
+///   sequential route barrier (the ejected total is
+///   [`ShardedEngine::migrations`]);
 /// * `cross_shard_handoffs` is deterministic **for a fixed shard
 ///   layout** (one shard has none by construction) — an execution-layout
 ///   diagnostic;
-/// * the `*_ns` fields are wall clock: total and per-shard time inside
-///   each of the three round phases.
+/// * the `*_ns` fields are wall clock: time inside each of the three
+///   round phases, the parallel ones summed over shards.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardPassStats {
-    /// Tasks ejected over the pass (equals `migrations()`).
-    pub ejected: u64,
     /// Largest single-round global cohort.
     pub max_round_cohort: u64,
     /// Handoffs whose destination lay on a different shard than their
@@ -151,22 +136,17 @@ pub struct ShardPassStats {
     /// Wall time inside the parallel apply+balance phase, summed over
     /// shards.
     pub apply_ns: u64,
-    /// Per-shard eject+walk wall time (index = shard).
-    pub per_shard_eject_walk_ns: Vec<u64>,
-    /// Per-shard apply+balance wall time (index = shard).
-    pub per_shard_apply_ns: Vec<u64>,
 }
 
-/// A resumable sharded rebalancing pass: the resource-controlled
-/// protocol's round loop over fragment-partitioned stacks. Construct
-/// from the live stacks with [`ShardedEngine::from_parts`], drive with
-/// [`ShardedEngine::run`], and take the stacks back with
-/// [`ShardedEngine::into_parts`]. The engine holds no RNG: it draws its
-/// counter-based stream from the seed passed to `run`.
+/// A sharded rebalancing pass: the resource-controlled protocol's round
+/// loop over stacks it borrows. Configure with [`ShardedEngine::new`] and
+/// drive with [`ShardedEngine::run`], which splits the caller's stacks by
+/// the partition's node ranges and rebalances them in place. The engine
+/// owns no stacks and holds no RNG: it draws its counter-based stream
+/// from the seed passed to `run`.
 #[derive(Debug, Clone)]
 pub struct ShardedEngine {
     partition: Partition,
-    fragments: Vec<StackFragment>,
     threshold: f64,
     walk: WalkKind,
     max_rounds: u64,
@@ -177,44 +157,26 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Split `stacks` (the online engine's per-resource state) into
-    /// `partition`'s fragments and set up a pass enforcing `threshold`
-    /// with up to `max_rounds` rounds of `walk` steps.
-    ///
-    /// # Panics
-    /// If the partition does not cover exactly `stacks.len()` nodes.
-    pub fn from_parts(
-        stacks: Vec<ResourceStack>,
-        partition: Partition,
-        threshold: f64,
-        walk: WalkKind,
-        max_rounds: u64,
-    ) -> Self {
-        let fragments = StackFragment::split(stacks, &partition);
-        let balanced = fragments.iter().all(|f| f.is_balanced(threshold));
+    /// Set up a pass over `partition`'s shards enforcing `threshold` with
+    /// up to `max_rounds` rounds of `walk` steps.
+    pub fn new(partition: Partition, threshold: f64, walk: WalkKind, max_rounds: u64) -> Self {
         ShardedEngine {
             partition,
-            fragments,
             threshold,
             walk,
             max_rounds,
             rounds: 0,
             migrations: 0,
-            balanced,
+            balanced: false,
             obs: None,
         }
     }
 
     /// Turn on per-pass observability (idempotent). Off by default: a
-    /// pass without it takes no timestamps and keeps no tallies.
+    /// pass without it takes no timestamps.
     pub fn enable_obs(&mut self) {
         if self.obs.is_none() {
-            let shards = self.partition.num_shards();
-            self.obs = Some(Box::new(ShardPassStats {
-                per_shard_eject_walk_ns: vec![0; shards],
-                per_shard_apply_ns: vec![0; shards],
-                ..ShardPassStats::default()
-            }));
+            self.obs = Some(Box::default());
         }
     }
 
@@ -224,99 +186,115 @@ impl ShardedEngine {
         self.obs.as_deref()
     }
 
-    /// Run rounds until balanced or the round budget is spent. `weights`
-    /// is the global task-weight table; `stream_seed` roots the
-    /// counter-based walk stream (see [`rebalance_seed`]).
-    pub fn run(&mut self, g: &Graph, weights: &[f64], stream_seed: u64) {
+    /// Rebalance `stacks` (index = node id) in place: scan them once for
+    /// balance, then run rounds until balanced or the round budget is
+    /// spent. `weights` is the global task-weight table; `stream_seed`
+    /// roots the counter-based walk stream (see [`rebalance_seed`]).
+    ///
+    /// # Panics
+    /// If the partition does not cover exactly `stacks.len()` nodes.
+    pub fn run(
+        &mut self,
+        stacks: &mut [ResourceStack],
+        g: &Graph,
+        weights: &[f64],
+        stream_seed: u64,
+    ) {
+        let n = stacks.len();
+        assert_eq!(self.partition.num_nodes(), n, "the partition must cover the {n} stacks");
+        self.balanced = is_balanced(stacks, self.threshold);
+        // One `&mut` slice per shard, split once for the whole pass.
+        let mut shards: Vec<(NodeId, &mut [ResourceStack])> =
+            Vec::with_capacity(self.partition.num_shards());
+        let mut rest = stacks;
+        for r in self.partition.ranges() {
+            let (shard, tail) = rest.split_at_mut(r.len());
+            shards.push((r.start, shard));
+            rest = tail;
+        }
         while !self.balanced && self.rounds < self.max_rounds {
             let round_seed = epoch_seed(stream_seed, self.rounds);
-            self.round(g, weights, round_seed);
+            self.round(&mut shards, g, weights, round_seed);
         }
     }
 
     /// One three-phase round (see the module docs).
-    fn round(&mut self, g: &Graph, weights: &[f64], round_seed: u64) {
-        /// Phase-1 result per shard: the fragment handed back, its outbox
-        /// of `(task, destination)` walk handoffs, and the eject+walk
-        /// wall time in ns (always 0 when obs is off — no clock is read).
-        type EjectedShard = (StackFragment, Vec<(TaskId, NodeId)>, u64);
+    fn round(
+        &mut self,
+        shards: &mut [(NodeId, &mut [ResourceStack])],
+        g: &Graph,
+        weights: &[f64],
+        round_seed: u64,
+    ) {
         let threshold = self.threshold;
         let walk = self.walk;
-        // Phase 1: eject + walk, one pool task per shard. Each outbox is
-        // in ascending (node, slot) order within its shard.
         let timed = self.obs.is_some();
-        let fragments = std::mem::take(&mut self.fragments);
-        let ejected: Vec<EjectedShard> = fragments
+        // Phase 1: eject + walk, one pool task per shard. Each outbox of
+        // `(task, destination)` handoffs is in ascending (node, slot)
+        // order within its shard; the ns are 0 when obs is off.
+        let ejected: Vec<(Vec<(TaskId, NodeId)>, u64)> = shards
+            .iter_mut()
+            .map(|(start, shard)| (*start, &mut **shard))
+            .collect::<Vec<_>>()
             .into_par_iter()
-            .map(|mut frag| {
+            .map(|(start, shard)| {
                 let t0 = timed.then(Instant::now);
+                let mut outbox = Vec::new();
                 let mut cohort: Vec<TaskId> = Vec::new();
-                let mut sources: Vec<NodeId> = Vec::new();
-                frag.eject_overloaded(threshold, weights, &mut cohort, &mut sources);
-                let mut outbox = Vec::with_capacity(cohort.len());
-                let mut prev = NodeId::MAX;
-                let mut slot = 0u64;
-                for (&t, &v) in cohort.iter().zip(&sources) {
-                    slot = if v == prev { slot + 1 } else { 0 };
-                    prev = v;
-                    let dest = walk_dest(g, walk, v, walk_word(round_seed, v, slot));
-                    outbox.push((t, dest));
+                for (i, stack) in shard.iter_mut().enumerate() {
+                    if stack.is_overloaded(threshold) {
+                        let v = start + i as NodeId;
+                        cohort.clear();
+                        stack.remove_active_into(threshold, weights, &mut cohort);
+                        outbox.extend(cohort.iter().enumerate().map(|(slot, &t)| {
+                            (t, walk_dest(g, walk, v, walk_word(round_seed, v, slot as u64)))
+                        }));
+                    }
                 }
-                let ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                (frag, outbox, ns)
+                (outbox, t0.map_or(0, |t| t.elapsed().as_nanos() as u64))
             })
             .collect();
         // Phase 2: route handoffs. Iterating shards in order keeps each
         // inbox in canonical global cohort order, so the apply phase
         // stacks arrivals exactly as the sequential stepper would.
         let t_route = timed.then(Instant::now);
-        let mut inboxes: Vec<Vec<(TaskId, NodeId)>> = vec![Vec::new(); self.partition.num_shards()];
-        for (_, outbox, _) in &ejected {
-            self.migrations += outbox.len() as u64;
+        let mut inboxes: Vec<Vec<(TaskId, NodeId)>> = vec![Vec::new(); shards.len()];
+        let (mut cohort, mut handoffs) = (0u64, 0u64);
+        for (shard, (outbox, _)) in ejected.iter().enumerate() {
+            cohort += outbox.len() as u64;
             for &(t, dest) in outbox {
-                inboxes[self.partition.shard_of(dest)].push((t, dest));
+                let to = self.partition.shard_of(dest);
+                handoffs += u64::from(to != shard);
+                inboxes[to].push((t, dest));
             }
         }
-        // Obs tallies walk the same shard order as the route loop, so the
-        // deterministic counters merge identically for every shard count.
-        let partition = &self.partition;
+        self.migrations += cohort;
         if let Some(obs) = self.obs.as_deref_mut() {
-            let mut round_cohort = 0u64;
-            for (shard, (_, outbox, ns)) in ejected.iter().enumerate() {
-                round_cohort += outbox.len() as u64;
-                obs.cross_shard_handoffs +=
-                    outbox.iter().filter(|&&(_, dest)| partition.shard_of(dest) != shard).count()
-                        as u64;
-                obs.per_shard_eject_walk_ns[shard] += ns;
-                obs.eject_walk_ns += ns;
-            }
-            obs.ejected += round_cohort;
-            obs.max_round_cohort = obs.max_round_cohort.max(round_cohort);
+            obs.max_round_cohort = obs.max_round_cohort.max(cohort);
+            obs.cross_shard_handoffs += handoffs;
+            obs.eject_walk_ns += ejected.iter().map(|&(_, ns)| ns).sum::<u64>();
             obs.route_ns += t_route.map_or(0, |t| t.elapsed().as_nanos() as u64);
         }
         // Phase 3: apply inboxes and check balance per shard.
-        let work: Vec<(StackFragment, Vec<(TaskId, NodeId)>)> =
-            ejected.into_iter().map(|(f, _, _)| f).zip(inboxes).collect();
-        let applied: Vec<(StackFragment, bool, u64)> = work
+        let applied: Vec<(bool, u64)> = shards
+            .iter_mut()
+            .zip(inboxes)
+            .map(|((start, shard), inbox)| (*start, &mut **shard, inbox))
+            .collect::<Vec<_>>()
             .into_par_iter()
-            .map(|(mut frag, inbox)| {
+            .map(|(start, shard, inbox)| {
                 let t0 = timed.then(Instant::now);
                 for (t, dest) in inbox {
-                    frag.push(dest, t, weights[t as usize]);
+                    shard[(dest - start) as usize].push(t, weights[t as usize]);
                 }
-                let balanced = frag.is_balanced(threshold);
-                let ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                (frag, balanced, ns)
+                let balanced = is_balanced(shard, threshold);
+                (balanced, t0.map_or(0, |t| t.elapsed().as_nanos() as u64))
             })
             .collect();
         if let Some(obs) = self.obs.as_deref_mut() {
-            for (shard, &(_, _, ns)) in applied.iter().enumerate() {
-                obs.per_shard_apply_ns[shard] += ns;
-                obs.apply_ns += ns;
-            }
+            obs.apply_ns += applied.iter().map(|&(_, ns)| ns).sum::<u64>();
         }
-        self.balanced = applied.iter().all(|&(_, ok, _)| ok);
-        self.fragments = applied.into_iter().map(|(f, _, _)| f).collect();
+        self.balanced = applied.iter().all(|&(ok, _)| ok);
         self.rounds += 1;
     }
 
@@ -331,19 +309,10 @@ impl ShardedEngine {
         self.migrations
     }
 
-    /// Whether no resource exceeded the threshold after the last round.
+    /// Whether no resource exceeded the threshold after the last
+    /// [`run`](Self::run) (`false` before the first).
     pub fn is_balanced(&self) -> bool {
         self.balanced
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.partition.num_shards()
-    }
-
-    /// Reassemble and return the flat per-resource stacks.
-    pub fn into_parts(self) -> Vec<ResourceStack> {
-        StackFragment::join(self.fragments)
     }
 }
 
@@ -462,11 +431,11 @@ mod tests {
         let g = torus2d(6, 6);
         let (stacks, weights) = loaded_stacks(36, &[(0, 40), (17, 25), (35, 10)]);
         let run_at = |k: usize| {
+            let mut stacks = stacks.clone();
             let p = Partition::contiguous(36, k);
-            let mut eng =
-                ShardedEngine::from_parts(stacks.clone(), p, 5.0, WalkKind::MaxDegree, 64);
-            eng.run(&g, &weights, 0xFEED);
-            (eng.rounds(), eng.migrations(), eng.is_balanced(), eng.into_parts())
+            let mut eng = ShardedEngine::new(p, 5.0, WalkKind::MaxDegree, 64);
+            eng.run(&mut stacks, &g, &weights, 0xFEED);
+            (eng.rounds(), eng.migrations(), eng.is_balanced(), stacks)
         };
         let reference = run_at(1);
         for k in [2usize, 3, 5, 8, 36] {
@@ -480,15 +449,15 @@ mod tests {
         let g = torus2d(6, 6);
         let (stacks, weights) = loaded_stacks(36, &[(0, 40), (17, 25), (35, 10)]);
         let run_at = |k: usize, obs: bool| {
+            let mut stacks = stacks.clone();
             let p = Partition::contiguous(36, k);
-            let mut eng =
-                ShardedEngine::from_parts(stacks.clone(), p, 5.0, WalkKind::MaxDegree, 64);
+            let mut eng = ShardedEngine::new(p, 5.0, WalkKind::MaxDegree, 64);
             if obs {
                 eng.enable_obs();
             }
-            eng.run(&g, &weights, 0xFEED);
+            eng.run(&mut stacks, &g, &weights, 0xFEED);
             let stats = eng.obs().cloned();
-            (eng.rounds(), eng.migrations(), eng.into_parts(), stats)
+            (eng.rounds(), eng.migrations(), stacks, stats)
         };
         // Obs off: no stats, and the pass output matches the obs-on runs.
         let (rounds, migrations, parts, none) = run_at(1, false);
@@ -496,7 +465,6 @@ mod tests {
         let reference = run_at(1, true);
         assert_eq!((reference.0, reference.1, &reference.2), (rounds, migrations, &parts));
         let ref_stats = reference.3.expect("obs was enabled");
-        assert_eq!(ref_stats.ejected, migrations);
         assert!(ref_stats.max_round_cohort > 0);
         assert!(ref_stats.max_round_cohort <= migrations);
         assert_eq!(ref_stats.cross_shard_handoffs, 0, "one shard has no handoffs");
@@ -504,23 +472,23 @@ mod tests {
             let run = run_at(k, true);
             assert_eq!((run.0, run.1, &run.2), (rounds, migrations, &parts));
             let stats = run.3.expect("obs was enabled");
-            assert_eq!(stats.ejected, ref_stats.ejected, "shard count {k}");
             assert_eq!(stats.max_round_cohort, ref_stats.max_round_cohort, "shard count {k}");
-            assert_eq!(stats.per_shard_eject_walk_ns.len(), k);
-            assert_eq!(stats.per_shard_apply_ns.len(), k);
-            assert!(stats.cross_shard_handoffs <= stats.ejected);
+            assert!(stats.cross_shard_handoffs <= migrations);
         }
     }
 
     #[test]
-    fn from_parts_into_parts_round_trips_without_rounds() {
-        let (stacks, _) = loaded_stacks(10, &[(2, 5), (7, 3)]);
+    fn balanced_input_runs_no_rounds_and_leaves_stacks_unchanged() {
+        let g = complete(10);
+        let (stacks, weights) = loaded_stacks(10, &[(2, 5), (7, 3)]);
         for k in [1usize, 2, 4, 10] {
+            let mut after = stacks.clone();
             let p = Partition::contiguous(10, k);
-            let eng =
-                ShardedEngine::from_parts(stacks.clone(), p, f64::INFINITY, WalkKind::Lazy, 8);
+            let mut eng = ShardedEngine::new(p, f64::INFINITY, WalkKind::Lazy, 8);
+            eng.run(&mut after, &g, &weights, 3);
             assert!(eng.is_balanced());
-            assert_eq!(eng.into_parts(), stacks);
+            assert_eq!((eng.rounds(), eng.migrations()), (0, 0));
+            assert_eq!(after, stacks);
         }
     }
 
@@ -528,10 +496,10 @@ mod tests {
     fn round_budget_is_respected() {
         let g = complete(4);
         // All load on one node, threshold so tight it cannot balance.
-        let (stacks, weights) = loaded_stacks(4, &[(0, 50)]);
+        let (mut stacks, weights) = loaded_stacks(4, &[(0, 50)]);
         let p = Partition::contiguous(4, 2);
-        let mut eng = ShardedEngine::from_parts(stacks, p, 0.5, WalkKind::MaxDegree, 6);
-        eng.run(&g, &weights, 9);
+        let mut eng = ShardedEngine::new(p, 0.5, WalkKind::MaxDegree, 6);
+        eng.run(&mut stacks, &g, &weights, 9);
         assert_eq!(eng.rounds(), 6);
         assert!(!eng.is_balanced());
         assert!(eng.migrations() > 0);

@@ -7,9 +7,9 @@
 //! [`crate::engine`] that decides **when** churn, departures, arrivals,
 //! and the rebalancing pass run, and which engine runs the pass — calls
 //! into these primitives. The split is what makes sharding possible: the
-//! scheduler can hand the stacks to the parallel
-//! [`crate::shard::ShardedEngine`] (or a sequential `tlb-core` stepper)
-//! without either engine knowing how the state is stored between epochs.
+//! scheduler lends the stacks to the parallel
+//! [`crate::shard::ShardedEngine`], which rebalances them in place
+//! without knowing how the rest of the state is stored between epochs.
 
 use rand::Rng;
 use tlb_core::stack::ResourceStack;
@@ -358,11 +358,16 @@ impl SimState {
         (0..self.dg.num_nodes() as NodeId).filter(|&v| self.dg.is_active(v)).collect()
     }
 
-    /// Pick the resource an arrival lands on under `placement`.
+    /// Pick the resource the `admitted`-th admitted arrival of the epoch
+    /// lands on under `placement`. `adaptive_targets` are the adaptive
+    /// adversary's targets, which only the scheduler can resolve (they
+    /// rank the loads from before this epoch's churn).
     pub(crate) fn arrival_destination<R: Rng + ?Sized>(
         &self,
         placement: ArrivalPlacement,
         active: &[NodeId],
+        adaptive_targets: &[NodeId],
+        admitted: u64,
         rng: &mut R,
     ) -> NodeId {
         match placement {
@@ -386,11 +391,9 @@ impl SimState {
                         .then(b.cmp(&a))
                 })
                 .expect("at least one active resource"),
+            // Round-robin over the targets by admitted index.
             ArrivalPlacement::Adaptive { .. } => {
-                // Needs the pre-churn load ranking, which only the
-                // scheduler holds; `OnlineSim` resolves it before
-                // calling into the state.
-                unreachable!("adaptive placement is resolved by the scheduler")
+                adaptive_targets[admitted as usize % adaptive_targets.len()]
             }
         }
     }
@@ -414,6 +417,38 @@ impl SimState {
     /// Check the incremental state against full recomputes; see
     /// [`OnlineSim::audit`](crate::OnlineSim::audit) for the list.
     pub(crate) fn audit(&self) -> Result<(), String> {
+        self.audit_tables()?;
+        let scanned = self.scan_w_max();
+        if self.w_max != scanned {
+            return Err(format!("cached {:?} but a rescan finds {scanned:?}", self.w_max));
+        }
+        for (v, stack) in self.stacks.iter().enumerate() {
+            if !stack.is_empty() && !self.dg.is_active(v as NodeId) {
+                return Err(format!("inactive resource {v} holds {} tasks", stack.num_tasks()));
+            }
+            let exact: f64 = stack.tasks().iter().map(|&t| self.weights[t as usize]).sum();
+            let scale = exact.max(self.w_max.max).max(1.0);
+            let err = (stack.load() - exact).abs();
+            if err.is_nan() || err > LOAD_AUDIT_REL_TOL * scale {
+                return Err(format!(
+                    "resource {v} caches load {} but its tasks weigh {exact}",
+                    stack.load()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// The table half of [`audit`](Self::audit), which every other check
+    /// (and [`scan_w_max`](Self::scan_w_max)) relies on to index safely:
+    /// one stack per node, the live count, id slots and tenant slots
+    /// agree, every id slot is stacked once or free once, and every
+    /// stacked task weighs a finite positive amount.
+    pub(crate) fn audit_tables(&self) -> Result<(), String> {
+        let n = self.dg.num_nodes();
+        if self.stacks.len() != n {
+            return Err(format!("{} stacks for a {n}-node graph", self.stacks.len()));
+        }
         let slots = self.weights.len();
         let stacked: usize = self.stacks.iter().map(ResourceStack::num_tasks).sum();
         if self.live != stacked
@@ -428,29 +463,18 @@ impl SimState {
             ));
         }
         let mut seen = vec![false; slots];
-        for &t in self.stacks.iter().flat_map(ResourceStack::tasks).chain(&self.free_ids) {
+        let stacked_ids = self.stacks.iter().flat_map(ResourceStack::tasks);
+        // The first `live` ids are the stacked ones, then the free list.
+        for (i, &t) in stacked_ids.chain(&self.free_ids).enumerate() {
             let slot = seen
                 .get_mut(t as usize)
                 .ok_or_else(|| format!("task id {t} outside the {slots}-slot table"))?;
             if std::mem::replace(slot, true) {
                 return Err(format!("task id {t} is stacked or freed twice"));
             }
-        }
-        let scanned = self.scan_w_max();
-        if self.w_max != scanned {
-            return Err(format!("cached {:?} but a rescan finds {scanned:?}", self.w_max));
-        }
-        for (v, stack) in self.stacks.iter().enumerate() {
-            if !stack.is_empty() && !self.dg.is_active(v as NodeId) {
-                return Err(format!("inactive resource {v} holds {} tasks", stack.num_tasks()));
-            }
-            let exact: f64 = stack.tasks().iter().map(|&t| self.weights[t as usize]).sum();
-            let scale = exact.max(self.w_max.max).max(1.0);
-            if (stack.load() - exact).abs() > LOAD_AUDIT_REL_TOL * scale {
-                return Err(format!(
-                    "resource {v} caches load {} but its tasks weigh {exact}",
-                    stack.load()
-                ));
+            let w = self.weights[t as usize];
+            if i < self.live && !(w.is_finite() && w > 0.0) {
+                return Err(format!("stacked task {t} has weight {w}, not finite and positive"));
             }
         }
         Ok(())

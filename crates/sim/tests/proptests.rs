@@ -1,28 +1,32 @@
-//! Property-based tests for the sharded online engine: shard-count
-//! invariance of whole churned runs, the fragment resume surface, and
-//! the service-mode checkpoint/restore contract.
+//! Property-based tests for the sharded online engine: the sharded pass
+//! against a naive sequential Algorithm 5.1 oracle, shard-count
+//! invariance of whole churned runs, and the service-mode
+//! checkpoint/restore contract.
 //!
 //! The unit tests in `tlb_sim::shard` pin the walk-word law against the
 //! batched kernel and chi-square the transition row; these properties
-//! check the *system-level* contract — a full `OnlineSim` run (arrivals,
-//! departures, scripted + stochastic churn) produces the identical
-//! report at every shard count, `from_parts`/`into_parts` is a lossless
-//! resume surface at every partition, and a run segmented by
-//! `checkpoint()`/serde/`restore()` at *any* epoch is bit-identical to
-//! the uninterrupted run at every shard count (CI additionally crosses
+//! check the *system-level* contract — `ShardedEngine::run` equals the
+//! oracle at every shard count on churned graphs, a full `OnlineSim` run
+//! (arrivals, departures, scripted + stochastic churn) produces the
+//! identical report at every shard count, and a run segmented by
+//! `checkpoint()`/serde/`restore()` at *any* epoch is bit-identical to the
+//! uninterrupted run at every shard count (CI additionally crosses
 //! `RAYON_NUM_THREADS` 1 vs 4 over this file and byte-diffs segmented
 //! NDJSON streams across thread counts in the `soak` job).
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
+use rand::Rng;
 use rand::SeedableRng;
 use tlb_core::stack::ResourceStack;
 use tlb_core::threshold::ThresholdPolicy;
-use tlb_graphs::generators::random_regular;
-use tlb_graphs::Partition;
+use tlb_graphs::generators::{complete, random_regular};
+use tlb_graphs::{DynamicGraph, Graph, NodeId, Partition};
+use tlb_sim::shard::{walk_dest, walk_word};
 use tlb_sim::{
-    AdmissionPolicy, ArrivalProcess, ArrivalWeights, ChurnEvent, ChurnProcess, DomainSpec,
-    MemorySink, OnlineSim, RebalancePolicy, ShardedEngine, SimConfig, SimSnapshot, TenantSpec,
+    epoch_seed, AdmissionPolicy, ArrivalProcess, ArrivalWeights, ChurnEvent, ChurnProcess,
+    DomainSpec, MemorySink, OnlineSim, RebalancePolicy, ShardedEngine, SimConfig, SimSnapshot,
+    TenantSpec,
 };
 use tlb_walks::WalkKind;
 
@@ -99,6 +103,50 @@ fn arb_stacks() -> impl Strategy<Value = (Vec<ResourceStack>, Vec<f64>)> {
     )
 }
 
+/// Algorithm 5.1 written as plainly as possible, the reference for the
+/// sharded pass: each round scans the nodes in ascending order, ejects
+/// every overloaded stack's cutting/above tasks, walks each ejected task
+/// one step on the counter-based word of its (node, slot), then stacks
+/// all moves in cohort order. Returns `(rounds, migrations, balanced)`.
+fn naive_rebalance(
+    stacks: &mut [ResourceStack],
+    g: &Graph,
+    walk: WalkKind,
+    weights: &[f64],
+    threshold: f64,
+    max_rounds: u64,
+    stream_seed: u64,
+) -> (u64, u64, bool) {
+    let (mut rounds, mut migrations) = (0u64, 0u64);
+    loop {
+        let balanced = stacks.iter().all(|s| !s.is_overloaded(threshold));
+        if balanced || rounds == max_rounds {
+            return (rounds, migrations, balanced);
+        }
+        let round_seed = epoch_seed(stream_seed, rounds);
+        let mut moves = Vec::new();
+        for (v, stack) in (0 as NodeId..).zip(stacks.iter_mut()) {
+            if stack.is_overloaded(threshold) {
+                let mut ejected = Vec::new();
+                stack.remove_active_into(threshold, weights, &mut ejected);
+                for (slot, t) in ejected.into_iter().enumerate() {
+                    moves.push((t, walk_dest(g, walk, v, walk_word(round_seed, v, slot as u64))));
+                }
+            }
+        }
+        migrations += moves.len() as u64;
+        for (t, dest) in moves {
+            stacks[dest as usize].push(t, weights[t as usize]);
+        }
+        rounds += 1;
+    }
+}
+
+/// Each stack's task ids in order with its exact load bits.
+fn stack_bits(stacks: &[ResourceStack]) -> Vec<(Vec<u32>, u64)> {
+    stacks.iter().map(|s| (s.tasks().to_vec(), s.load().to_bits())).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -118,26 +166,75 @@ proptest! {
         prop_assert_eq!(reference, sharded);
     }
 
-    /// `from_parts` → `into_parts` with no rounds run is the identity on
-    /// the stacks, at every shard count (including more shards than
-    /// nodes, which the partition clamps).
+    /// The sharded pass equals the naive sequential oracle — stacks
+    /// (bitwise loads), rounds, migrations and the balanced flag — on
+    /// churned random expanders with weighted tasks, for both walks and
+    /// every shard count from 1 to past the node count (the partition
+    /// clamps). Concatenating the shards' ejections therefore reproduces
+    /// the global ascending-node cohort.
     #[test]
-    fn fragment_surface_round_trips(
+    fn sharded_pass_matches_the_naive_oracle(
+        walk in prop_oneof![Just(WalkKind::MaxDegree), Just(WalkKind::Lazy)],
+        n in 8usize..40,
+        tasks in 0usize..240,
+        slack in 0.0f64..1.5,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut dg = DynamicGraph::new(random_regular(n, 4, &mut rng).unwrap());
+        for _ in 0..n / 4 {
+            dg.deactivate(rng.gen_range(0..n as NodeId));
+        }
+        let g = dg.snapshot();
+        let active: Vec<NodeId> = (0..n as NodeId).filter(|&v| dg.is_active(v)).collect();
+        let mut stacks = vec![ResourceStack::new(); n];
+        let mut weights = Vec::new();
+        for t in 0..tasks as u32 {
+            // Mostly light tasks with a heavy tail; one hot node takes
+            // half of them, so the early rounds eject large cohorts.
+            let w = 0.25 + rng.gen_range(0u32..32) as f64 / 8.0;
+            let w = if rng.gen_bool(0.1) { w * 6.0 } else { w };
+            let hot = rng.gen_bool(0.5);
+            let v = if hot { active[0] } else { active[rng.gen_range(0..active.len())] };
+            weights.push(w);
+            stacks[v as usize].push(t, w);
+        }
+        let total: f64 = weights.iter().sum();
+        let w_max = weights.iter().copied().fold(0.0, f64::max);
+        let threshold = total / active.len() as f64 * (1.0 + slack) + w_max * slack;
+        let mut want = stacks.clone();
+        let (rounds, migrations, balanced) =
+            naive_rebalance(&mut want, &g, walk, &weights, threshold, 32, seed);
+        for shards in 1..=n + 2 {
+            let mut got = stacks.clone();
+            let mut engine =
+                ShardedEngine::new(Partition::contiguous(n, shards), threshold, walk, 32);
+            engine.run(&mut got, &g, &weights, seed);
+            prop_assert_eq!(stack_bits(&got), stack_bits(&want), "shards {}", shards);
+            prop_assert_eq!(
+                (engine.rounds(), engine.migrations(), engine.is_balanced()),
+                (rounds, migrations, balanced),
+                "shards {}", shards
+            );
+        }
+    }
+
+    /// A balanced input runs no round and leaves the stacks bitwise
+    /// unchanged at every shard count (including more shards than nodes,
+    /// which the partition clamps).
+    #[test]
+    fn balanced_stacks_pass_through_unchanged_at_every_shard_count(
         workload in arb_stacks(),
         shards in 1usize..64,
     ) {
-        let (stacks, _weights) = workload;
+        let (stacks, weights) = workload;
+        let mut after = stacks.clone();
         let partition = Partition::contiguous(stacks.len(), shards);
-        let engine = ShardedEngine::from_parts(
-            stacks.clone(),
-            partition,
-            1e18, // everything under threshold: constructor marks it balanced
-            WalkKind::MaxDegree,
-            8,
-        );
+        let mut engine = ShardedEngine::new(partition, 1e18, WalkKind::MaxDegree, 8);
+        engine.run(&mut after, &complete(stacks.len()), &weights, 7);
         prop_assert!(engine.is_balanced());
-        prop_assert_eq!(engine.rounds(), 0);
-        prop_assert_eq!(engine.into_parts(), stacks);
+        prop_assert_eq!((engine.rounds(), engine.migrations()), (0, 0));
+        prop_assert_eq!(stack_bits(&after), stack_bits(&stacks));
     }
 
     /// The tentpole acceptance property: a run paused by `checkpoint()`
@@ -424,19 +521,16 @@ proptest! {
         shards in 1usize..16,
         seed in any::<u64>(),
     ) {
-        let (stacks, weights) = workload;
+        let (mut stacks, weights) = workload;
         let n = stacks.len();
         let mut rng = SmallRng::seed_from_u64(seed);
         let g = random_regular(n, 4, &mut rng).unwrap();
         let total: f64 = weights.iter().sum();
         let threshold = (total / n as f64) * 1.2 + 1e-9;
         let partition = Partition::contiguous(n, shards);
-        let mut engine =
-            ShardedEngine::from_parts(stacks, partition, threshold, WalkKind::Lazy, 16);
-        engine.run(&g, &weights, seed);
-        let after = engine.into_parts();
-        prop_assert_eq!(after.len(), n);
-        let after_total: f64 = after.iter().map(|s| s.load()).sum();
+        let mut engine = ShardedEngine::new(partition, threshold, WalkKind::Lazy, 16);
+        engine.run(&mut stacks, &g, &weights, seed);
+        let after_total: f64 = stacks.iter().map(|s| s.load()).sum();
         prop_assert!((after_total - total).abs() < 1e-6,
             "weight not conserved: {} vs {}", after_total, total);
     }

@@ -10,7 +10,7 @@
 use rand::Rng;
 use tlb_core::task::TaskSet;
 
-use crate::Allocation;
+use crate::{rule, Allocation};
 
 /// Allocate `tasks` into `n` bins with `d` choices per ball.
 ///
@@ -20,20 +20,11 @@ pub fn allocate<R: Rng + ?Sized>(tasks: &TaskSet, n: usize, d: usize, rng: &mut 
     assert!(n > 0, "need at least one bin");
     assert!(d > 0, "need at least one choice");
     let mut loads = vec![0.0f64; n];
-    let mut choices = 0u64;
     for i in 0..tasks.len() {
-        let mut best = rng.gen_range(0..n);
-        choices += 1;
-        for _ in 1..d {
-            let cand = rng.gen_range(0..n);
-            choices += 1;
-            if loads[cand] < loads[best] {
-                best = cand;
-            }
-        }
-        loads[best] += tasks.weight(i as u32);
+        let bin = rule::greedy(n, d, |b| loads[b], rng);
+        loads[bin] += tasks.weight(i as u32);
     }
-    Allocation { loads, choices }
+    Allocation { loads, choices: (tasks.len() * d) as u64 }
 }
 
 #[cfg(test)]

@@ -19,8 +19,10 @@
 //!   lower-bound territory.
 //! * [`sequential_threshold`] — sequential threshold-retry allocation in
 //!   the spirit of Berenbrink–Khodamoradi–Sauerwald–Stauffer \[5\]:
-//!   thresholds `⌈m/n⌉ (+1, +2, …)` with resampling, reaching a near
-//!   optimal maximum load with `O(m)` random choices in expectation.
+//!   threshold `W/n + slack·w_max`, raised by `w_max` whenever a ball
+//!   exhausts its resampling budget; for unit balls the cited scheme
+//!   reaches a near optimal maximum load with `O(m)` random choices in
+//!   expectation.
 //!
 //! All allocators take weighted task sets (unit weights recover the cited
 //! papers' settings exactly) and report the final load vector plus the
@@ -37,6 +39,7 @@
 pub mod greedy;
 pub mod one_plus_beta;
 pub mod parallel_threshold;
+mod rule;
 pub mod sequential_threshold;
 pub mod stepper;
 

@@ -6,7 +6,7 @@
 use rand::Rng;
 use tlb_core::task::TaskSet;
 
-use crate::Allocation;
+use crate::{rule, Allocation};
 
 /// Allocate with mixing parameter `beta ∈ (0, 1]`.
 ///
@@ -20,19 +20,8 @@ pub fn allocate<R: Rng + ?Sized>(tasks: &TaskSet, n: usize, beta: f64, rng: &mut
     let mut loads = vec![0.0f64; n];
     let mut choices = 0u64;
     for i in 0..tasks.len() {
-        let bin = if rng.gen_bool(beta) {
-            choices += 1;
-            rng.gen_range(0..n)
-        } else {
-            let a = rng.gen_range(0..n);
-            let b = rng.gen_range(0..n);
-            choices += 2;
-            if loads[a] <= loads[b] {
-                a
-            } else {
-                b
-            }
-        };
+        let (bin, draws) = rule::one_plus_beta(n, beta, |b| loads[b], rng);
+        choices += draws;
         loads[bin] += tasks.weight(i as u32);
     }
     Allocation { loads, choices }

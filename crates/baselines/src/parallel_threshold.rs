@@ -7,12 +7,11 @@
 //! step that Adler et al.'s lower bound says must exist for constant-round
 //! protocols). The interesting trade-off is rounds vs final maximum load.
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use tlb_core::task::TaskSet;
 
-use crate::Allocation;
+use crate::{rule, Allocation};
 
 /// Outcome of a parallel-threshold run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -55,28 +54,21 @@ pub fn allocate<R: Rng + ?Sized>(
     let mut unplaced: Vec<u32> = (0..tasks.len() as u32).collect();
     let mut survivors_per_round = Vec::with_capacity(thresholds.len());
     let mut choices = 0u64;
-    let mut arrivals: Vec<(u32, usize)> = Vec::new();
+    let mut bins: Vec<u32> = Vec::new();
 
     for &t in thresholds {
-        if unplaced.is_empty() {
-            survivors_per_round.push(0);
-            continue;
-        }
-        arrivals.clear();
-        for &ball in &unplaced {
-            arrivals.push((ball, rng.gen_range(0..n)));
-            choices += 1;
-        }
-        arrivals.shuffle(rng); // uniform collision tie-breaking
-        unplaced.clear();
-        for &(ball, bin) in &arrivals {
-            let w = tasks.weight(ball);
-            if loads[bin] + w <= t {
-                loads[bin] += w;
-            } else {
-                unplaced.push(ball);
+        choices += unplaced.len() as u64;
+        rule::wave(n, &mut unplaced, &mut bins, rng);
+        // Accept in arrival order; the rejected keep that order.
+        let mut bin = bins.iter().map(|&b| b as usize);
+        unplaced.retain(|&ball| {
+            let (b, w) = (bin.next().unwrap(), tasks.weight(ball));
+            let fits = loads[b] + w <= t;
+            if fits {
+                loads[b] += w;
             }
-        }
+            !fits
+        });
         survivors_per_round.push(unplaced.len());
     }
 
@@ -90,8 +82,8 @@ pub fn allocate<R: Rng + ?Sized>(
     ParallelOutcome { loads, survivors_per_round, forced, choices }
 }
 
-/// Convenience: `rounds` rounds all at threshold
-/// `⌈W/n⌉ + slack·w_max` (the natural analog of the paper's thresholds).
+/// Convenience: `rounds` rounds all at threshold `W/n + slack·w_max`
+/// (the natural analog of the paper's thresholds).
 pub fn allocate_uniform_threshold<R: Rng + ?Sized>(
     tasks: &TaskSet,
     n: usize,

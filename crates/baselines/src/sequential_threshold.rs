@@ -10,7 +10,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use tlb_core::task::TaskSet;
 
-use crate::Allocation;
+use crate::{rule, Allocation};
 
 /// Outcome of a sequential threshold-retry run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -56,17 +56,11 @@ pub fn allocate<R: Rng + ?Sized>(
     for i in 0..tasks.len() {
         let w = tasks.weight(i as u32);
         loop {
-            let mut placed = false;
-            for _ in 0..retries_per_ball {
-                let bin = rng.gen_range(0..n);
-                choices += 1;
-                if loads[bin] + w <= threshold {
-                    loads[bin] += w;
-                    placed = true;
-                    break;
-                }
-            }
-            if placed {
+            let (bin, draws) =
+                rule::first_fit(n, retries_per_ball, w, threshold, |b| loads[b], rng);
+            choices += draws;
+            if let Some(bin) = bin {
+                loads[bin] += w;
                 break;
             }
             // Escalate: feasibility is guaranteed once threshold exceeds

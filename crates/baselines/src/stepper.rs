@@ -34,6 +34,8 @@ use tlb_core::task::{TaskId, TaskSet};
 use tlb_core::threshold::ThresholdPolicy;
 use tlb_graphs::{Graph, NodeId};
 
+use crate::rule;
+
 /// Which baseline placement rule moves the ejected cohort.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum BaselineRule {
@@ -263,56 +265,47 @@ impl BaselineStepper {
         if cands.is_empty() {
             // No eligible destination (every node isolated): the cohort
             // returns to its sources unmoved.
-            for (&t, &src) in eng.cohort.iter().zip(eng.positions.iter()) {
-                eng.stacks[src as usize].push(t, eng.weights[t as usize]);
+            for i in 0..eng.cohort.len() {
+                land(eng, i, None);
             }
             return eng.finish_round(0);
         }
-        // Movement phase. The parallel rule is a synchronous wave (all
-        // bins drawn before any acceptance, arrival order shuffled — the
-        // cited model's collision tie-breaking, matching
-        // `parallel_threshold::allocate`); the sequential rules place the
-        // cohort in ejection order, reading bin loads live.
+        // Movement phase: the rule picks an index into `cands` (see
+        // `crate::rule`). The parallel rule is a synchronous wave (all bins
+        // drawn before any acceptance, arrival order shuffled, exactly as
+        // `parallel_threshold::allocate`); the other rules place the cohort
+        // in ejection order, reading bin loads live. A task with no
+        // accepting bin returns to its source.
+        let k = cands.len();
+        let mut migrated = 0u64;
         if self.cfg.rule == BaselineRule::ParallelThreshold {
-            let migrated = place_parallel_wave(eng, cands, rng);
+            // The wave shuffles cohort slots, not task ids, so a rejected
+            // task can still find its source in `positions`.
+            eng.pending_tasks.clear();
+            eng.pending_tasks.extend(0..eng.cohort.len() as u32);
+            rule::wave(k, &mut eng.pending_tasks, &mut eng.pending_dests, rng);
+            for j in 0..eng.pending_tasks.len() {
+                let (i, c) = (eng.pending_tasks[j] as usize, eng.pending_dests[j] as usize);
+                let w = eng.weights[eng.cohort[i] as usize];
+                let fits = eng.stacks[cands[c] as usize].load() + w <= threshold;
+                migrated += land(eng, i, fits.then_some(cands[c]));
+            }
             return eng.finish_round(migrated);
         }
-        let mut migrated = 0u64;
         for i in 0..eng.cohort.len() {
-            let t = eng.cohort[i];
-            let w = eng.weights[t as usize];
-            match self.cfg.rule {
-                BaselineRule::Greedy { d } => {
-                    let mut best = cands[rng.gen_range(0..cands.len())];
-                    for _ in 1..d {
-                        let c = cands[rng.gen_range(0..cands.len())];
-                        if eng.stacks[c as usize].load() < eng.stacks[best as usize].load() {
-                            best = c;
-                        }
-                    }
-                    eng.stacks[best as usize].push(t, w);
-                    migrated += 1;
-                }
+            let w = eng.weights[eng.cohort[i] as usize];
+            let load = |c: usize| eng.stacks[cands[c] as usize].load();
+            let c = match self.cfg.rule {
+                BaselineRule::Greedy { d } => Some(rule::greedy(k, d, load, rng)),
                 BaselineRule::OnePlusBeta { beta } => {
-                    let dest = if rng.gen_bool(beta) {
-                        cands[rng.gen_range(0..cands.len())]
-                    } else {
-                        let a = cands[rng.gen_range(0..cands.len())];
-                        let b = cands[rng.gen_range(0..cands.len())];
-                        if eng.stacks[a as usize].load() <= eng.stacks[b as usize].load() {
-                            a
-                        } else {
-                            b
-                        }
-                    };
-                    eng.stacks[dest as usize].push(t, w);
-                    migrated += 1;
+                    Some(rule::one_plus_beta(k, beta, load, rng).0)
                 }
                 BaselineRule::SequentialThreshold { retries } => {
-                    migrated += place_under_threshold(eng, cands, i, retries, rng);
+                    rule::first_fit(k, retries, w, threshold, load, rng).0
                 }
                 BaselineRule::ParallelThreshold => unreachable!("handled as a wave above"),
-            }
+            };
+            migrated += land(eng, i, c.map(|c| cands[c]));
         }
         eng.finish_round(migrated)
     }
@@ -328,70 +321,14 @@ impl BaselineStepper {
     }
 }
 
-/// One synchronous parallel-threshold wave over the whole cohort: every
-/// task draws its uniform bin **first**, then arrivals are processed in
-/// uniformly shuffled order (the cited model's collision tie-breaking,
-/// exactly as [`crate::parallel_threshold::allocate`] does), accepting
-/// while the bin's load stays within the threshold; rejected tasks
-/// return to their sources and retry next round. Returns the number of
-/// accepted placements.
-fn place_parallel_wave<R: Rng + ?Sized>(
-    eng: &mut RoundEngine,
-    cands: &[NodeId],
-    rng: &mut R,
-) -> u64 {
-    let threshold = eng.threshold();
-    // The pending arrays carry (cohort slot, drawn bin) pairs; the slot
-    // index (not the task id) is stored so a rejected task can find its
-    // source in `positions` after the shuffle. `shuffle_paired` applies
-    // one permutation to both parallel arrays with exactly the words the
-    // old tuple shuffle drew, so the SoA split moved no stream.
-    eng.pending_tasks.clear();
-    eng.pending_dests.clear();
-    for slot in 0..eng.cohort.len() {
-        eng.pending_tasks.push(slot as u32);
-        eng.pending_dests.push(cands[rng.gen_range(0..cands.len())]);
-    }
-    rand::seq::shuffle_paired(&mut eng.pending_tasks, &mut eng.pending_dests, rng);
-    let mut migrated = 0u64;
-    for (&slot, &dest) in eng.pending_tasks.iter().zip(&eng.pending_dests) {
-        let t = eng.cohort[slot as usize];
-        let w = eng.weights[t as usize];
-        if eng.stacks[dest as usize].load() + w <= threshold {
-            eng.stacks[dest as usize].push(t, w);
-            migrated += 1;
-        } else {
-            let src = eng.positions[slot as usize];
-            eng.stacks[src as usize].push(t, w);
-        }
-    }
-    migrated
-}
-
-/// Threshold-retry placement of cohort slot `i`: sample up to `retries`
-/// uniform candidate bins and join the first that stays within the
-/// threshold; return the task to its source (`positions[i]`) on failure.
-/// Returns the number of migrations performed (1 or 0).
-fn place_under_threshold<R: Rng + ?Sized>(
-    eng: &mut RoundEngine,
-    cands: &[NodeId],
-    i: usize,
-    retries: usize,
-    rng: &mut R,
-) -> u64 {
+/// Push cohort slot `i` onto `dest`, or back onto its source
+/// (`positions[i]`) if the rule found no bin. Returns the migrations made
+/// (1 or 0).
+fn land(eng: &mut RoundEngine, i: usize, dest: Option<NodeId>) -> u64 {
     let t = eng.cohort[i];
-    let w = eng.weights[t as usize];
-    let threshold = eng.threshold();
-    for _ in 0..retries {
-        let c = cands[rng.gen_range(0..cands.len())];
-        if eng.stacks[c as usize].load() + w <= threshold {
-            eng.stacks[c as usize].push(t, w);
-            return 1;
-        }
-    }
-    let src = eng.positions[i];
-    eng.stacks[src as usize].push(t, w);
-    0
+    let node = dest.unwrap_or(eng.positions[i]);
+    eng.stacks[node as usize].push(t, eng.weights[t as usize]);
+    dest.is_some() as u64
 }
 
 impl Protocol for BaselineStepper {

@@ -1,5 +1,6 @@
 //! Property-based tests for the baseline allocators: weight conservation
 //! and threshold respect hold for every workload and parameterization.
+//! One plain test pins every baseline's exact outputs at fixed seeds.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -83,5 +84,64 @@ proptest! {
             prop_assert!(w[1] <= w[0]);
         }
         prop_assert_eq!(*out.survivors_per_round.last().unwrap(), out.forced);
+    }
+}
+
+/// Exact outputs of every baseline at fixed seeds. A refactor that keeps
+/// the placement rules must keep these numbers; a change that moves a
+/// stream on purpose re-pins them once under the stream policy.
+#[test]
+fn baseline_streams_are_pinned_at_fixed_seeds() {
+    use tlb_baselines::{BaselineConfig, BaselineRule, BaselineStepper};
+    use tlb_core::placement::Placement;
+    use tlb_core::weights::WeightSpec;
+
+    let rng = SmallRng::seed_from_u64;
+    let tasks =
+        WeightSpec::ParetoTruncated { m: 2_000, alpha: 1.5, cap: 16.0 }.generate(&mut rng(7));
+    let n = 100;
+
+    let a = greedy::allocate(&tasks, n, 2, &mut rng(1));
+    assert_eq!((a.choices, a.max_load().to_bits()), (4000, 0x404b6e381c7a83bf));
+    let a = one_plus_beta::allocate(&tasks, n, 0.5, &mut rng(2));
+    assert_eq!((a.choices, a.max_load().to_bits()), (2983, 0x4050ff044aadb10b));
+    let s = sequential_threshold::allocate(&tasks, n, 0.0, 3, &mut rng(3));
+    assert_eq!(
+        (s.choices, s.escalations, s.allocation().max_load().to_bits()),
+        (2046, 2, 0x404fb6c6d71f1fa9)
+    );
+    let p = parallel_threshold::allocate_uniform_threshold(&tasks, n, 3, 0.5, &mut rng(4));
+    assert_eq!(
+        (p.choices, p.forced, p.survivors_per_round.clone(), p.allocation().max_load().to_bits()),
+        (2130, 13, vec![92, 25, 13], 0x4050ebdb87f05d3e)
+    );
+
+    // The steppers: (rounds, migrations, final max load, a fold of every
+    // final load's bits).
+    let g = tlb_graphs::generators::complete(20);
+    let tasks = TaskSet::new((0..200).map(|i| 1.0 + (i % 4) as f64).collect::<Vec<_>>());
+    for (rule, seed, pinned) in [
+        (BaselineRule::Greedy { d: 1 }, 11, (3, 204, 0x4041000000000000, 0xae1db736bb064aa7)),
+        (BaselineRule::Greedy { d: 2 }, 12, (2, 187, 0x4040800000000000, 0x8919e24d992625a2)),
+        (
+            BaselineRule::OnePlusBeta { beta: 0.5 },
+            13,
+            (2, 189, 0x4041000000000000, 0x6f56394481360482),
+        ),
+        (
+            BaselineRule::SequentialThreshold { retries: 1 },
+            14,
+            (5, 186, 0x4041000000000000, 0xe91060507b6a0492),
+        ),
+        (BaselineRule::ParallelThreshold, 15, (3, 186, 0x4040800000000000, 0xcb1321ea9f717e5b)),
+    ] {
+        let cfg = BaselineConfig { rule, ..Default::default() };
+        let mut r = rng(seed);
+        let mut s = BaselineStepper::new(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut r);
+        s.run(&g, &mut r);
+        let out = s.into_outcome();
+        let loads = out.final_loads.iter().fold(0u64, |h, l| h.rotate_left(7) ^ l.to_bits());
+        let got = (out.rounds, out.migrations, out.final_max_load.to_bits(), loads);
+        assert_eq!(got, pinned, "{}", rule.label());
     }
 }

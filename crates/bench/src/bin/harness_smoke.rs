@@ -11,9 +11,8 @@
 //!                       [--sweep-points P] [--sweep-trials T] [--sweep-out PATH]`
 //!
 //! `--batches B` splits the trials over B successive harness calls, the
-//! shape of a real sweep (one call per parameter point) — it surfaces the
-//! per-call cost the persistent pool removes (the scoped baseline spawns
-//! `threads` fresh threads on every call).
+//! shape of a real sweep (one call per parameter point), so per-call pool
+//! overhead shows in the timing.
 //!
 //! Exits nonzero (panics) if any parallel/batched results are not
 //! bit-identical to their sequential/per-point references — the
@@ -26,8 +25,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlb_bench::rss::{peak_rss_bytes, rss_json};
 use tlb_bench::workloads::{
-    run_sweep_per_point, run_sweep_whole, run_trials_scoped, step_lazy_fused_reference,
-    sweep_point_seeds, uneven_user_trial,
+    run_sweep_per_point, run_sweep_whole, step_lazy_fused_reference, sweep_point_seeds,
+    uneven_user_trial,
 };
 use tlb_experiments::harness;
 use tlb_graphs::generators::random_regular;
@@ -211,30 +210,21 @@ fn main() {
     let (seq_secs, seq) = time_best(reps, || {
         sweep(batches, per_batch, |n, s| harness::run_trials_sequential(n, s, uneven_user_trial))
     });
-    // The pre-pool strategy (fresh scoped threads, one static chunk per
-    // core, spawned again on every call) as the comparison baseline.
-    let (scoped_secs, scoped) = time_best(reps, || {
-        sweep(batches, per_batch, |n, s| run_trials_scoped(n, s, uneven_user_trial))
-    });
     let (par_secs, par) = time_best(reps, || {
         sweep(batches, per_batch, |n, s| harness::run_trials(n, s, uneven_user_trial))
     });
 
     assert_eq!(seq, par, "parallel results must be bit-identical to sequential");
-    assert_eq!(seq, scoped, "scoped baseline must match sequential too");
     let trials = per_batch * batches;
 
     let threads = rayon::current_num_threads();
     let speedup_vs_seq = seq_secs / par_secs;
-    let speedup_vs_scoped = scoped_secs / par_secs;
     let json = format!(
         "{{\n  \"bench\": \"harness_scaling\",\n  \"workload\": \"uneven_user_trial\",\n  \
          \"trials\": {trials},\n  \"batches\": {batches},\n  \"threads\": {threads},\n  \
-         \"sequential_secs\": {seq_secs:.6},\n  \"scoped_threads_secs\": {scoped_secs:.6},\n  \
-         \"pool_secs\": {par_secs:.6},\n  \
+         \"sequential_secs\": {seq_secs:.6},\n  \"pool_secs\": {par_secs:.6},\n  \
          \"trials_per_sec_sequential\": {:.3},\n  \"trials_per_sec_pool\": {:.3},\n  \
          \"speedup_pool_vs_sequential\": {speedup_vs_seq:.3},\n  \
-         \"speedup_pool_vs_scoped\": {speedup_vs_scoped:.3},\n  \
          \"peak_rss_bytes\": {},\n  \"bit_identical\": true\n}}\n",
         trials as f64 / seq_secs,
         trials as f64 / par_secs,
@@ -244,7 +234,7 @@ fn main() {
     println!("{json}");
     println!(
         "wrote {out}: {trials} trials on {threads} threads, \
-         {speedup_vs_seq:.2}x vs sequential, {speedup_vs_scoped:.2}x vs scoped-thread baseline"
+         {speedup_vs_seq:.2}x vs sequential"
     );
 
     // ---- BENCH_sweep.json: walk kernel + whole-sweep scheduling ----

@@ -1,26 +1,18 @@
 //! # tlb-bench
 //!
-//! Criterion benchmarks regenerating (at benchmark scale) every table and
-//! figure of the paper, plus ablations and substrate micro-kernels. Each
-//! bench target corresponds to a row of the experiment index in
-//! `DESIGN.md` §3:
+//! The CI perf binaries and the helpers they share. Each binary writes a
+//! `BENCH_*.json` snapshot, and `ci/baselines/` keeps the checked-in
+//! references:
 //!
-//! | bench target          | experiment id |
-//! |-----------------------|---------------|
-//! | `table1`              | T1            |
-//! | `figure1`             | F1            |
-//! | `figure2`             | F2            |
-//! | `resource_controlled` | A1            |
-//! | `tight_threshold`     | A2            |
-//! | `ablations`           | A3/A4 + stack-order & walk-kind ablations |
-//! | `kernels`             | substrate micro-benches |
-//! | `harness_scaling`     | worker-pool speedup of the trial fan-out |
+//! | binary          | snapshot | measures |
+//! |-----------------|----------|----------|
+//! | `harness_smoke` | `BENCH_harness`, `BENCH_sweep` | trial-harness throughput (sequential vs pool), walk-kernel steps/sec, sweep scheduling |
+//! | `scale_sweep`   | `BENCH_scale`, `BENCH_obs` | sharded online-engine throughput over a grid of sizes |
+//! | `bench_compare` | — | diffs two snapshots and flags regressions |
 //!
-//! Criterion measures the wall time of the simulation/measurement kernels;
-//! the `tlb-experiments` binaries produce the full-trial-count *data*. The
-//! `harness_smoke` binary re-runs the `harness_scaling` comparison outside
-//! criterion and writes a `BENCH_harness.json` snapshot for the CI perf
-//! trajectory.
+//! End-to-end and per-layer timings of the online epoch, the walk kernels
+//! and the one-shot trials live in the separate `perfbench/` package, and
+//! every experiment driver reports its sweep time through `--obs-out`.
 
 pub mod rss;
 pub mod workloads;

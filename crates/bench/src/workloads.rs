@@ -1,5 +1,5 @@
-//! Trial workloads shared by the `harness_scaling` criterion bench and the
-//! `harness_smoke` CI binary, so both measure the same thing.
+//! Trial workloads and reference kernels measured by the `harness_smoke`
+//! CI binary.
 
 use rand::rngs::SmallRng;
 use rand::{lemire_u64, Rng, SeedableRng};
@@ -95,37 +95,4 @@ pub fn run_sweep_per_point(point_seeds: &[u64], trials: usize) -> Vec<Vec<f64>> 
 /// The whole-sweep scheduling under test: the flattened single batch.
 pub fn run_sweep_whole(point_seeds: &[u64], trials: usize) -> Vec<Vec<f64>> {
     harness::run_sweep_map(point_seeds, trials, uneven_sweep_trial)
-}
-
-/// The pre-pool execution strategy, kept as a measured baseline: split the
-/// trials into one contiguous chunk per available core and run each chunk
-/// on a freshly spawned scoped thread (what the rayon shim did on every
-/// call before the persistent pool). Static partitioning finishes when the
-/// slowest chunk does, so uneven trials leave cores idle — the gap to
-/// `harness::run_trials` is exactly what the pool's self-scheduling buys.
-pub fn run_trials_scoped<F>(trials: usize, base_seed: u64, f: F) -> Vec<f64>
-where
-    F: Fn(u64) -> f64 + Sync,
-{
-    // Same thread count as the pool (including the RAYON_NUM_THREADS
-    // override) so the comparison isolates scheduling strategy and
-    // per-call spawn cost, not core counts.
-    let threads = rayon::current_num_threads().min(trials);
-    let seeds: Vec<u64> = (0..trials as u64).map(|t| trial_seed(base_seed, t)).collect();
-    if threads <= 1 {
-        return seeds.into_iter().map(f).collect();
-    }
-    let chunk_size = trials.div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = seeds
-            .chunks(chunk_size)
-            .map(|chunk| s.spawn(move || chunk.iter().map(|&seed| f(seed)).collect::<Vec<f64>>()))
-            .collect();
-        let mut out = Vec::with_capacity(trials);
-        for h in handles {
-            out.extend(h.join().expect("scoped baseline worker panicked"));
-        }
-        out
-    })
 }

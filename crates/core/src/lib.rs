@@ -106,7 +106,6 @@ pub mod assignment;
 pub mod diffusion;
 pub mod drift;
 pub mod mixed_protocol;
-pub mod nonuniform;
 pub mod placement;
 pub mod potential;
 pub mod protocol;

@@ -29,9 +29,7 @@
 //!   total-variation mixing measurement,
 //! * [`hitting`] — exact hitting times through the fundamental matrix
 //!   (one `O(n³)` factorization for all pairs) and Monte-Carlo estimators
-//!   for graphs too large to factor,
-//! * [`cover`] — cover times (Matthews bounds + Monte Carlo), the third
-//!   member of the walk-quantity family.
+//!   for graphs too large to factor.
 //!
 //! ```
 //! use tlb_graphs::generators::complete;
@@ -50,7 +48,6 @@
 #![forbid(unsafe_code)]
 
 pub mod batch;
-pub mod cover;
 pub mod hitting;
 pub mod linalg;
 pub mod mixing;

@@ -1,15 +1,12 @@
 //! Cross-crate integration for the Section-8 extensions and supporting
-//! tooling: mixed protocol vs walk theory, non-uniform thresholds on
-//! heterogeneous systems, graph I/O + walk pipeline, trace capture around
-//! a full protocol run.
+//! tooling: mixed protocol vs walk theory, graph I/O + walk pipeline,
+//! trace capture around a full protocol run.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlb_core::mixed_protocol::{run_mixed, MixedConfig};
-use tlb_core::nonuniform::{run_user_controlled_nonuniform, NonUniformConfig, ThresholdVector};
 use tlb_core::placement::Placement;
 use tlb_core::task::TaskSet;
-use tlb_core::weights::WeightSpec;
 use tlb_experiments::harness;
 use tlb_experiments::stats::Summary;
 use tlb_graphs::generators;
@@ -45,37 +42,6 @@ fn mixed_protocol_tracks_mixing_time() {
     assert!(
         r_slow > 2.0 * r_fast,
         "mixed protocol must feel the mixing time: K_64 {r_fast} vs torus {r_slow}"
-    );
-}
-
-/// Non-uniform speed-proportional thresholds put proportionally more load
-/// on faster machines while respecting every local threshold.
-#[test]
-fn nonuniform_thresholds_load_fast_machines_more() {
-    let mut speeds = vec![4.0; 5];
-    speeds.extend(std::iter::repeat_n(1.0, 45));
-    let mut rng = SmallRng::seed_from_u64(3);
-    let tasks = WeightSpec::Exponential { m: 2000, mean: 2.0 }.generate(&mut rng);
-    let tv = ThresholdVector::speed_proportional(&speeds, tasks.total_weight(), tasks.w_max(), 0.1);
-    let out = run_user_controlled_nonuniform(
-        &tasks,
-        &tv,
-        Placement::AllOnOne(10),
-        &NonUniformConfig::default(),
-        &mut rng,
-    );
-    assert!(out.balanced());
-    for (r, &l) in out.final_loads.iter().enumerate() {
-        assert!(l <= tv.of(r) + 1e-9, "resource {r} over its local threshold");
-    }
-    // Fast machines can (and statistically will) end with much higher
-    // load than the mean slow machine once the hotspot drains through
-    // them.
-    let fast_mean: f64 = out.final_loads[..5].iter().sum::<f64>() / 5.0;
-    let slow_mean: f64 = out.final_loads[5..].iter().sum::<f64>() / 45.0;
-    assert!(
-        fast_mean > slow_mean,
-        "fast machines should carry more: fast {fast_mean:.1} vs slow {slow_mean:.1}"
     );
 }
 

@@ -29,9 +29,9 @@
 //! *gap* `max load − average load`, the quantity the related work bounds.
 //!
 //! The [`stepper`] module additionally adapts each placement rule into an
-//! iterative rebalancing protocol behind
-//! [`tlb_core::protocol::Protocol`], so the baselines run inside the same
-//! generic harness/simulation paths as the paper protocols.
+//! iterative rebalancing protocol: a [`tlb_core::protocol::RoundRule`]
+//! run by the same [`tlb_core::protocol::Stepper`] as the paper
+//! protocols, so the baselines run inside the same generic harness paths.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -43,7 +43,7 @@ mod rule;
 pub mod sequential_threshold;
 pub mod stepper;
 
-pub use stepper::{BaselineConfig, BaselineRule, BaselineStepper};
+pub use stepper::{BaselineConfig, BaselineRule};
 
 /// Final state every baseline reports.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,5 +1,6 @@
 //! The related-work allocators as iterative threshold-rebalancing
-//! protocols behind [`tlb_core::protocol::Protocol`].
+//! protocols: [`tlb_core::protocol::RoundRule`]s run by the shared
+//! [`tlb_core::protocol::Stepper`].
 //!
 //! The one-shot allocators in this crate ([`crate::greedy`],
 //! [`crate::one_plus_beta`], [`crate::sequential_threshold`],
@@ -9,8 +10,10 @@
 //! the baselines run inside the same generic machinery (the experiment
 //! harness's protocol sweeps and the `protocol_matrix` driver):
 //!
-//! * **departure** — Algorithm 5.1's rule: every overloaded resource
-//!   ejects its cutting-and-above tasks (`I_a ∪ I_c`), consuming no RNG;
+//! * **departure** — Algorithm 5.1's rule, the engine's
+//!   [`eject_active`](RoundEngine::eject_active): every overloaded
+//!   resource ejects its cutting-and-above tasks (`I_a ∪ I_c`), consuming
+//!   no RNG;
 //! * **movement** — the baseline's placement rule re-places each ejected
 //!   task among the *candidate bins*: the non-isolated nodes of the graph
 //!   passed to `step`. Topology is otherwise ignored (these are
@@ -25,12 +28,11 @@
 //! source and retries next round — the `r`-round retry structure of Adler
 //! et al. \[4\], with the round cap playing the "give up" bound.
 
-use rand::{Rng, RngCore};
+use rand::RngCore;
 use serde::{Deserialize, Serialize};
 use tlb_core::placement::Placement;
-use tlb_core::protocol::{AnyStepper, Protocol, ProtocolOutcome, RoundEngine};
-use tlb_core::stack::ResourceStack;
-use tlb_core::task::{TaskId, TaskSet};
+use tlb_core::protocol::{RoundEngine, RoundRule, Stepper};
+use tlb_core::task::TaskSet;
 use tlb_core::threshold::ThresholdPolicy;
 use tlb_graphs::{Graph, NodeId};
 
@@ -124,151 +126,74 @@ impl Default for BaselineConfig {
 }
 
 impl BaselineConfig {
-    /// Construct a boxed stepper over `(g, tasks, placement)` — the
-    /// baseline counterpart of
-    /// [`tlb_core::protocol::ProtocolKind::new_stepper`].
+    /// Construct a stepper over `(g, tasks, placement)`, set up like
+    /// [`tlb_core::protocol::ProtocolKind::new_stepper`]: the threshold
+    /// from the policy, the stacks from the placement (the only RNG this
+    /// consumes), the initial snapshots.
+    ///
+    /// # Panics
+    /// If the graph is empty, the placement is invalid, or the rule's
+    /// parameters are out of range.
     pub fn new_stepper(
         &self,
         g: &Graph,
         tasks: &TaskSet,
         placement: Placement,
         rng: &mut dyn RngCore,
-    ) -> AnyStepper {
-        Box::new(BaselineStepper::new(g, tasks, placement, self, rng))
-    }
-}
-
-/// Stepping engine running a [`BaselineRule`] as a rebalancing protocol:
-/// one [`step`] call is one round (Algorithm-5.1 ejection, baseline
-/// re-placement). Embeds the same shared [`RoundEngine`] as the core
-/// steppers, so counters, potential series, and traces behave
-/// identically.
-///
-/// [`step`]: BaselineStepper::step
-#[derive(Debug, Clone)]
-pub struct BaselineStepper {
-    cfg: BaselineConfig,
-    eng: RoundEngine,
-    // Reused per-round candidate-bin list (non-isolated nodes of the
-    // graph passed to `step`).
-    candidates: Vec<NodeId>,
-}
-
-impl BaselineStepper {
-    /// Set up a run: materialize the placement (consuming RNG exactly as
-    /// the core steppers do) and take the initial snapshots.
-    ///
-    /// # Panics
-    /// If the graph is empty, the placement is invalid, or the rule's
-    /// parameters are out of range.
-    pub fn new<R: Rng + ?Sized>(
-        g: &Graph,
-        tasks: &TaskSet,
-        placement: Placement,
-        cfg: &BaselineConfig,
-        rng: &mut R,
-    ) -> Self {
+    ) -> Stepper {
         let n = g.num_nodes();
-        assert!(n > 0, "need at least one resource");
+        let threshold = self.threshold.value(tasks.total_weight(), n, tasks.w_max());
+        let stacks = placement.stacks(tasks, n, rng);
         let weights = tasks.weights().to_vec();
-        let threshold = cfg.threshold.value(tasks.total_weight(), n, tasks.w_max());
-
-        let mut stacks: Vec<ResourceStack> = vec![ResourceStack::new(); n];
-        for (i, &loc) in placement.materialize(tasks.len(), n, rng).iter().enumerate() {
-            stacks[loc as usize].push(i as TaskId, weights[i]);
-        }
-
-        Self::from_parts(stacks, weights, threshold, cfg.clone())
-    }
-
-    /// Build the engine over an existing stack configuration (consumes no
-    /// RNG).
-    ///
-    /// # Panics
-    /// If the stack vector is empty or the rule's parameters are out of
-    /// range.
-    fn from_parts(
-        stacks: Vec<ResourceStack>,
-        weights: Vec<f64>,
-        threshold: f64,
-        cfg: BaselineConfig,
-    ) -> Self {
-        cfg.rule.validate();
         let eng = RoundEngine::new(
             stacks,
             weights,
             threshold,
-            cfg.max_rounds,
-            cfg.track_potential,
-            cfg.record_trace,
+            self.max_rounds,
+            self.track_potential,
+            self.record_trace,
         );
-        BaselineStepper { cfg, eng, candidates: Vec::new() }
+        Stepper::new(eng, Rebalance::new(self.rule))
     }
+}
 
-    /// Whether every load is at most the threshold.
-    pub fn is_balanced(&self) -> bool {
-        self.eng.is_balanced()
+/// A [`BaselineRule`] as a round rule: Algorithm-5.1 ejection, then the
+/// baseline's re-placement. It runs on the same shared [`RoundEngine`] as
+/// the core protocols, so counters, potential series, and traces behave
+/// identically.
+#[derive(Debug, Clone)]
+struct Rebalance {
+    rule: BaselineRule,
+    /// Candidate bins: the non-isolated nodes of this round's graph.
+    candidates: Vec<NodeId>,
+    /// Parallel wave scratch: cohort slots in arrival order, and the
+    /// candidate index each drew.
+    slots: Vec<u32>,
+    bins: Vec<u32>,
+}
+
+impl Rebalance {
+    /// # Panics
+    /// If the rule's parameters are out of range.
+    fn new(rule: BaselineRule) -> Self {
+        rule.validate();
+        Rebalance { rule, candidates: Vec::new(), slots: Vec::new(), bins: Vec::new() }
     }
+}
 
-    /// Whether the run is over: balanced, or the round cap was hit.
-    pub fn is_done(&self) -> bool {
-        self.eng.is_done()
-    }
-
-    /// Rounds executed so far.
-    pub fn rounds(&self) -> u64 {
-        self.eng.rounds()
-    }
-
-    /// Migrations performed so far.
-    pub fn migrations(&self) -> u64 {
-        self.eng.migrations()
-    }
-
-    /// The threshold this run balances against.
-    pub fn threshold(&self) -> f64 {
-        self.eng.threshold()
-    }
-
-    /// The per-resource stacks (index = resource id).
-    pub fn stacks(&self) -> &[ResourceStack] {
-        &self.eng.stacks
-    }
-
-    /// Weight per task id (freed slots of dynamic callers included).
-    pub fn weights(&self) -> &[f64] {
-        &self.eng.weights
-    }
-
-    /// Execute one round (ejection, baseline re-placement) unless the run
-    /// is already done. Returns [`is_done`](Self::is_done) after the
-    /// round.
-    pub fn step<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) -> bool {
-        if self.is_done() {
-            return true;
-        }
-        self.eng.begin_round();
-        let threshold = self.eng.threshold();
-        // Candidate bins: the non-isolated nodes of this round's graph.
+impl RoundRule for Rebalance {
+    fn round(&mut self, eng: &mut RoundEngine, g: &Graph, rng: &mut dyn RngCore) -> u64 {
         self.candidates.clear();
         self.candidates.extend(g.nodes().filter(|&v| g.degree(v) > 0));
         let cands = &self.candidates;
-        let eng = &mut self.eng;
-        // Ejection phase (Algorithm-5.1 rule, no RNG): `cohort[i]` leaves
-        // from `positions[i]`.
-        for r in 0..eng.stacks.len() as NodeId {
-            if eng.stacks[r as usize].is_overloaded(threshold) {
-                eng.stacks[r as usize].remove_active_into(threshold, &eng.weights, &mut eng.cohort);
-                eng.positions.resize(eng.cohort.len(), r);
-            }
-        }
+        eng.eject_active();
         if cands.is_empty() {
             // No eligible destination (every node isolated): the cohort
             // returns to its sources unmoved.
             for i in 0..eng.cohort.len() {
                 land(eng, i, None);
             }
-            return eng.finish_round(0);
+            return 0;
         }
         // Movement phase: the rule picks an index into `cands` (see
         // `crate::rule`). The parallel rule is a synchronous wave (all bins
@@ -276,26 +201,26 @@ impl BaselineStepper {
         // `parallel_threshold::allocate`); the other rules place the cohort
         // in ejection order, reading bin loads live. A task with no
         // accepting bin returns to its source.
-        let k = cands.len();
+        let (k, threshold) = (cands.len(), eng.threshold());
         let mut migrated = 0u64;
-        if self.cfg.rule == BaselineRule::ParallelThreshold {
+        if self.rule == BaselineRule::ParallelThreshold {
             // The wave shuffles cohort slots, not task ids, so a rejected
             // task can still find its source in `positions`.
-            eng.pending_tasks.clear();
-            eng.pending_tasks.extend(0..eng.cohort.len() as u32);
-            rule::wave(k, &mut eng.pending_tasks, &mut eng.pending_dests, rng);
-            for j in 0..eng.pending_tasks.len() {
-                let (i, c) = (eng.pending_tasks[j] as usize, eng.pending_dests[j] as usize);
+            self.slots.clear();
+            self.slots.extend(0..eng.cohort.len() as u32);
+            rule::wave(k, &mut self.slots, &mut self.bins, rng);
+            for (&i, &c) in self.slots.iter().zip(&self.bins) {
+                let (i, c) = (i as usize, c as usize);
                 let w = eng.weights[eng.cohort[i] as usize];
                 let fits = eng.stacks[cands[c] as usize].load() + w <= threshold;
                 migrated += land(eng, i, fits.then_some(cands[c]));
             }
-            return eng.finish_round(migrated);
+            return migrated;
         }
         for i in 0..eng.cohort.len() {
             let w = eng.weights[eng.cohort[i] as usize];
             let load = |c: usize| eng.stacks[cands[c] as usize].load();
-            let c = match self.cfg.rule {
+            let c = match self.rule {
                 BaselineRule::Greedy { d } => Some(rule::greedy(k, d, load, rng)),
                 BaselineRule::OnePlusBeta { beta } => {
                     Some(rule::one_plus_beta(k, beta, load, rng).0)
@@ -307,17 +232,7 @@ impl BaselineStepper {
             };
             migrated += land(eng, i, c.map(|c| cands[c]));
         }
-        eng.finish_round(migrated)
-    }
-
-    /// Step until balanced or the round cap.
-    pub fn run<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
-        while !self.step(g, rng) {}
-    }
-
-    /// Finish: consume the engine into the unified outcome.
-    pub fn into_outcome(self) -> ProtocolOutcome {
-        self.eng.into_outcome()
+        migrated
     }
 }
 
@@ -331,50 +246,14 @@ fn land(eng: &mut RoundEngine, i: usize, dest: Option<NodeId>) -> u64 {
     dest.is_some() as u64
 }
 
-impl Protocol for BaselineStepper {
-    fn step(&mut self, g: &Graph, rng: &mut dyn RngCore) -> bool {
-        BaselineStepper::step(self, g, rng)
-    }
-
-    fn is_done(&self) -> bool {
-        BaselineStepper::is_done(self)
-    }
-
-    fn is_balanced(&self) -> bool {
-        BaselineStepper::is_balanced(self)
-    }
-
-    fn rounds(&self) -> u64 {
-        BaselineStepper::rounds(self)
-    }
-
-    fn migrations(&self) -> u64 {
-        BaselineStepper::migrations(self)
-    }
-
-    fn threshold(&self) -> f64 {
-        BaselineStepper::threshold(self)
-    }
-
-    fn stacks(&self) -> &[ResourceStack] {
-        BaselineStepper::stacks(self)
-    }
-
-    fn weights(&self) -> &[f64] {
-        BaselineStepper::weights(self)
-    }
-
-    fn into_outcome(self: Box<Self>) -> ProtocolOutcome {
-        BaselineStepper::into_outcome(*self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use tlb_graphs::generators::{complete, torus2d};
+    use tlb_core::protocol::ProtocolOutcome;
+    use tlb_core::stack::ResourceStack;
+    use tlb_graphs::generators::complete;
 
     fn rng(seed: u64) -> SmallRng {
         SmallRng::seed_from_u64(seed)
@@ -385,7 +264,7 @@ mod tests {
         let tasks = TaskSet::new((0..200).map(|i| 1.0 + (i % 4) as f64).collect::<Vec<_>>());
         let cfg = BaselineConfig { rule, ..Default::default() };
         let mut r = rng(seed);
-        let mut s = BaselineStepper::new(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut r);
+        let mut s = cfg.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
         s.run(&g, &mut r);
         s.into_outcome()
     }
@@ -434,12 +313,12 @@ mod tests {
             ..Default::default()
         };
         let mut r = rng(9);
-        let mut s = BaselineStepper::new(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut r);
-        let t = s.threshold();
+        let mut s = cfg.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
+        let t = s.engine().threshold();
         while !s.step(&g, &mut r) {}
         // Every bin except the hotspot source was only ever filled by
         // accepted (under-threshold) placements.
-        for (i, stack) in s.stacks().iter().enumerate().skip(1) {
+        for (i, stack) in s.engine().stacks.iter().enumerate().skip(1) {
             assert!(stack.load() <= t + 1e-9, "bin {i} overfilled: {}", stack.load());
         }
     }
@@ -456,10 +335,10 @@ mod tests {
         let tasks = TaskSet::uniform(30);
         let cfg = BaselineConfig::default();
         let mut r = rng(11);
-        let mut s = BaselineStepper::new(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut r);
+        let mut s = cfg.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
         s.run(&g, &mut r);
-        assert!(s.is_balanced());
-        assert!(s.stacks()[3].is_empty(), "isolated node received tasks");
+        assert!(s.engine().is_balanced());
+        assert!(s.engine().stacks[3].is_empty(), "isolated node received tasks");
     }
 
     #[test]
@@ -468,12 +347,13 @@ mod tests {
         let tasks = TaskSet::uniform(9);
         let cfg = BaselineConfig { max_rounds: 5, ..Default::default() };
         let mut r = rng(13);
-        let mut s = BaselineStepper::new(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut r);
+        let mut s = cfg.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
         s.run(&g, &mut r);
-        assert!(!s.is_balanced());
-        assert_eq!(s.migrations(), 0);
-        assert_eq!(s.rounds(), 5);
-        assert_eq!(s.stacks()[0].num_tasks(), 9, "cohort must return to its source");
+        let eng = s.engine();
+        assert!(!eng.is_balanced());
+        assert_eq!(eng.migrations(), 0);
+        assert_eq!(eng.rounds(), 5);
+        assert_eq!(eng.stacks[0].num_tasks(), 9, "cohort must return to its source");
     }
 
     #[test]
@@ -496,17 +376,14 @@ mod tests {
                 stacks[1].push(id, 1.0);
             }
             stacks[2].push(6, 1.0);
-            let cfg = BaselineConfig {
-                rule: BaselineRule::ParallelThreshold,
-                max_rounds: 1,
-                ..Default::default()
-            };
-            let mut s = BaselineStepper::from_parts(stacks, vec![1.0; 7], 2.0, cfg);
+            let eng = RoundEngine::new(stacks, vec![1.0; 7], 2.0, 1, false, false);
+            let mut s = Stepper::new(eng, Rebalance::new(BaselineRule::ParallelThreshold));
             s.step(&g, &mut rng(seed));
-            if s.stacks()[2].tasks().contains(&2) {
+            let spare = &s.engine().stacks[2];
+            if spare.tasks().contains(&2) {
                 wins[0] += 1;
             }
-            if s.stacks()[2].tasks().contains(&5) {
+            if spare.tasks().contains(&5) {
                 wins[1] += 1;
             }
         }
@@ -517,26 +394,6 @@ mod tests {
             wins[0],
             wins[1]
         );
-    }
-
-    #[test]
-    fn trait_dispatch_is_bit_identical_to_direct_calls() {
-        let g = torus2d(4, 4);
-        let tasks = TaskSet::new((0..150).map(|i| 1.0 + (i % 3) as f64).collect::<Vec<_>>());
-        let cfg = BaselineConfig {
-            rule: BaselineRule::OnePlusBeta { beta: 0.3 },
-            track_potential: true,
-            ..Default::default()
-        };
-        let mut r1 = rng(21);
-        let mut direct = BaselineStepper::new(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut r1);
-        direct.run(&g, &mut r1);
-
-        let mut r2 = rng(21);
-        let mut boxed = cfg.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r2);
-        boxed.run(&g, &mut r2);
-        assert_eq!(boxed.rounds(), direct.rounds());
-        assert_eq!(boxed.into_outcome(), direct.into_outcome());
     }
 
     #[test]
@@ -551,16 +408,17 @@ mod tests {
             ..Default::default()
         };
         let mut r = rng(31);
-        let mut first = BaselineStepper::new(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut r);
+        let mut first = cfg.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
         first.run(&g, &mut r);
+        let first = first.engine();
         assert!(!first.is_balanced());
-        let threshold = first.threshold();
-        let (stacks, weights) = (first.stacks().to_vec(), first.weights().to_vec());
+        let (stacks, weights) = (first.stacks.clone(), first.weights.clone());
 
-        let mut second =
-            BaselineStepper::from_parts(stacks, weights, threshold, BaselineConfig::default());
+        let rule = Rebalance::new(BaselineConfig::default().rule);
+        let eng = RoundEngine::new(stacks, weights, first.threshold(), 10_000_000, false, false);
+        let mut second = Stepper::new(eng, rule);
         second.run(&g, &mut r);
-        assert!(second.is_balanced());
+        assert!(second.engine().is_balanced());
         let out = second.into_outcome();
         let total: f64 = out.final_loads.iter().sum();
         assert!((total - tasks.total_weight()).abs() < 1e-6);
@@ -571,13 +429,7 @@ mod tests {
     fn invalid_beta_rejected() {
         let cfg =
             BaselineConfig { rule: BaselineRule::OnePlusBeta { beta: 0.0 }, ..Default::default() };
-        BaselineStepper::new(
-            &complete(4),
-            &TaskSet::uniform(8),
-            Placement::AllOnOne(0),
-            &cfg,
-            &mut rng(0),
-        );
+        cfg.new_stepper(&complete(4), &TaskSet::uniform(8), Placement::AllOnOne(0), &mut rng(0));
     }
 
     #[test]

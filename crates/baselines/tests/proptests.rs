@@ -92,7 +92,7 @@ proptest! {
 /// stream on purpose re-pins them once under the stream policy.
 #[test]
 fn baseline_streams_are_pinned_at_fixed_seeds() {
-    use tlb_baselines::{BaselineConfig, BaselineRule, BaselineStepper};
+    use tlb_baselines::{BaselineConfig, BaselineRule};
     use tlb_core::placement::Placement;
     use tlb_core::weights::WeightSpec;
 
@@ -137,7 +137,7 @@ fn baseline_streams_are_pinned_at_fixed_seeds() {
     ] {
         let cfg = BaselineConfig { rule, ..Default::default() };
         let mut r = rng(seed);
-        let mut s = BaselineStepper::new(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut r);
+        let mut s = cfg.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
         s.run(&g, &mut r);
         let out = s.into_outcome();
         let loads = out.final_loads.iter().fold(0u64, |h, l| h.rotate_left(7) ^ l.to_bits());

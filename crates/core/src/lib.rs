@@ -12,13 +12,15 @@
 //!   every task on an overloaded resource independently migrates to a
 //!   uniformly random resource with probability `α·⌈φ_r/w_max⌉·(1/b_r)`
 //!   ([`user_protocol`]),
-//! * each protocol both as a one-shot `run_*` entry point and as the
-//!   stepper engine underneath it (`new → step → into_outcome`),
-//! * the **protocol abstraction** ([`protocol`]) every stepper plugs
-//!   into: the shared [`protocol::RoundEngine`] round machinery, the
-//!   object-safe [`protocol::Protocol`] stepping trait, and the
-//!   [`protocol::ProtocolKind`]/[`protocol::AnyStepper`] dispatch pair
-//!   (see "Protocol abstraction" below),
+//! * each protocol both as a one-shot `run_*` entry point and as a
+//!   [`protocol::Stepper`] to drive round by round
+//!   (`new_stepper → step → into_outcome`),
+//! * the **protocol abstraction** ([`protocol`]) every protocol plugs
+//!   into: the shared [`protocol::RoundEngine`] round machinery and its
+//!   phases, the object-safe [`protocol::RoundRule`], the one
+//!   [`protocol::Stepper`] that runs any rule, and the
+//!   [`protocol::ProtocolKind`] factory (see "Protocol abstraction"
+//!   below),
 //! * the model substrate both share: weighted tasks ([`task`], [`weights`]),
 //!   stack semantics with heights and threshold cutting ([`stack`]),
 //!   threshold policies ([`threshold`]), initial placements ([`placement`]),
@@ -30,31 +32,33 @@
 //!
 //! ## Protocol abstraction
 //!
-//! All protocol variants — the two paper protocols, the Section-8 mixed
-//! extension, and the baseline adapters in `tlb-baselines` — implement
-//! one contract, [`protocol::Protocol`]:
+//! Every protocol variant — the two paper protocols, the Section-8 mixed
+//! extension, and the baseline adapters in `tlb-baselines` — is a
+//! departure rule plus a movement rule, and runs through one stepper:
 //!
-//! * **object-safe stepping surface** — `step(&Graph, &mut dyn RngCore)
-//!   -> bool` (one round; `true` when done), `is_done`, `is_balanced`,
-//!   `rounds`, `migrations`, `threshold`, `stacks`, `into_outcome`.
-//!   Every variant takes the graph in `step` (the user-controlled
-//!   protocol ignores it), so a `Box<dyn Protocol>`
-//!   ([`protocol::AnyStepper`]) drives any variant without per-variant
-//!   dispatch. All in-tree outcomes are aliases of the unified
+//! * **one round frame** — [`protocol::Stepper::step`] is `is_done →
+//!   begin_round → rule.round → finish_round`, written once; `step(&Graph,
+//!   &mut dyn RngCore) -> bool` is one round (`true` when done). Every
+//!   variant takes the graph in `step` (the user-controlled protocol
+//!   ignores it). All outcomes are the unified
 //!   [`protocol::ProtocolOutcome`];
-//! * **one round engine** — the shared machinery (cohort collection
-//!   buffers, cached `BatchWalker`, migration/potential/trace
-//!   accounting, completion detection) lives in
-//!   [`protocol::RoundEngine`]; a variant contributes only its departure
-//!   and movement rules between `begin_round` and `finish_round`.
+//! * **one round engine** — the shared machinery (cohort buffers, cached
+//!   `BatchWalker`, migration/potential/trace accounting, completion
+//!   detection) and the phases the rules are built from (Algorithm 5.1's
+//!   ejection, Algorithm 6.1's coins, a walk step, a uniform jump, the
+//!   arrivals) live in [`protocol::RoundEngine`];
+//! * **rules** — a [`protocol::RoundRule`] runs one round's phases. The
+//!   three protocols here are one rule (active or coin departures × walk
+//!   or uniform movement, plus the arrival-shuffle flag) that
+//!   [`protocol::ProtocolKind::new_stepper`] builds from the config; the
+//!   baselines implement the trait with their placement rules.
 //!
-//! **RNG-stream guarantee of the trait surface:** dispatching through
-//! `dyn Protocol` (or constructing through
-//! [`protocol::ProtocolKind::new_stepper`]) consumes exactly the word
-//! stream the concrete stepper consumes — same draws, same order — so
-//! trait-driven runs are bit-identical to direct stepper calls. This is
-//! part of the per-version determinism contract below and is pinned by
-//! `tests/integration_protocol_trait.rs` for every variant.
+//! **RNG-stream guarantee:** there is one dispatch path — the rule draws
+//! from a `&mut dyn RngCore`, and the `run_*` entry points build the same
+//! stepper `new_stepper` does — so a run draws the same words in the same
+//! order however it is started. This is part of the per-version
+//! determinism contract below; `tests/integration_protocol_trait.rs` pins
+//! the paths the legacy goldens leave out.
 //!
 //! ## Determinism & RNG stream policy
 //!
@@ -120,16 +124,16 @@ pub mod weights;
 /// Convenient re-exports of the types most programs need.
 pub mod prelude {
     pub use crate::placement::Placement;
-    pub use crate::protocol::{AnyStepper, Protocol, ProtocolKind, ProtocolOutcome, RoundEngine};
+    pub use crate::protocol::{ProtocolKind, ProtocolOutcome, RoundEngine, RoundRule, Stepper};
     pub use crate::resource_protocol::{
         run_resource_controlled, run_resource_controlled_with_stats, ResourceControlledConfig,
-        ResourceControlledOutcome, ResourceControlledStepper,
+        ResourceControlledOutcome,
     };
     pub use crate::task::{TaskId, TaskSet};
     pub use crate::threshold::ThresholdPolicy;
     pub use crate::user_protocol::{
         run_user_controlled, run_user_controlled_with_stats, UserControlledConfig,
-        UserControlledOutcome, UserControlledStepper,
+        UserControlledOutcome,
     };
     pub use crate::weights::WeightSpec;
 }

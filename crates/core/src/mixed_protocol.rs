@@ -11,8 +11,11 @@
 //!   random-walk step along the graph (no global view; works on any
 //!   topology, unlike Algorithm 6.1's uniform jump).
 //!
-//! Exposed as the one-shot [`run_mixed`] plus the stepping
-//! [`MixedStepper`] engine it wraps, like the two paper protocols.
+//! Like the two paper protocols, this module holds the configuration and
+//! the one-shot entry point [`run_mixed`]; the round is the shared
+//! [`Stepper`](crate::protocol::Stepper) with the core round rule's
+//! departures (active or coins) and walk movement, built by
+//! [`ProtocolKind::Mixed`]'s [`new_stepper`](ProtocolKind::new_stepper).
 //!
 //! The two paper protocols are recovered at the extremes:
 //!
@@ -30,13 +33,12 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use tlb_graphs::{Graph, NodeId};
+use tlb_graphs::Graph;
 use tlb_walks::WalkKind;
 
 use crate::placement::Placement;
-use crate::protocol::{ProtocolOutcome, RoundEngine};
-use crate::stack::ResourceStack;
-use crate::task::{TaskId, TaskSet};
+use crate::protocol::{ProtocolKind, ProtocolOutcome};
+use crate::task::TaskSet;
 use crate::threshold::ThresholdPolicy;
 
 /// Departure rule of the mixed protocol.
@@ -86,202 +88,20 @@ impl Default for MixedConfig {
 /// Result of a mixed run (an alias of the unified [`ProtocolOutcome`]).
 pub type MixedOutcome = ProtocolOutcome;
 
-/// Stepping engine of the mixed protocol: one [`step`] call is one round
-/// (user-style departure coins, resource-style walk moves). The graph is
-/// passed into each step, so the caller may swap it between rounds.
-///
-/// [`step`]: MixedStepper::step
-#[derive(Debug, Clone)]
-pub struct MixedStepper {
-    cfg: MixedConfig,
-    w_max: f64,
-    eng: RoundEngine,
-}
-
-impl MixedStepper {
-    /// Set up a run: materialize the placement (consuming RNG exactly as
-    /// the one-shot entry point always has) and take the initial
-    /// snapshots.
-    ///
-    /// # Panics
-    /// If the graph is empty, `alpha <= 0` with Bernoulli departures, the
-    /// placement is invalid, or `cfg.walk` is [`WalkKind::Simple`] on a
-    /// graph with an isolated node (undefined there — rejected at
-    /// construction instead of mid-trial).
-    pub fn new<R: Rng + ?Sized>(
-        g: &Graph,
-        tasks: &TaskSet,
-        placement: Placement,
-        cfg: &MixedConfig,
-        rng: &mut R,
-    ) -> Self {
-        let n = g.num_nodes();
-        assert!(n > 0, "need at least one resource");
-        assert!(
-            cfg.walk != WalkKind::Simple || g.min_degree() > 0,
-            "WalkKind::Simple is undefined on isolated nodes; this graph has one"
-        );
-        let weights = tasks.weights().to_vec();
-        let w_max = tasks.w_max();
-        let threshold = cfg.threshold.value(tasks.total_weight(), n, w_max);
-
-        let mut stacks: Vec<ResourceStack> = vec![ResourceStack::new(); n];
-        for (i, &loc) in placement.materialize(tasks.len(), n, rng).iter().enumerate() {
-            stacks[loc as usize].push(i as TaskId, weights[i]);
-        }
-
-        Self::from_parts(stacks, weights, threshold, w_max, cfg.clone())
-    }
-
-    /// Build the engine over an existing stack configuration (consumes no
-    /// RNG).
-    ///
-    /// # Panics
-    /// If the stack vector is empty, or `alpha <= 0` with Bernoulli
-    /// departures.
-    fn from_parts(
-        stacks: Vec<ResourceStack>,
-        weights: Vec<f64>,
-        threshold: f64,
-        w_max: f64,
-        cfg: MixedConfig,
-    ) -> Self {
-        if cfg.departure == Departure::Bernoulli {
-            assert!(cfg.alpha > 0.0, "alpha must be positive, got {}", cfg.alpha);
-        }
-        let eng = RoundEngine::new(
-            stacks,
-            weights,
-            threshold,
-            cfg.max_rounds,
-            cfg.track_potential,
-            cfg.record_trace,
-        );
-        MixedStepper { cfg, w_max, eng }
-    }
-
-    /// Whether every load is at most the threshold.
-    pub fn is_balanced(&self) -> bool {
-        self.eng.is_balanced()
-    }
-
-    /// Whether the run is over: balanced, or the round cap was hit.
-    pub fn is_done(&self) -> bool {
-        self.eng.is_done()
-    }
-
-    /// Rounds executed so far.
-    pub fn rounds(&self) -> u64 {
-        self.eng.rounds()
-    }
-
-    /// Migrations performed so far.
-    pub fn migrations(&self) -> u64 {
-        self.eng.migrations()
-    }
-
-    /// The threshold this run balances against.
-    pub fn threshold(&self) -> f64 {
-        self.eng.threshold()
-    }
-
-    /// The per-resource stacks (index = resource id).
-    pub fn stacks(&self) -> &[ResourceStack] {
-        &self.eng.stacks
-    }
-
-    /// Weight per task id (freed slots of dynamic callers included).
-    pub fn weights(&self) -> &[f64] {
-        &self.eng.weights
-    }
-
-    /// Execute one round unless the run is already done. Returns
-    /// [`is_done`](Self::is_done) after the round.
-    pub fn step<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) -> bool {
-        if self.is_done() {
-            return true;
-        }
-        // `new()` already rejects this, but the caller may swap in
-        // another graph between rounds — re-check
-        // here (O(1): min_degree is cached) so an isolated node fails fast
-        // instead of panicking per-task deep in the batched kernel.
-        assert!(
-            self.cfg.walk != WalkKind::Simple || g.min_degree() > 0,
-            "WalkKind::Simple is undefined on isolated nodes; this graph has one"
-        );
-        self.eng.begin_round();
-        let threshold = self.eng.threshold();
-        let (alpha, w_max) = (self.cfg.alpha, self.w_max);
-        let eng = &mut self.eng;
-        // Departure phase: collect the whole round's cohort first
-        // (`cohort[i]` leaves from `positions[i]`), then take one
-        // batched walk step for everyone. Under Bernoulli departures this
-        // draws all departure coins *before* any walk word — a different
-        // RNG interleaving than the old per-resource loop (same per-step
-        // law; see the stream policy in `tlb_core` docs), which is why
-        // the mixed goldens were re-pinned once for this version.
-        for r in 0..eng.stacks.len() as NodeId {
-            let stack = &mut eng.stacks[r as usize];
-            if !stack.is_overloaded(threshold) {
-                continue;
-            }
-            match self.cfg.departure {
-                Departure::AllActive => {
-                    stack.remove_active_into(threshold, &eng.weights, &mut eng.cohort);
-                }
-                Departure::Bernoulli => {
-                    let psi = stack.psi(threshold, &eng.weights, w_max);
-                    let p = (alpha * psi as f64 / stack.num_tasks() as f64).min(1.0);
-                    stack.drain_bernoulli_into(p, &eng.weights, rng, &mut eng.cohort);
-                }
-            }
-            eng.positions.resize(eng.cohort.len(), r);
-        }
-        // Degree-bucket the cohort for the kernel's benefit — Lazy only,
-        // for the same stream reasons as the resource stepper (lane
-        // words are index-assigned; MaxDegree keeps scalar parity).
-        if self.cfg.walk == WalkKind::Lazy {
-            eng.sort_cohort_by_degree(g);
-        }
-        eng.walker.step_batch(g, self.cfg.walk, &mut eng.positions, rng);
-        eng.note_walk_batch(g, self.cfg.walk);
-        // Arrival phase straight off the stepped cohort — the mixed
-        // protocol has no shuffle ablation, so no materialized (task,
-        // dest) list is needed.
-        let migrated = eng.cohort.len() as u64;
-        for (&t, &dest) in eng.cohort.iter().zip(eng.positions.iter()) {
-            eng.stacks[dest as usize].push(t, eng.weights[t as usize]);
-        }
-        eng.finish_round(migrated)
-    }
-
-    /// Step until balanced or the round cap.
-    pub fn run<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
-        while !self.step(g, rng) {}
-    }
-
-    /// Finish: consume the engine into the outcome the one-shot entry
-    /// point reports.
-    pub fn into_outcome(self) -> MixedOutcome {
-        self.eng.into_outcome()
-    }
-}
-
 /// Run the mixed protocol on an arbitrary graph.
 ///
 /// # Panics
-/// If the graph is empty, `alpha <= 0` with Bernoulli departures, or the
-/// placement is invalid.
+/// If the graph is empty, `alpha <= 0` with Bernoulli departures, the
+/// placement is invalid, or `cfg.walk` is [`WalkKind::Simple`] on a graph
+/// with an isolated node.
 pub fn run_mixed<R: Rng + ?Sized>(
     g: &Graph,
     tasks: &TaskSet,
     placement: Placement,
     cfg: &MixedConfig,
-    rng: &mut R,
+    mut rng: &mut R,
 ) -> MixedOutcome {
-    let mut stepper = MixedStepper::new(g, tasks, placement, cfg, rng);
-    stepper.run(g, rng);
-    stepper.into_outcome()
+    ProtocolKind::Mixed(cfg.clone()).run_with_stats(g, tasks, placement, &mut rng).0
 }
 
 #[cfg(test)]
@@ -384,7 +204,8 @@ mod tests {
         let one_shot = run_mixed(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut rng(55));
 
         let mut r = rng(55);
-        let mut stepper = MixedStepper::new(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut r);
+        let kind = ProtocolKind::Mixed(cfg);
+        let mut stepper = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
         while !stepper.step(&g, &mut r) {}
         assert_eq!(stepper.into_outcome(), one_shot);
     }

@@ -9,6 +9,9 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use tlb_graphs::NodeId;
 
+use crate::stack::ResourceStack;
+use crate::task::{TaskId, TaskSet};
+
 /// How tasks are initially assigned to resources.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Placement {
@@ -53,6 +56,27 @@ impl Placement {
                 locs.clone()
             }
         }
+    }
+
+    /// The per-resource stacks holding `tasks` where this placement puts
+    /// them on `n` resources, each stack in task-id order — the setup of
+    /// every protocol run. Consumes RNG exactly as
+    /// [`materialize`](Self::materialize).
+    ///
+    /// # Panics
+    /// As [`materialize`](Self::materialize).
+    pub fn stacks<R: Rng + ?Sized>(
+        &self,
+        tasks: &TaskSet,
+        n: usize,
+        rng: &mut R,
+    ) -> Vec<ResourceStack> {
+        let weights = tasks.weights();
+        let mut stacks = vec![ResourceStack::new(); n];
+        for (i, &loc) in self.materialize(tasks.len(), n, rng).iter().enumerate() {
+            stacks[loc as usize].push(i as TaskId, weights[i]);
+        }
+        stacks
     }
 
     /// Short stable label for CSV output.

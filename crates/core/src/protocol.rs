@@ -1,56 +1,63 @@
-//! The protocol abstraction: one round engine, one stepping contract.
+//! The protocol abstraction: one round engine, one stepper.
 //!
-//! The three threshold-rebalancing variants ([`resource_protocol`],
-//! [`user_protocol`], [`mixed_protocol`]) share everything about a round
-//! except the departure rule and the movement rule: collect a cohort of
-//! departing tasks off the overloaded stacks, move the cohort, stack the
-//! arrivals, account (migration counter, potential series, trace), check
-//! balance. This module owns that shared machinery and the contract the
-//! rest of the system programs against:
+//! The threshold-rebalancing variants ([`resource_protocol`],
+//! [`user_protocol`], [`mixed_protocol`] and the baselines in
+//! `tlb-baselines`) share everything about a round except the departure
+//! rule and the movement rule: collect a cohort of departing tasks off the
+//! overloaded stacks, move the cohort, stack the arrivals, account
+//! (migration counter, potential series, trace), check balance. This
+//! module owns that shared machinery and the contract the rest of the
+//! system programs against:
 //!
-//! * [`RoundEngine`] — the shared round state every stepper embeds: the
-//!   per-resource stacks, weight vector, threshold, cached batched walk
-//!   kernel, reused round buffers, and the counters/series/trace. A
-//!   variant's `step` is `begin_round → (its departure + movement phases,
-//!   touching the engine's public buffers) → finish_round`.
+//! * [`RoundEngine`] — the shared round state: the per-resource stacks,
+//!   weight vector, threshold, cached batched walk kernel, reused round
+//!   buffers, and the counters/series/trace. It also owns the round
+//!   *phases* the rules are built from: Algorithm 5.1's departures
+//!   ([`eject_active`](RoundEngine::eject_active), shared with the
+//!   baselines), Algorithm 6.1's coin departures, one walk step, a
+//!   uniform jump, the arrival shuffle and the arrivals.
+//! * [`RoundRule`] — one protocol's round: the object-safe
+//!   `round(&mut RoundEngine, &Graph, &mut dyn RngCore) -> u64` (tasks
+//!   migrated). The three core protocols are one rule, a departure
+//!   (active | coins) × a movement (walk | uniform jump) plus an arrival
+//!   shuffle flag; the baselines implement the trait in `tlb-baselines`.
+//! * [`Stepper`] — the engine plus a boxed rule. Its `step` is the one
+//!   round frame every protocol runs: `is_done → begin_round →
+//!   rule.round → finish_round`. The experiment harness, the
+//!   `protocol_matrix` driver and the `run_*` entry points all drive it.
 //! * [`ProtocolOutcome`] — the one outcome shape every run reports (the
 //!   per-variant outcome names are aliases of it).
-//! * [`Protocol`] — the **object-safe** stepping surface
-//!   (`step(&Graph, &mut dyn RngCore) -> bool`, `is_done`, `rounds`,
-//!   `migrations`, `threshold`, `stacks`, `into_outcome`), implemented by
-//!   all three steppers here and by the baseline adapters in
-//!   `tlb-baselines`. Layers that dispatch over protocol variants (the
-//!   experiment harness, the `protocol_matrix` driver) hold an
-//!   [`AnyStepper`] instead of re-implementing a per-variant `match`.
 //! * [`ProtocolKind`] — the serializable "which variant + its config"
-//!   value that constructs an [`AnyStepper`].
+//!   value that constructs a [`Stepper`].
 //!
 //! ## RNG-stream guarantee
 //!
-//! Trait dispatch adds **no draws and reorders none**: `Protocol::step`
-//! delegates to the very same monomorphic round body the inherent
-//! `step` runs, with the RNG behind a `&mut dyn RngCore` — the word
-//! stream is identical, so an [`AnyStepper`]-driven run is bit-identical
-//! to calling the concrete stepper directly (pinned per variant in
-//! `tests/integration_protocol_trait.rs`).
+//! There is one dispatch path: the stepper hands the rule the RNG as a
+//! `&mut dyn RngCore`, and the `run_*` entry points go through the same
+//! stepper as [`ProtocolKind::new_stepper`]. Each phase draws the words the
+//! per-protocol round loops it replaced drew, in the same order (bulk
+//! fills where those drew word by word), so the goldens in
+//! `tests/integration_online.rs` and the fixed-seed pins in
+//! `tests/integration_protocol_trait.rs` hold unchanged.
 //!
 //! [`resource_protocol`]: crate::resource_protocol
 //! [`user_protocol`]: crate::user_protocol
 //! [`mixed_protocol`]: crate::mixed_protocol
 
-use rand::RngCore;
+use rand::seq::shuffle_paired;
+use rand::{lemire_u64, RngCore};
 use serde::{Deserialize, Serialize};
 use tlb_graphs::{Graph, NodeId};
 use tlb_walks::{BatchWalker, WalkKind};
 
-use crate::mixed_protocol::{MixedConfig, MixedStepper};
+use crate::mixed_protocol::{Departure, MixedConfig};
 use crate::placement::Placement;
 use crate::potential::{is_balanced, max_load, total_potential};
-use crate::resource_protocol::{ResourceControlledConfig, ResourceControlledStepper};
+use crate::resource_protocol::ResourceControlledConfig;
 use crate::stack::ResourceStack;
 use crate::task::{TaskId, TaskSet};
 use crate::trace::RoundTrace;
-use crate::user_protocol::{UserControlledConfig, UserControlledStepper};
+use crate::user_protocol::UserControlledConfig;
 
 /// Result of any protocol run. The per-variant outcome names
 /// (`ResourceControlledOutcome`, `UserControlledOutcome`, `MixedOutcome`)
@@ -123,45 +130,31 @@ impl EngineStats {
     }
 }
 
-/// The shared round state every protocol stepper embeds (see the module
-/// docs). Variant `step` implementations work directly on the public
-/// buffers between [`begin_round`](Self::begin_round) and
+/// The shared round state of every protocol run (see the module docs).
+/// A [`RoundRule`] works on the public buffers and the phase methods
+/// between [`begin_round`](Self::begin_round) and
 /// [`finish_round`](Self::finish_round); the counters, potential series,
 /// trace, and completion flag are private so the accounting cannot drift
-/// between variants.
+/// between protocols.
 #[derive(Debug, Clone)]
 pub struct RoundEngine {
     /// Per-resource stacks (index = resource id).
     pub stacks: Vec<ResourceStack>,
     /// Weight per task id.
     pub weights: Vec<f64>,
+    /// Round buffer: the departing tasks of the current round, in
+    /// departure order. Cleared by [`begin_round`](Self::begin_round).
+    pub cohort: Vec<TaskId>,
+    /// Round buffer parallel to `cohort`: source positions going in, walk
+    /// destinations after the walk phase. Cleared by `begin_round`.
+    pub positions: Vec<NodeId>,
     /// Batched walk kernel, cached for the whole run (topology is re-read
     /// from the graph every step, so swapping graphs between rounds stays
     /// sound).
-    pub walker: BatchWalker,
-    /// Round buffer: the departing tasks of the current round, in
-    /// ejection order. Cleared by [`begin_round`](Self::begin_round).
-    pub cohort: Vec<TaskId>,
-    /// Round buffer parallel to `cohort`: source positions going in, walk
-    /// destinations after a batched step. Cleared by `begin_round`.
-    pub positions: Vec<NodeId>,
-    /// Round buffer: arrival task ids, parallel to
-    /// [`pending_dests`](Self::pending_dests), for variants that
-    /// materialize (and possibly shuffle) the arrival order. Stored as
-    /// two flat parallel arrays rather than a `Vec<(TaskId, NodeId)>`:
-    /// the arrival loop reads ids and destinations in separate streams,
-    /// and the structure-of-arrays form keeps each stream dense (8 B per
-    /// entry per array instead of one padded 8 B tuple holding both) —
-    /// shuffling applies one permutation to both via
-    /// [`rand::seq::shuffle_paired`], which draws the exact words the
-    /// tuple shuffle drew.
-    pub pending_tasks: Vec<TaskId>,
-    /// Round buffer: arrival destinations, parallel to
-    /// [`pending_tasks`](Self::pending_tasks).
-    pub pending_dests: Vec<NodeId>,
-    /// Round buffer: bulk-generated destination words (user-style uniform
-    /// re-placement).
-    pub dest_words: Vec<u64>,
+    walker: BatchWalker,
+    /// Round buffer: bulk-drawn words — one stack's departure coins, then
+    /// the cohort's uniform destinations.
+    words: Vec<u64>,
     threshold: f64,
     max_rounds: u64,
     track_potential: bool,
@@ -174,6 +167,8 @@ pub struct RoundEngine {
     /// Counting-sort scratch for [`sort_cohort_by_degree`]
     /// (bucket cursors, then the sorted copies); reused across rounds so
     /// steady-state sorting allocates nothing.
+    ///
+    /// [`sort_cohort_by_degree`]: Self::sort_cohort_by_degree
     sort_counts: Vec<usize>,
     sort_tasks: Vec<TaskId>,
     sort_positions: Vec<NodeId>,
@@ -203,12 +198,10 @@ impl RoundEngine {
         RoundEngine {
             stacks,
             weights,
-            walker: BatchWalker::new(),
             cohort: Vec::new(),
             positions: Vec::new(),
-            pending_tasks: Vec::new(),
-            pending_dests: Vec::new(),
-            dest_words: Vec::new(),
+            walker: BatchWalker::new(),
+            words: Vec::new(),
             threshold,
             max_rounds,
             track_potential,
@@ -300,11 +293,59 @@ impl RoundEngine {
         self.stats
     }
 
-    /// Account one batched walk step of the current cohort (call right
-    /// after `walker.step_batch`): `positions.len()` steps, classified by
-    /// walk kind and by whether the kernel's regular fast path applies.
-    /// Reads only lengths and cached degree bounds — no RNG, no clock.
-    pub fn note_walk_batch(&mut self, g: &Graph, kind: WalkKind) {
+    /// Algorithm 5.1's departures: every overloaded resource, in node
+    /// order, ejects its cutting and above tasks (`I_a ∪ I_c`) into the
+    /// cohort, and `positions[i]` records `cohort[i]`'s source. Draws no
+    /// RNG.
+    pub fn eject_active(&mut self) {
+        for r in 0..self.stacks.len() as NodeId {
+            let stack = &mut self.stacks[r as usize];
+            if stack.is_overloaded(self.threshold) {
+                stack.remove_active_into(self.threshold, &self.weights, &mut self.cohort);
+                self.positions.resize(self.cohort.len(), r);
+            }
+        }
+    }
+
+    /// Algorithm 6.1's departures: every task on an overloaded resource
+    /// `r` leaves with probability `p_r = min(α·⌈φ_r/w_max⌉/b_r, 1)`,
+    /// resources in node order, tasks bottom to top; `positions[i]`
+    /// records `cohort[i]`'s source. Each resource's coins are one bulk
+    /// fill of `b_r` words (the words a `gen_bool` per task drew); a
+    /// resource with `p_r ≤ 0` draws none.
+    pub(crate) fn depart_bernoulli(&mut self, alpha: f64, w_max: f64, rng: &mut dyn RngCore) {
+        for r in 0..self.stacks.len() as NodeId {
+            let stack = &mut self.stacks[r as usize];
+            if !stack.is_overloaded(self.threshold) {
+                continue;
+            }
+            let psi = stack.psi(self.threshold, &self.weights, w_max);
+            debug_assert!(psi >= 1, "overloaded resource must have psi >= 1");
+            let p = (alpha * psi as f64 / stack.num_tasks() as f64).min(1.0);
+            if p > 0.0 {
+                self.words.resize(stack.num_tasks(), 0);
+                rng.fill_u64(&mut self.words);
+                stack.drain_bernoulli_into(p, &self.words, &self.weights, &mut self.cohort);
+            }
+            self.positions.resize(self.cohort.len(), r);
+        }
+    }
+
+    /// Move the whole cohort one step of `kind`'s walk in one batched
+    /// kernel call: `positions` turn from sources into destinations.
+    /// Lazy walks first group the cohort by source degree
+    /// ([`sort_cohort_by_degree`](Self::sort_cohort_by_degree)).
+    ///
+    /// # Panics
+    /// If `kind` is [`WalkKind::Simple`] and `g` has an isolated node.
+    /// The check is O(1) (the minimum degree is cached) and runs every
+    /// step, since a caller may swap graphs between rounds.
+    pub(crate) fn walk_cohort(&mut self, g: &Graph, kind: WalkKind, rng: &mut dyn RngCore) {
+        check_walk(kind, g);
+        if kind == WalkKind::Lazy {
+            self.sort_cohort_by_degree(g);
+        }
+        self.walker.step_batch(g, kind, &mut self.positions, rng);
         let n = self.positions.len() as u64;
         self.stats.walk_steps += n;
         if kind == WalkKind::Lazy {
@@ -315,10 +356,38 @@ impl RoundEngine {
         }
     }
 
-    /// Account one bulk uniform re-placement (user-style arrival phase):
-    /// one destination word per cohort member.
-    pub fn note_uniform_batch(&mut self) {
+    /// Shuffle the arrival order: one permutation over the cohort and its
+    /// parallel positions (one `gen_range(0..=i)` per descending index,
+    /// the words a shuffle of either array alone draws).
+    pub(crate) fn shuffle_cohort(&mut self, rng: &mut dyn RngCore) {
+        shuffle_paired(&mut self.cohort, &mut self.positions, rng);
+    }
+
+    /// The arrivals: push `cohort[i]` onto `positions[i]`, in cohort
+    /// order (acceptance is implicit in the stack heights). Returns the
+    /// tasks moved.
+    pub(crate) fn push_cohort(&mut self) -> u64 {
+        for (&t, &dest) in self.cohort.iter().zip(&self.positions) {
+            self.stacks[dest as usize].push(t, self.weights[t as usize]);
+        }
+        self.cohort.len() as u64
+    }
+
+    /// Algorithm 6.1's movement: every cohort task, in cohort order,
+    /// lands on a uniformly random resource. The destinations are one
+    /// bulk fill of words mapped with the Lemire multiply `gen_range`
+    /// uses, so the draws are those of a `gen_range` per task. Returns
+    /// the tasks moved.
+    pub(crate) fn jump_uniform(&mut self, rng: &mut dyn RngCore) -> u64 {
+        let n = self.stacks.len() as u64;
+        // Resize only (no clear): the fill overwrites every live slot.
+        self.words.resize(self.cohort.len(), 0);
+        rng.fill_u64(&mut self.words);
         self.stats.uniform_jump_draws += self.cohort.len() as u64;
+        for (&t, &word) in self.cohort.iter().zip(&self.words) {
+            self.stacks[lemire_u64(word, n) as usize].push(t, self.weights[t as usize]);
+        }
+        self.cohort.len() as u64
     }
 
     /// Open a round: bump the round counter and clear the cohort buffers.
@@ -366,56 +435,129 @@ impl RoundEngine {
     }
 }
 
-/// The object-safe stepping surface every protocol engine exposes — the
-/// three paper/extension steppers here and the baseline adapters in
-/// `tlb-baselines`. One `step` call is one round; the graph is passed
-/// into every step so callers may swap it between rounds (the user
-/// protocol ignores it — Algorithm 6.1 jumps uniformly).
-///
-/// Dispatching through `dyn Protocol` consumes exactly the RNG stream
-/// the concrete stepper would (see the module docs).
-pub trait Protocol {
+/// Panic unless `kind` is defined on every node of `g`: the simple walk
+/// has no step out of an isolated node.
+fn check_walk(kind: WalkKind, g: &Graph) {
+    assert!(
+        kind != WalkKind::Simple || g.min_degree() > 0,
+        "WalkKind::Simple is undefined on isolated nodes; this graph has one"
+    );
+}
+
+/// One protocol's round: its departure and movement rules, run on the
+/// engine's phases. Object-safe, so a [`Stepper`] drives any protocol
+/// through one `Box<dyn RoundRule>`.
+pub trait RoundRule: std::fmt::Debug + Send {
+    /// Run one round's departures and moves on `eng` — the round is open
+    /// and the cohort buffers are empty — and return the tasks migrated.
+    /// [`Stepper::step`] closes the round with that count.
+    fn round(&mut self, eng: &mut RoundEngine, g: &Graph, rng: &mut dyn RngCore) -> u64;
+}
+
+/// A protocol run: the shared [`RoundEngine`] plus one [`RoundRule`]. One
+/// [`step`](Self::step) call is one round; the graph is passed into every
+/// step, so callers may swap it between rounds (the user protocol never
+/// reads it — Algorithm 6.1 jumps uniformly).
+#[derive(Debug)]
+pub struct Stepper {
+    eng: RoundEngine,
+    rule: Box<dyn RoundRule>,
+}
+
+impl Stepper {
+    /// Drive `rule` over an existing engine (consumes no RNG).
+    pub fn new(eng: RoundEngine, rule: impl RoundRule + 'static) -> Self {
+        Stepper { eng, rule: Box::new(rule) }
+    }
+
     /// Execute one round unless the run is already done; returns
-    /// [`is_done`](Self::is_done) after the round.
-    fn step(&mut self, g: &Graph, rng: &mut dyn RngCore) -> bool;
+    /// [`RoundEngine::is_done`] after the round.
+    pub fn step(&mut self, g: &Graph, rng: &mut dyn RngCore) -> bool {
+        if self.eng.is_done() {
+            return true;
+        }
+        self.eng.begin_round();
+        let migrated = self.rule.round(&mut self.eng, g, rng);
+        self.eng.finish_round(migrated)
+    }
 
     /// Step until balanced or the round cap.
-    fn run(&mut self, g: &Graph, rng: &mut dyn RngCore) {
+    pub fn run(&mut self, g: &Graph, rng: &mut dyn RngCore) {
         while !self.step(g, rng) {}
     }
 
-    /// Whether the run is over: balanced, or the round cap was hit.
-    fn is_done(&self) -> bool;
+    /// The run's state: stacks, weights, threshold, counters.
+    pub fn engine(&self) -> &RoundEngine {
+        &self.eng
+    }
 
-    /// Whether every load is at most the threshold.
-    fn is_balanced(&self) -> bool;
-
-    /// Rounds executed so far.
-    fn rounds(&self) -> u64;
-
-    /// Migrations performed so far.
-    fn migrations(&self) -> u64;
-
-    /// The threshold this run balances against.
-    fn threshold(&self) -> f64;
-
-    /// The per-resource stacks (index = resource id).
-    fn stacks(&self) -> &[ResourceStack];
-
-    /// Weight per task id (freed slots of dynamic callers included).
-    fn weights(&self) -> &[f64];
-
-    /// Consume the engine into its outcome.
-    fn into_outcome(self: Box<Self>) -> ProtocolOutcome;
+    /// Finish: consume the run into its outcome.
+    pub fn into_outcome(self) -> ProtocolOutcome {
+        self.eng.into_outcome()
+    }
 }
 
-/// A boxed protocol engine — the dispatch type the experiment harness
-/// drives.
-pub type AnyStepper = Box<dyn Protocol + Send>;
+/// Which tasks leave in a core protocol round.
+#[derive(Debug, Clone, Copy)]
+enum Leave {
+    /// Algorithm 5.1: every cutting and above task.
+    Active,
+    /// Algorithm 6.1: independent coins.
+    Coins {
+        /// Migration damping `α`.
+        alpha: f64,
+        /// Heaviest task weight, the unit of `ψ_r`.
+        w_max: f64,
+    },
+}
+
+/// How a leaving task moves in a core protocol round.
+#[derive(Debug, Clone, Copy)]
+enum Movement {
+    /// One step of a random walk on the graph.
+    Walk(WalkKind),
+    /// A uniform jump over all resources.
+    Uniform,
+}
+
+/// The round rule of the three core protocols: resource-controlled is
+/// `Active × Walk`, user-controlled `Coins × Uniform`, mixed `Active |
+/// Coins × Walk`. With `shuffle`, arrivals stack in a random order: after
+/// the walk (the walk draws first), before the uniform jump.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CoreRule {
+    leave: Leave,
+    movement: Movement,
+    shuffle: bool,
+}
+
+impl RoundRule for CoreRule {
+    fn round(&mut self, eng: &mut RoundEngine, g: &Graph, rng: &mut dyn RngCore) -> u64 {
+        match self.leave {
+            Leave::Active => eng.eject_active(),
+            Leave::Coins { alpha, w_max } => eng.depart_bernoulli(alpha, w_max, rng),
+        }
+        match self.movement {
+            Movement::Walk(kind) => {
+                eng.walk_cohort(g, kind, rng);
+                if self.shuffle {
+                    eng.shuffle_cohort(rng);
+                }
+                eng.push_cohort()
+            }
+            Movement::Uniform => {
+                if self.shuffle {
+                    eng.shuffle_cohort(rng);
+                }
+                eng.jump_uniform(rng)
+            }
+        }
+    }
+}
 
 /// Which protocol variant to run, with its configuration — the
 /// serializable value config files and drivers hold, and the factory for
-/// [`AnyStepper`].
+/// its [`Stepper`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ProtocolKind {
     /// Resource-controlled (Algorithm 5.1) on arbitrary graphs.
@@ -438,77 +580,97 @@ impl ProtocolKind {
         }
     }
 
-    /// Construct a fresh stepper over `(g, tasks, placement)`, consuming
-    /// RNG exactly as the variant's one-shot entry point would.
+    /// Construct a fresh stepper over `(g, tasks, placement)`: the
+    /// threshold from the config's policy, the stacks from the placement
+    /// (the only RNG this consumes), the initial snapshots.
+    ///
+    /// # Panics
+    /// If the graph is empty, the placement is invalid, `alpha <= 0`
+    /// where coins are flipped, or the walk is [`WalkKind::Simple`] on a
+    /// graph with an isolated node (rejected here, at construction, not
+    /// mid-trial).
     pub fn new_stepper(
         &self,
         g: &Graph,
         tasks: &TaskSet,
         placement: Placement,
         rng: &mut dyn RngCore,
-    ) -> AnyStepper {
+    ) -> Stepper {
+        let (policy, max_rounds, track_potential, record_trace) = match self {
+            ProtocolKind::Resource(c) => {
+                (c.threshold, c.max_rounds, c.track_potential, c.record_trace)
+            }
+            ProtocolKind::User(c) => (c.threshold, c.max_rounds, c.track_potential, c.record_trace),
+            ProtocolKind::Mixed(c) => {
+                (c.threshold, c.max_rounds, c.track_potential, c.record_trace)
+            }
+        };
+        let n = g.num_nodes();
+        let threshold = policy.value(tasks.total_weight(), n, tasks.w_max());
+        let rule = self.rule(tasks.w_max());
+        if let Movement::Walk(kind) = rule.movement {
+            check_walk(kind, g);
+        }
+        let stacks = placement.stacks(tasks, n, rng);
+        let weights = tasks.weights().to_vec();
+        let eng =
+            RoundEngine::new(stacks, weights, threshold, max_rounds, track_potential, record_trace);
+        Stepper::new(eng, rule)
+    }
+
+    /// The variant's round rule; `w_max` is the unit of its departure
+    /// coins.
+    ///
+    /// # Panics
+    /// If `alpha <= 0` where coins are flipped.
+    pub(crate) fn rule(&self, w_max: f64) -> CoreRule {
+        let coins = |alpha: f64| {
+            assert!(alpha > 0.0, "alpha must be positive, got {alpha}");
+            Leave::Coins { alpha, w_max }
+        };
         match self {
-            ProtocolKind::Resource(cfg) => {
-                Box::new(ResourceControlledStepper::new(g, tasks, placement, cfg, rng))
-            }
-            ProtocolKind::User(cfg) => {
-                Box::new(UserControlledStepper::new(g.num_nodes(), tasks, placement, cfg, rng))
-            }
-            ProtocolKind::Mixed(cfg) => Box::new(MixedStepper::new(g, tasks, placement, cfg, rng)),
+            ProtocolKind::Resource(c) => CoreRule {
+                leave: Leave::Active,
+                movement: Movement::Walk(c.walk),
+                shuffle: c.shuffle_arrivals,
+            },
+            ProtocolKind::User(c) => CoreRule {
+                leave: coins(c.alpha),
+                movement: Movement::Uniform,
+                shuffle: c.shuffle_arrivals,
+            },
+            ProtocolKind::Mixed(c) => CoreRule {
+                leave: match c.departure {
+                    Departure::AllActive => Leave::Active,
+                    Departure::Bernoulli => coins(c.alpha),
+                },
+                movement: Movement::Walk(c.walk),
+                shuffle: false,
+            },
         }
     }
+
+    /// Run one trial to the end: its outcome and the engine's counters.
+    /// The `run_*` entry points are this on their own config.
+    pub(crate) fn run_with_stats(
+        &self,
+        g: &Graph,
+        tasks: &TaskSet,
+        placement: Placement,
+        rng: &mut dyn RngCore,
+    ) -> (ProtocolOutcome, EngineStats) {
+        let mut stepper = self.new_stepper(g, tasks, placement, rng);
+        stepper.run(g, rng);
+        let stats = stepper.engine().obs_stats();
+        (stepper.into_outcome(), stats)
+    }
 }
-
-macro_rules! impl_protocol_via_engine {
-    ($stepper:ty) => {
-        impl Protocol for $stepper {
-            fn step(&mut self, g: &Graph, rng: &mut dyn RngCore) -> bool {
-                <$stepper>::step(self, g, rng)
-            }
-
-            fn is_done(&self) -> bool {
-                <$stepper>::is_done(self)
-            }
-
-            fn is_balanced(&self) -> bool {
-                <$stepper>::is_balanced(self)
-            }
-
-            fn rounds(&self) -> u64 {
-                <$stepper>::rounds(self)
-            }
-
-            fn migrations(&self) -> u64 {
-                <$stepper>::migrations(self)
-            }
-
-            fn threshold(&self) -> f64 {
-                <$stepper>::threshold(self)
-            }
-
-            fn stacks(&self) -> &[ResourceStack] {
-                <$stepper>::stacks(self)
-            }
-
-            fn weights(&self) -> &[f64] {
-                <$stepper>::weights(self)
-            }
-
-            fn into_outcome(self: Box<Self>) -> ProtocolOutcome {
-                <$stepper>::into_outcome(*self)
-            }
-        }
-    };
-}
-
-impl_protocol_via_engine!(ResourceControlledStepper);
-impl_protocol_via_engine!(UserControlledStepper);
-impl_protocol_via_engine!(MixedStepper);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resource_protocol::run_resource_controlled;
+    use crate::resource_protocol::{run_resource_controlled, run_resource_controlled_with_stats};
+    use crate::user_protocol::run_user_controlled_with_stats;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use tlb_graphs::generators::{complete, torus2d};
@@ -535,7 +697,7 @@ mod tests {
         let mut r = rng(7);
         let mut s = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
         s.run(&g, &mut r);
-        assert_eq!(s.rounds(), direct.rounds);
+        assert_eq!(s.engine().rounds(), direct.rounds);
         assert_eq!(s.into_outcome(), direct);
     }
 
@@ -564,11 +726,10 @@ mod tests {
         let tasks = TaskSet::new((0..200).map(|i| 1.0 + (i % 3) as f64).collect::<Vec<_>>());
         let run_once = |walk: WalkKind| {
             let cfg = ResourceControlledConfig { walk, ..Default::default() };
-            let mut r = rng(11);
-            let mut s =
-                ResourceControlledStepper::new(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut r);
-            s.run(&g, &mut r);
-            (s.obs_stats(), s.migrations())
+            let place = Placement::AllOnOne(0);
+            let (out, stats) =
+                run_resource_controlled_with_stats(&g, &tasks, place, &cfg, &mut rng(11));
+            (stats, out.migrations)
         };
         let (stats, migrations) = run_once(WalkKind::MaxDegree);
         // The resource protocol moves exactly the walked cohort each
@@ -589,11 +750,9 @@ mod tests {
 
         // The user protocol draws uniform words instead of walk steps.
         let ucfg = UserControlledConfig::default();
-        let mut r = rng(11);
-        let mut s = UserControlledStepper::new(25, &tasks, Placement::AllOnOne(0), &ucfg, &mut r);
-        s.run(&g, &mut r);
-        let ustats = s.obs_stats();
-        assert_eq!(ustats.uniform_jump_draws, s.migrations());
+        let (uout, ustats) =
+            run_user_controlled_with_stats(25, &tasks, Placement::AllOnOne(0), &ucfg, &mut rng(11));
+        assert_eq!(ustats.uniform_jump_draws, uout.migrations);
         assert_eq!(ustats.walk_steps, 0);
 
         // Merging folds sums and maxes.
@@ -615,14 +774,15 @@ mod tests {
         let tasks = TaskSet::new(weights);
         let heaviest = |w: &[f64]| w.iter().copied().fold(0.0, f64::max);
         let mcfg = MixedConfig::default();
-        let mixed = MixedStepper::new(&g, &tasks, Placement::AllOnOne(0), &mcfg, &mut rng(2));
-        assert_eq!(heaviest(mixed.weights()), 9.5);
-        assert_eq!(mixed.threshold(), mcfg.threshold.value(tasks.total_weight(), 8, 9.5));
+        let kind = ProtocolKind::Mixed(mcfg.clone());
+        let mixed = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut rng(2));
+        assert_eq!(heaviest(&mixed.engine().weights), 9.5);
+        assert_eq!(mixed.engine().threshold(), mcfg.threshold.value(tasks.total_weight(), 8, 9.5));
         let ucfg = UserControlledConfig::default();
-        let user =
-            UserControlledStepper::new(8, &tasks, Placement::AllOnOne(0), &ucfg, &mut rng(2));
-        assert_eq!(heaviest(user.weights()), 9.5);
-        assert_eq!(user.threshold(), ucfg.threshold.value(tasks.total_weight(), 8, 9.5));
+        let kind = ProtocolKind::User(ucfg.clone());
+        let user = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut rng(2));
+        assert_eq!(heaviest(&user.engine().weights), 9.5);
+        assert_eq!(user.engine().threshold(), ucfg.threshold.value(tasks.total_weight(), 8, 9.5));
     }
 
     #[test]
@@ -640,8 +800,8 @@ mod tests {
 
         eng.begin_round();
         // Move the top task across by hand.
-        let moved = eng.stacks[0].remove_active(4.0, &eng.weights.clone());
-        assert_eq!(moved.len(), 1);
+        let mut moved = Vec::new();
+        assert_eq!(eng.stacks[0].remove_active_into(4.0, &eng.weights, &mut moved), 1);
         for t in moved {
             eng.stacks[1].push(t, eng.weights[t as usize]);
         }

@@ -8,14 +8,14 @@
 //! within `T` is *accepted* and never moves again. The balancing time is
 //! the first round after which every load is at most `T`.
 //!
-//! The protocol is exposed at two levels:
-//!
-//! * [`run_resource_controlled`] — the one-shot entry point: run until
-//!   balanced (or the round cap) and report an outcome, exactly as the
-//!   paper's experiments use it;
-//! * [`ResourceControlledStepper`] — the stepping engine underneath it
-//!   (`new → step → into_outcome`), which the generic harness drives
-//!   through the [`Protocol`](crate::protocol::Protocol) trait.
+//! This module holds the protocol's configuration and its one-shot entry
+//! point [`run_resource_controlled`]: run until balanced (or the round
+//! cap) and report an outcome, exactly as the paper's experiments use it.
+//! The round itself is the shared [`Stepper`](crate::protocol::Stepper)
+//! with the core round rule's active departures
+//! ([`RoundEngine::eject_active`](crate::protocol::RoundEngine::eject_active))
+//! and one batched walk step; build one to step by hand with
+//! [`ProtocolKind::Resource`]'s [`new_stepper`](ProtocolKind::new_stepper).
 //!
 //! Analysis reproduced by the experiments:
 //! * Theorem 3 — above-average thresholds: `O(τ(G)·log m)` rounds w.h.p.
@@ -23,13 +23,12 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use tlb_graphs::{Graph, NodeId};
+use tlb_graphs::Graph;
 use tlb_walks::WalkKind;
 
 use crate::placement::Placement;
-use crate::protocol::{EngineStats, ProtocolOutcome, RoundEngine};
-use crate::stack::ResourceStack;
-use crate::task::{TaskId, TaskSet};
+use crate::protocol::{EngineStats, ProtocolKind, ProtocolOutcome};
+use crate::task::TaskSet;
 use crate::threshold::ThresholdPolicy;
 
 /// Configuration of a resource-controlled run.
@@ -76,190 +75,11 @@ impl Default for ResourceControlledConfig {
 /// [`ProtocolOutcome`]).
 pub type ResourceControlledOutcome = ProtocolOutcome;
 
-/// Stepping engine of the resource-controlled protocol: one [`step`]
-/// call is one round of Algorithm 5.1. The shared [`RoundEngine`] owns
-/// the per-resource stacks and the reused round buffers; the graph is
-/// passed into each step, so the caller may swap it between rounds.
-///
-/// [`step`]: ResourceControlledStepper::step
-#[derive(Debug, Clone)]
-pub struct ResourceControlledStepper {
-    cfg: ResourceControlledConfig,
-    eng: RoundEngine,
-}
-
-impl ResourceControlledStepper {
-    /// Set up a run: materialize the placement (consuming RNG exactly as
-    /// the one-shot entry point always has) and take the initial
-    /// snapshots.
-    ///
-    /// # Panics
-    /// If the placement is invalid for `(m, n)`, the graph is empty, or
-    /// `cfg.walk` is [`WalkKind::Simple`] on a graph with an isolated
-    /// node (the simple walk is undefined there — rejected here, at
-    /// construction, instead of via an `assert!` deep in the round loop).
-    pub fn new<R: Rng + ?Sized>(
-        g: &Graph,
-        tasks: &TaskSet,
-        placement: Placement,
-        cfg: &ResourceControlledConfig,
-        rng: &mut R,
-    ) -> Self {
-        let n = g.num_nodes();
-        assert!(n > 0, "need at least one resource");
-        assert!(
-            cfg.walk != WalkKind::Simple || g.min_degree() > 0,
-            "WalkKind::Simple is undefined on isolated nodes; this graph has one"
-        );
-        let weights = tasks.weights().to_vec();
-        let threshold = cfg.threshold.value(tasks.total_weight(), n, tasks.w_max());
-
-        let mut stacks: Vec<ResourceStack> = vec![ResourceStack::new(); n];
-        for (i, &loc) in placement.materialize(tasks.len(), n, rng).iter().enumerate() {
-            stacks[loc as usize].push(i as TaskId, weights[i]);
-        }
-
-        Self::from_parts(stacks, weights, threshold, cfg.clone())
-    }
-
-    /// Build the engine over an existing stack configuration (consumes no
-    /// RNG); the round/migration counters start at zero.
-    ///
-    /// # Panics
-    /// If the stack vector is empty.
-    fn from_parts(
-        stacks: Vec<ResourceStack>,
-        weights: Vec<f64>,
-        threshold: f64,
-        cfg: ResourceControlledConfig,
-    ) -> Self {
-        let eng = RoundEngine::new(
-            stacks,
-            weights,
-            threshold,
-            cfg.max_rounds,
-            cfg.track_potential,
-            cfg.record_trace,
-        );
-        ResourceControlledStepper { cfg, eng }
-    }
-
-    /// Whether every load is at most the threshold.
-    pub fn is_balanced(&self) -> bool {
-        self.eng.is_balanced()
-    }
-
-    /// Whether the run is over: balanced, or the round cap was hit.
-    pub fn is_done(&self) -> bool {
-        self.eng.is_done()
-    }
-
-    /// Rounds executed so far.
-    pub fn rounds(&self) -> u64 {
-        self.eng.rounds()
-    }
-
-    /// Migrations performed so far.
-    pub fn migrations(&self) -> u64 {
-        self.eng.migrations()
-    }
-
-    /// The threshold this run balances against.
-    pub fn threshold(&self) -> f64 {
-        self.eng.threshold()
-    }
-
-    /// The per-resource stacks (index = resource id).
-    pub fn stacks(&self) -> &[ResourceStack] {
-        &self.eng.stacks
-    }
-
-    /// Weight per task id (freed slots of dynamic callers included).
-    pub fn weights(&self) -> &[f64] {
-        &self.eng.weights
-    }
-
-    /// Deterministic observability counters accumulated so far.
-    pub fn obs_stats(&self) -> EngineStats {
-        self.eng.obs_stats()
-    }
-
-    /// Execute one round (removal phase, walk steps, arrival phase) unless
-    /// the run is already done. Returns [`is_done`](Self::is_done) after
-    /// the round.
-    pub fn step<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) -> bool {
-        if self.is_done() {
-            return true;
-        }
-        // `new()` already rejects this, but the caller may swap in
-        // another graph between rounds — re-check
-        // here (O(1): min_degree is cached) so an isolated node fails fast
-        // instead of panicking per-task deep in the batched kernel.
-        assert!(
-            self.cfg.walk != WalkKind::Simple || g.min_degree() > 0,
-            "WalkKind::Simple is undefined on isolated nodes; this graph has one"
-        );
-        self.eng.begin_round();
-        let threshold = self.eng.threshold();
-        let eng = &mut self.eng;
-        // Removal phase: every overloaded resource ejects I_a ∪ I_c into
-        // the round cohort (`cohort[i]` departs from `positions[i]`).
-        // Removal consumes no RNG, so collecting the whole round before
-        // stepping leaves the draw sequence identical to the old
-        // per-resource interleaving.
-        for r in 0..eng.stacks.len() as NodeId {
-            if eng.stacks[r as usize].is_overloaded(threshold) {
-                eng.stacks[r as usize].remove_active_into(threshold, &eng.weights, &mut eng.cohort);
-                // One source entry per task ejected by this resource.
-                eng.positions.resize(eng.cohort.len(), r);
-            }
-        }
-        // Cache-conscious layout: group the cohort by source degree so
-        // the batched kernel's irregular path runs in near-regular
-        // bucket runs. Lazy only — its lane words are assigned by cohort
-        // index under the re-pinned wide stream; MaxDegree/Simple keep
-        // ejection order so their scalar-parity goldens stay
-        // byte-identical.
-        if self.cfg.walk == WalkKind::Lazy {
-            eng.sort_cohort_by_degree(g);
-        }
-        // Walk phase: the whole cohort takes one batched step.
-        eng.walker.step_batch(g, self.cfg.walk, &mut eng.positions, rng);
-        eng.note_walk_batch(g, self.cfg.walk);
-        eng.pending_tasks.clear();
-        eng.pending_tasks.extend_from_slice(&eng.cohort);
-        eng.pending_dests.clear();
-        eng.pending_dests.extend_from_slice(&eng.positions);
-        if self.cfg.shuffle_arrivals {
-            // One permutation over both parallel arrays — draws exactly
-            // the words the old tuple shuffle drew.
-            rand::seq::shuffle_paired(&mut eng.pending_tasks, &mut eng.pending_dests, rng);
-        }
-        // Arrival phase: stack in (possibly shuffled) order; acceptance is
-        // implicit in the stack heights.
-        let migrated = eng.pending_tasks.len() as u64;
-        for (&t, &dest) in eng.pending_tasks.iter().zip(&eng.pending_dests) {
-            eng.stacks[dest as usize].push(t, eng.weights[t as usize]);
-        }
-        eng.finish_round(migrated)
-    }
-
-    /// Step until balanced or the round cap.
-    pub fn run<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
-        while !self.step(g, rng) {}
-    }
-
-    /// Finish: consume the engine into the outcome the one-shot entry
-    /// point reports.
-    pub fn into_outcome(self) -> ResourceControlledOutcome {
-        self.eng.into_outcome()
-    }
-}
-
 /// Run the resource-controlled protocol to completion (or the round cap).
 ///
 /// # Panics
-/// If the placement is invalid for `(m, n)` or the graph is empty.
+/// If the placement is invalid for `(m, n)`, the graph is empty, or
+/// `cfg.walk` is [`WalkKind::Simple`] on a graph with an isolated node.
 pub fn run_resource_controlled<R: Rng + ?Sized>(
     g: &Graph,
     tasks: &TaskSet,
@@ -280,20 +100,41 @@ pub fn run_resource_controlled_with_stats<R: Rng + ?Sized>(
     tasks: &TaskSet,
     placement: Placement,
     cfg: &ResourceControlledConfig,
-    rng: &mut R,
+    mut rng: &mut R,
 ) -> (ResourceControlledOutcome, EngineStats) {
-    let mut stepper = ResourceControlledStepper::new(g, tasks, placement, cfg, rng);
-    stepper.run(g, rng);
-    let stats = stepper.obs_stats();
-    (stepper.into_outcome(), stats)
+    ProtocolKind::Resource(cfg.clone()).run_with_stats(g, tasks, placement, &mut rng)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{RoundEngine, Stepper};
+    use crate::stack::ResourceStack;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use tlb_graphs::generators::{complete, cycle, lollipop, torus2d};
+
+    /// A stepper for `cfg`, set up like the one-shot entry point.
+    fn stepper(
+        g: &Graph,
+        tasks: &TaskSet,
+        placement: Placement,
+        cfg: &ResourceControlledConfig,
+        rng: &mut SmallRng,
+    ) -> Stepper {
+        ProtocolKind::Resource(cfg.clone()).new_stepper(g, tasks, placement, rng)
+    }
+
+    /// A stepper for `cfg` over an existing stack configuration.
+    fn resume(
+        stacks: Vec<ResourceStack>,
+        weights: Vec<f64>,
+        threshold: f64,
+        cfg: ResourceControlledConfig,
+    ) -> Stepper {
+        let eng = RoundEngine::new(stacks, weights, threshold, cfg.max_rounds, false, false);
+        Stepper::new(eng, ProtocolKind::Resource(cfg).rule(1.0))
+    }
 
     fn rng(seed: u64) -> SmallRng {
         SmallRng::seed_from_u64(seed)
@@ -451,8 +292,7 @@ mod tests {
             run_resource_controlled(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut rng(77));
 
         let mut r = rng(77);
-        let mut stepper =
-            ResourceControlledStepper::new(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut r);
+        let mut stepper = stepper(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut r);
         let mut manual_rounds = 0;
         while !stepper.step(&g, &mut r) {
             manual_rounds += 1;
@@ -467,12 +307,12 @@ mod tests {
         let tasks = TaskSet::uniform(4);
         let cfg = ResourceControlledConfig::default();
         let mut r = rng(1);
-        let mut s = ResourceControlledStepper::new(&g, &tasks, Placement::RoundRobin, &cfg, &mut r);
-        assert!(s.is_done());
+        let mut s = stepper(&g, &tasks, Placement::RoundRobin, &cfg, &mut r);
+        assert!(s.engine().is_done());
         assert!(s.step(&g, &mut r));
         assert!(s.step(&g, &mut r));
-        assert_eq!(s.rounds(), 0);
-        assert_eq!(s.migrations(), 0);
+        assert_eq!(s.engine().rounds(), 0);
+        assert_eq!(s.engine().migrations(), 0);
     }
 
     #[test]
@@ -484,19 +324,17 @@ mod tests {
         let tasks = TaskSet::uniform(160);
         let cfg = ResourceControlledConfig { max_rounds: 3, ..Default::default() };
         let mut r = rng(5);
-        let mut first =
-            ResourceControlledStepper::new(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut r);
+        let mut first = stepper(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut r);
         first.run(&g, &mut r);
+        let first = first.engine();
         assert!(!first.is_balanced());
-        let threshold = first.threshold();
-        let first_migrations = first.migrations();
-        let (stacks, weights) = (first.stacks().to_vec(), first.weights().to_vec());
+        let (stacks, weights) = (first.stacks.clone(), first.weights.clone());
 
         let cfg2 = ResourceControlledConfig::default();
-        let mut second = ResourceControlledStepper::from_parts(stacks, weights, threshold, cfg2);
+        let mut second = resume(stacks, weights, first.threshold(), cfg2);
         second.run(&g, &mut r);
-        assert!(second.is_balanced());
-        assert!(second.migrations() > 0 || first_migrations > 0);
+        assert!(second.engine().is_balanced());
+        assert!(second.engine().migrations() > 0 || first.migrations() > 0);
         let out = second.into_outcome();
         let total: f64 = out.final_loads.iter().sum();
         assert!((total - tasks.total_weight()).abs() < 1e-6);
@@ -546,18 +384,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "undefined on isolated nodes")]
     fn simple_walk_via_from_parts_fails_at_first_step() {
-        // from_parts takes no graph, so the construction-time check can't
-        // fire; the per-step check must catch it instead (same protection
+        // A stepper resumed from existing parts sees no graph until its
+        // first step, so the construction-time check can't fire; the
+        // per-step check must catch it instead (same protection
         // for callers that swap in a churned graph mid-run).
         let mut b = tlb_graphs::GraphBuilder::new(3);
         b.add_edge(0, 1).unwrap();
         let g = b.build();
-        let mut stacks = vec![crate::stack::ResourceStack::new(); 3];
+        let mut stacks = vec![ResourceStack::new(); 3];
         for i in 0..9 {
             stacks[0].push(i, 1.0);
         }
         let cfg = ResourceControlledConfig { walk: WalkKind::Simple, ..Default::default() };
-        let mut s = ResourceControlledStepper::from_parts(stacks, vec![1.0; 9], 4.0, cfg);
+        let mut s = resume(stacks, vec![1.0; 9], 4.0, cfg);
         s.step(&g, &mut rng(1));
     }
 

@@ -5,7 +5,7 @@
 //! threshold `T` if `h_i < T < h_i + w_i`; it is **above** if `h_i ≥ T`;
 //! otherwise it is **below** (equivalently *accepted*: `h_i + w_i ≤ T`).
 
-use rand::Rng;
+use rand::unit_f64;
 use serde::{Deserialize, Serialize};
 
 use crate::task::TaskId;
@@ -112,24 +112,16 @@ impl ResourceStack {
         }
     }
 
-    /// Remove and return all *active* tasks (`I_a ∪ I_c`: cutting or above
-    /// the threshold), keeping the accepted prefix — the removal step of
-    /// the resource-controlled protocol (Algorithm 5.1).
+    /// Remove all *active* tasks (`I_a ∪ I_c`: cutting or above the
+    /// threshold), keeping the accepted prefix — the removal step of the
+    /// resource-controlled protocol (Algorithm 5.1). Because heights are
+    /// cumulative, the active tasks are exactly the tasks from the first
+    /// threshold violation upward, so this is a split of the stack.
     ///
-    /// Because heights are cumulative, the active tasks are exactly the
-    /// tasks from the first threshold violation upward, so this is a split
-    /// of the stack.
-    pub fn remove_active(&mut self, threshold: f64, weights: &[f64]) -> Vec<TaskId> {
-        let mut out = Vec::new();
-        self.remove_active_into(threshold, weights, &mut out);
-        out
-    }
-
-    /// Allocation-free [`remove_active`](Self::remove_active): appends the
-    /// removed tasks to `out` (bottom-to-top) and returns how many were
-    /// removed. The protocol inner loops call this once per overloaded
-    /// resource per round with a reused buffer, so it must not allocate on
-    /// its own. The cached load is reset to the exact accepted-prefix
+    /// Appends the removed tasks to `out` (bottom-to-top) and returns how
+    /// many were removed; the round loop calls this once per overloaded
+    /// resource per round with a reused buffer, so it allocates nothing
+    /// of its own. The cached load is reset to the exact accepted-prefix
     /// height, which also clears any accumulated f64 drift.
     pub fn remove_active_into(
         &mut self,
@@ -157,43 +149,38 @@ impl ResourceStack {
     /// Independently remove each task with probability `p` (the
     /// user-controlled migration draw); remaining tasks keep their relative
     /// order (the stack compacts and heights are implicitly reassigned).
-    /// Returns the migrants bottom-to-top.
-    pub fn drain_bernoulli<R: Rng + ?Sized>(
+    ///
+    /// The coins are pre-drawn: `words[i]` decides the task at stack
+    /// position `i`, which leaves iff [`unit_f64`]`(words[i]) < p` — the
+    /// coin `gen_bool(p)` flips from that word, so one bulk fill of
+    /// [`num_tasks`](Self::num_tasks) words replaces a `gen_bool` per task
+    /// without moving the stream. Appends the migrants to `out`
+    /// (bottom-to-top) and returns how many left.
+    ///
+    /// # Panics
+    /// If `words` is shorter than the stack.
+    pub fn drain_bernoulli_into(
         &mut self,
         p: f64,
+        words: &[u64],
         weights: &[f64],
-        rng: &mut R,
-    ) -> Vec<TaskId> {
-        let mut out = Vec::new();
-        self.drain_bernoulli_into(p, weights, rng, &mut out);
-        out
-    }
-
-    /// Allocation-free [`drain_bernoulli`](Self::drain_bernoulli): appends
-    /// the migrants to `out` (bottom-to-top) and returns how many were
-    /// drawn. The user-controlled inner loop calls this once per
-    /// overloaded resource per round with its reused migrant buffer.
-    pub fn drain_bernoulli_into<R: Rng + ?Sized>(
-        &mut self,
-        p: f64,
-        weights: &[f64],
-        rng: &mut R,
         out: &mut Vec<TaskId>,
     ) -> usize {
-        if p <= 0.0 || self.tasks.is_empty() {
-            return 0;
-        }
+        let words = &words[..self.tasks.len()];
         let before = out.len();
         let mut removed_weight = 0.0;
-        self.tasks.retain(|&t| {
-            if rng.gen_bool(p.min(1.0)) {
+        let mut kept = 0;
+        for (read, &word) in words.iter().enumerate() {
+            let t = self.tasks[read];
+            if unit_f64(word) < p {
                 out.push(t);
                 removed_weight += weights[t as usize];
-                false
             } else {
-                true
+                self.tasks[kept] = t;
+                kept += 1;
             }
-        });
+        }
+        self.tasks.truncate(kept);
         self.load -= removed_weight;
         out.len() - before
     }
@@ -241,12 +228,6 @@ impl ResourceStack {
         self.load -= removed_weight;
         k
     }
-
-    /// Recompute the cached load from scratch (guards against f64 drift in
-    /// long simulations; called periodically by the protocols).
-    pub fn rebuild_load(&mut self, weights: &[f64]) {
-        self.load = self.tasks.iter().map(|&t| weights[t as usize]).sum();
-    }
 }
 
 /// Classify `(height, weight)` against a threshold.
@@ -265,7 +246,7 @@ pub fn band(height: f64, weight: f64, threshold: f64) -> Band {
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     /// weights[i] indexed by task id.
     fn stack_of(ids_weights: &[(TaskId, f64)]) -> (ResourceStack, Vec<f64>) {
@@ -328,18 +309,22 @@ mod tests {
     #[test]
     fn remove_active_splits_at_first_violation() {
         let (mut s, weights) = stack_of(&[(0, 2.0), (1, 3.0), (2, 1.0)]);
-        let removed = s.remove_active(4.0, &weights);
+        let mut removed = Vec::new();
+        assert_eq!(s.remove_active_into(4.0, &weights, &mut removed), 2);
         assert_eq!(removed, vec![1, 2]);
         assert_eq!(s.tasks(), &[0]);
         assert_eq!(s.load(), 2.0);
         // Now under threshold: nothing to remove.
-        assert!(s.remove_active(4.0, &weights).is_empty());
+        assert_eq!(s.remove_active_into(4.0, &weights, &mut removed), 0);
+        assert_eq!(removed, vec![1, 2]);
     }
 
     #[test]
     fn remove_active_on_exact_threshold_removes_nothing() {
         let (mut s, weights) = stack_of(&[(0, 2.0), (1, 2.0)]);
-        assert!(s.remove_active(4.0, &weights).is_empty());
+        let mut removed = Vec::new();
+        assert_eq!(s.remove_active_into(4.0, &weights, &mut removed), 0);
+        assert!(removed.is_empty());
         assert_eq!(s.num_tasks(), 2);
     }
 
@@ -364,21 +349,22 @@ mod tests {
     #[test]
     fn drain_bernoulli_into_appends() {
         let (mut s, weights) = stack_of(&[(0, 2.0), (1, 3.0)]);
-        let mut rng = SmallRng::seed_from_u64(0);
         let mut out = vec![9];
-        assert_eq!(s.drain_bernoulli_into(1.0, &weights, &mut rng, &mut out), 2);
+        assert_eq!(s.drain_bernoulli_into(1.0, &[7, u64::MAX], &weights, &mut out), 2);
         assert_eq!(out, vec![9, 0, 1]);
         assert!(s.is_empty());
     }
 
     #[test]
     fn drain_bernoulli_extremes() {
+        // The smallest and largest coin words: p = 0 keeps even a zero
+        // word, p = 1 lets even the all-ones word leave.
         let (mut s, weights) = stack_of(&[(0, 2.0), (1, 3.0)]);
-        let mut rng = SmallRng::seed_from_u64(0);
-        assert!(s.drain_bernoulli(0.0, &weights, &mut rng).is_empty());
+        let mut out = Vec::new();
+        assert_eq!(s.drain_bernoulli_into(0.0, &[0, 0], &weights, &mut out), 0);
         assert_eq!(s.num_tasks(), 2);
-        let all = s.drain_bernoulli(1.0, &weights, &mut rng);
-        assert_eq!(all, vec![0, 1]);
+        assert_eq!(s.drain_bernoulli_into(1.0, &[u64::MAX; 2], &weights, &mut out), 2);
+        assert_eq!(out, vec![0, 1]);
         assert_eq!(s.load(), 0.0);
         assert!(s.is_empty());
     }
@@ -388,9 +374,11 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(123);
         let trials = 2000;
         let mut total_migrants = 0usize;
+        let mut words = [0u64; 10];
         for _ in 0..trials {
             let (mut s, weights) = stack_of(&(0..10).map(|i| (i, 1.0)).collect::<Vec<_>>());
-            total_migrants += s.drain_bernoulli(0.3, &weights, &mut rng).len();
+            rng.fill_u64(&mut words);
+            total_migrants += s.drain_bernoulli_into(0.3, &words, &weights, &mut Vec::new());
         }
         let rate = total_migrants as f64 / (trials * 10) as f64;
         assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
@@ -415,13 +403,6 @@ mod tests {
     fn remove_positions_into_rejects_out_of_range() {
         let (mut s, weights) = stack_of(&[(0, 2.0), (1, 3.0)]);
         s.remove_positions_into(&[2], &weights, &mut Vec::new());
-    }
-
-    #[test]
-    fn rebuild_load_fixes_drift() {
-        let (mut s, weights) = stack_of(&[(0, 0.1), (1, 0.2)]);
-        s.rebuild_load(&weights);
-        assert!((s.load() - 0.30000000000000004).abs() < 1e-15);
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //! number of tasks on `r`. Tasks need only know `α`, `φ_r`, `w_max` and
 //! `b_r` — a fully decentralized rule.
 //!
-//! Like the resource-controlled module, the protocol is exposed as the
-//! one-shot [`run_user_controlled`] plus the stepping
-//! [`UserControlledStepper`] engine it wraps (`new → step → into_outcome`).
+//! Like the resource-controlled module, this module holds the
+//! configuration and the one-shot entry point [`run_user_controlled`]. The
+//! round is the shared [`Stepper`](crate::protocol::Stepper) with the core
+//! round rule's coin departures (one bulk fill of coin words per
+//! overloaded resource) and uniform jumps; build one to step by hand with
+//! [`ProtocolKind::User`]'s [`new_stepper`](ProtocolKind::new_stepper).
 //!
 //! Analysis reproduced by the experiments:
 //! * Theorem 11 — above-average thresholds with `α = ε/(120(1+ε))`:
@@ -25,15 +28,13 @@
 //! the conservative `α` of the analysis is unnecessary in practice; the
 //! harness reproduces exactly that setting.
 
-use rand::seq::SliceRandom;
-use rand::{lemire_u64, Rng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
-use tlb_graphs::Graph;
+use tlb_graphs::GraphBuilder;
 
 use crate::placement::Placement;
-use crate::protocol::{EngineStats, ProtocolOutcome, RoundEngine};
-use crate::stack::ResourceStack;
-use crate::task::{TaskId, TaskSet};
+use crate::protocol::{EngineStats, ProtocolKind, ProtocolOutcome};
+use crate::task::TaskSet;
 use crate::threshold::ThresholdPolicy;
 
 /// Configuration of a user-controlled run.
@@ -75,181 +76,6 @@ impl Default for UserControlledConfig {
 /// [`ProtocolOutcome`]).
 pub type UserControlledOutcome = ProtocolOutcome;
 
-/// Stepping engine of the user-controlled protocol: one [`step`] call is
-/// one round of Algorithm 6.1 on the implicit complete graph over `n`
-/// resources. `step` takes a `&Graph` like its sibling steppers so all
-/// three share one signature, but ignores it — Algorithm 6.1 jumps
-/// uniformly over all resources regardless of topology.
-///
-/// [`step`]: UserControlledStepper::step
-#[derive(Debug, Clone)]
-pub struct UserControlledStepper {
-    cfg: UserControlledConfig,
-    w_max: f64,
-    eng: RoundEngine,
-}
-
-impl UserControlledStepper {
-    /// Set up a run: materialize the placement (consuming RNG exactly as
-    /// the one-shot entry point always has) and take the initial
-    /// snapshots.
-    ///
-    /// # Panics
-    /// If `n == 0`, `alpha <= 0`, or the placement is invalid.
-    pub fn new<R: Rng + ?Sized>(
-        n: usize,
-        tasks: &TaskSet,
-        placement: Placement,
-        cfg: &UserControlledConfig,
-        rng: &mut R,
-    ) -> Self {
-        assert!(n > 0, "need at least one resource");
-        let weights = tasks.weights().to_vec();
-        let w_max = tasks.w_max();
-        let threshold = cfg.threshold.value(tasks.total_weight(), n, w_max);
-
-        let mut stacks: Vec<ResourceStack> = vec![ResourceStack::new(); n];
-        for (i, &loc) in placement.materialize(tasks.len(), n, rng).iter().enumerate() {
-            stacks[loc as usize].push(i as TaskId, weights[i]);
-        }
-
-        Self::from_parts(stacks, weights, threshold, w_max, cfg.clone())
-    }
-
-    /// Build the engine over an existing stack configuration (consumes no
-    /// RNG).
-    ///
-    /// # Panics
-    /// If the stack vector is empty or `alpha <= 0`.
-    fn from_parts(
-        stacks: Vec<ResourceStack>,
-        weights: Vec<f64>,
-        threshold: f64,
-        w_max: f64,
-        cfg: UserControlledConfig,
-    ) -> Self {
-        assert!(cfg.alpha > 0.0, "alpha must be positive, got {}", cfg.alpha);
-        let eng = RoundEngine::new(
-            stacks,
-            weights,
-            threshold,
-            cfg.max_rounds,
-            cfg.track_potential,
-            cfg.record_trace,
-        );
-        UserControlledStepper { cfg, w_max, eng }
-    }
-
-    /// Whether every load is at most the threshold.
-    pub fn is_balanced(&self) -> bool {
-        self.eng.is_balanced()
-    }
-
-    /// Whether the run is over: balanced, or the round cap was hit.
-    pub fn is_done(&self) -> bool {
-        self.eng.is_done()
-    }
-
-    /// Rounds executed so far.
-    pub fn rounds(&self) -> u64 {
-        self.eng.rounds()
-    }
-
-    /// Migrations performed so far.
-    pub fn migrations(&self) -> u64 {
-        self.eng.migrations()
-    }
-
-    /// The threshold this run balances against.
-    pub fn threshold(&self) -> f64 {
-        self.eng.threshold()
-    }
-
-    /// The per-resource stacks (index = resource id).
-    pub fn stacks(&self) -> &[ResourceStack] {
-        &self.eng.stacks
-    }
-
-    /// Weight per task id (freed slots of dynamic callers included).
-    pub fn weights(&self) -> &[f64] {
-        &self.eng.weights
-    }
-
-    /// Deterministic observability counters accumulated so far.
-    pub fn obs_stats(&self) -> EngineStats {
-        self.eng.obs_stats()
-    }
-
-    /// One round of Algorithm 6.1 — the graph-free body `step` wraps.
-    fn round<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
-        if self.is_done() {
-            return true;
-        }
-        self.eng.begin_round();
-        let threshold = self.eng.threshold();
-        let (alpha, w_max) = (self.cfg.alpha, self.w_max);
-        let eng = &mut self.eng;
-        let n = eng.stacks.len() as u64;
-        // Departure phase: every task on an overloaded resource flips an
-        // independent coin with the resource's migration probability.
-        for stack in eng.stacks.iter_mut() {
-            if !stack.is_overloaded(threshold) {
-                continue;
-            }
-            let psi = stack.psi(threshold, &eng.weights, w_max);
-            debug_assert!(psi >= 1, "overloaded resource must have psi >= 1");
-            let p = (alpha * psi as f64 / stack.num_tasks() as f64).min(1.0);
-            // Appends into the round-reused buffer — no per-resource
-            // allocation in the departure phase.
-            stack.drain_bernoulli_into(p, &eng.weights, rng, &mut eng.cohort);
-        }
-        if self.cfg.shuffle_arrivals {
-            eng.cohort.shuffle(rng);
-        }
-        // Arrival phase: uniformly random destination for each migrant.
-        // Destinations are bulk-generated (one word per migrant, mapped
-        // with the same Lemire multiply `gen_range` uses), so the draw
-        // sequence is bit-identical to the old per-migrant `gen_range`
-        // loop while the RNG virtual-call round-trips collapse into one
-        // register-resident fill.
-        let migrated = eng.cohort.len() as u64;
-        // Resize only (no clear): the fill overwrites every live slot, so
-        // re-zeroing the buffer each round would be a wasted memset.
-        eng.dest_words.resize(eng.cohort.len(), 0);
-        rng.fill_u64(&mut eng.dest_words);
-        eng.note_uniform_batch();
-        for (&t, &word) in eng.cohort.iter().zip(eng.dest_words.iter()) {
-            let dest = lemire_u64(word, n) as usize;
-            eng.stacks[dest].push(t, eng.weights[t as usize]);
-        }
-        eng.finish_round(migrated)
-    }
-
-    /// Execute one round (departure coin flips, uniform re-placement)
-    /// unless the run is already done. Returns
-    /// [`is_done`](Self::is_done) after the round.
-    ///
-    /// The graph parameter exists so all three steppers share one `step`
-    /// signature (and one [`Protocol`] trait); Algorithm 6.1 ignores it.
-    ///
-    /// [`Protocol`]: crate::protocol::Protocol
-    pub fn step<R: Rng + ?Sized>(&mut self, _g: &Graph, rng: &mut R) -> bool {
-        self.round(rng)
-    }
-
-    /// Step until balanced or the round cap (the graph is ignored, like
-    /// in [`step`](Self::step)).
-    pub fn run<R: Rng + ?Sized>(&mut self, _g: &Graph, rng: &mut R) {
-        while !self.round(rng) {}
-    }
-
-    /// Finish: consume the engine into the outcome the one-shot entry
-    /// point reports.
-    pub fn into_outcome(self) -> UserControlledOutcome {
-        self.eng.into_outcome()
-    }
-}
-
 /// Run the user-controlled protocol on the complete graph with `n`
 /// resources.
 ///
@@ -277,12 +103,11 @@ pub fn run_user_controlled_with_stats<R: Rng + ?Sized>(
     tasks: &TaskSet,
     placement: Placement,
     cfg: &UserControlledConfig,
-    rng: &mut R,
+    mut rng: &mut R,
 ) -> (UserControlledOutcome, EngineStats) {
-    let mut stepper = UserControlledStepper::new(n, tasks, placement, cfg, rng);
-    while !stepper.round(rng) {}
-    let stats = stepper.obs_stats();
-    (stepper.into_outcome(), stats)
+    // Algorithm 6.1 never reads the graph; an edgeless one carries `n`.
+    let g = GraphBuilder::new(n).build();
+    ProtocolKind::User(cfg.clone()).run_with_stats(&g, tasks, placement, &mut rng)
 }
 
 #[cfg(test)]
@@ -488,12 +313,12 @@ mod tests {
         let cfg = UserControlledConfig { track_potential: true, ..Default::default() };
         let one_shot = run_user_controlled(30, &tasks, Placement::AllOnOne(0), &cfg, &mut rng(91));
 
-        // `step` ignores the graph (it exists only for signature parity
-        // with the sibling steppers), so any graph drives it.
-        let g = tlb_graphs::generators::complete(1);
+        // The uniform jump never reads the graph, so an edgeless one on
+        // the 30 resources drives the stepper.
+        let g = GraphBuilder::new(30).build();
         let mut r = rng(91);
-        let mut stepper =
-            UserControlledStepper::new(30, &tasks, Placement::AllOnOne(0), &cfg, &mut r);
+        let kind = ProtocolKind::User(cfg);
+        let mut stepper = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
         while !stepper.step(&g, &mut r) {}
         assert_eq!(stepper.into_outcome(), one_shot);
     }

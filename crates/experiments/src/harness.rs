@@ -21,16 +21,16 @@
 //! cell through the unified [`MatrixProtocol`] surface (core
 //! [`ProtocolKind`] variants and `tlb-baselines` adapters alike);
 //! [`run_protocol_once`] runs one trial of it and [`run_protocol_sweep`]
-//! a whole sweep on the pool, returning full [`ProtocolOutcome`]s. Trait
-//! dispatch adds no RNG draws, so these paths are bit-identical to
-//! calling the concrete `run_*` entry points with the same derived seeds.
+//! a whole sweep on the pool, returning full [`ProtocolOutcome`]s. Both
+//! drive the same [`Stepper`] the `run_*` entry points do, so they are
+//! bit-identical to those with the same derived seeds.
 
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use rayon::prelude::*;
 use tlb_baselines::BaselineConfig;
 use tlb_core::placement::Placement;
-use tlb_core::protocol::{AnyStepper, ProtocolKind, ProtocolOutcome};
+use tlb_core::protocol::{ProtocolKind, ProtocolOutcome, Stepper};
 use tlb_core::task::TaskSet;
 use tlb_core::weights::WeightSpec;
 use tlb_graphs::Graph;
@@ -113,7 +113,7 @@ where
 }
 
 /// Which protocol a sweep cell runs: a core variant (through the unified
-/// [`ProtocolKind`] dispatch) or a `tlb-baselines` stepper adapter. This
+/// [`ProtocolKind`] dispatch) or a `tlb-baselines` round rule. This
 /// is the experiment-side closure of the protocol abstraction — the enum
 /// a driver can hold for "any protocol at all".
 #[derive(Debug, Clone, PartialEq)]
@@ -141,7 +141,7 @@ impl MatrixProtocol {
         tasks: &TaskSet,
         placement: Placement,
         rng: &mut dyn RngCore,
-    ) -> AnyStepper {
+    ) -> Stepper {
         match self {
             MatrixProtocol::Core(kind) => kind.new_stepper(g, tasks, placement, rng),
             MatrixProtocol::Baseline(cfg) => cfg.new_stepper(g, tasks, placement, rng),
@@ -169,7 +169,7 @@ pub struct ProtocolPoint {
 }
 
 /// One trial of a protocol point: generate the workload, run the
-/// protocol to completion through the trait surface, report the outcome.
+/// protocol's stepper to completion, report the outcome.
 pub fn run_protocol_once(p: &ProtocolPoint, seed: u64) -> ProtocolOutcome {
     let mut rng = SmallRng::seed_from_u64(seed);
     let tasks = p.weights.generate(&mut rng);

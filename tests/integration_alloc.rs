@@ -1,8 +1,8 @@
 //! Steady-state allocation discipline of the protocol round loops.
 //!
-//! The steppers promise that a round allocates nothing once the reused
-//! buffers (ejection cohort, walk positions, destination words, pending
-//! arrivals, per-resource stacks) have grown to the run's working size.
+//! The stepper promises that a round allocates nothing once the reused
+//! buffers (cohort, positions, coin and destination words, per-resource
+//! stacks) have grown to the run's working size.
 //! This test pins that promise with a counting global allocator: after a
 //! warm-up prefix of rounds, every remaining round of the run must
 //! perform **zero** heap allocations (and zero reallocations).
@@ -16,10 +16,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use tlb_core::mixed_protocol::{Departure, MixedConfig, MixedStepper};
+use tlb_core::mixed_protocol::{Departure, MixedConfig};
 use tlb_core::prelude::*;
-use tlb_core::resource_protocol::ResourceControlledStepper;
-use tlb_core::user_protocol::UserControlledStepper;
 use tlb_graphs::generators::torus2d;
 
 struct CountingAlloc;
@@ -77,15 +75,15 @@ fn round_loops_allocate_nothing_in_steady_state() {
     let tasks = TaskSet::new((0..600).map(|i| 1.0 + (i % 4) as f64).collect::<Vec<_>>());
     let cfg = ResourceControlledConfig::default();
     let mut rng = SmallRng::seed_from_u64(42);
-    let mut stepper =
-        ResourceControlledStepper::new(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut rng);
+    let kind = ProtocolKind::Resource(cfg);
+    let mut stepper = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut rng);
     for _ in 0..TORUS_WARMUP {
         stepper.step(&g, &mut rng);
     }
-    assert!(!stepper.is_done(), "warm-up must not finish the run (weaken the workload?)");
+    assert!(!stepper.engine().is_done(), "warm-up must not finish the run (weaken the workload?)");
     let allocs = count_allocs(|| while !stepper.step(&g, &mut rng) {});
-    let rounds = stepper.rounds();
-    assert!(stepper.is_balanced(), "run must balance");
+    let rounds = stepper.engine().rounds();
+    assert!(stepper.engine().is_balanced(), "run must balance");
     assert!(rounds as usize > TORUS_WARMUP + 20, "need a meaningful steady-state tail");
     assert_eq!(allocs, 0, "resource-controlled steady-state rounds allocated ({rounds} rounds)");
 
@@ -96,16 +94,17 @@ fn round_loops_allocate_nothing_in_steady_state() {
     // warm-up leaves a 10-round allocation-free tail.
     let mut rng = SmallRng::seed_from_u64(7);
     let ucfg = UserControlledConfig { alpha: 0.25, ..Default::default() };
-    let mut stepper =
-        UserControlledStepper::new(60, &tasks, Placement::AllOnOne(0), &ucfg, &mut rng);
-    // The user stepper ignores its graph parameter (signature parity with
-    // the siblings); reuse the torus so the loop allocates nothing new.
+    let g60 = tlb_graphs::GraphBuilder::new(60).build();
+    let kind = ProtocolKind::User(ucfg);
+    let mut stepper = kind.new_stepper(&g60, &tasks, Placement::AllOnOne(0), &mut rng);
+    // The uniform jump never reads the graph; the edgeless one only
+    // carries the 60 resources.
     for _ in 0..36 {
-        stepper.step(&g, &mut rng);
+        stepper.step(&g60, &mut rng);
     }
-    assert!(!stepper.is_done(), "warm-up must not finish the run (weaken the workload?)");
-    let allocs = count_allocs(|| while !stepper.step(&g, &mut rng) {});
-    assert!(stepper.is_balanced());
+    assert!(!stepper.engine().is_done(), "warm-up must not finish the run (weaken the workload?)");
+    let allocs = count_allocs(|| while !stepper.step(&g60, &mut rng) {});
+    assert!(stepper.engine().is_balanced());
     assert_eq!(allocs, 0, "user-controlled steady-state rounds allocated");
 
     // Mixed: batched walk cohort on the torus via AllActive departures
@@ -116,12 +115,13 @@ fn round_loops_allocate_nothing_in_steady_state() {
     // a buffer-discipline regression.
     let mut rng = SmallRng::seed_from_u64(11);
     let mcfg = MixedConfig { departure: Departure::AllActive, ..Default::default() };
-    let mut stepper = MixedStepper::new(&g, &tasks, Placement::AllOnOne(0), &mcfg, &mut rng);
+    let kind = ProtocolKind::Mixed(mcfg);
+    let mut stepper = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut rng);
     for _ in 0..TORUS_WARMUP {
         stepper.step(&g, &mut rng);
     }
-    assert!(!stepper.is_done(), "warm-up must not finish the run (weaken the workload?)");
+    assert!(!stepper.engine().is_done(), "warm-up must not finish the run (weaken the workload?)");
     let allocs = count_allocs(|| while !stepper.step(&g, &mut rng) {});
-    assert!(stepper.is_balanced());
+    assert!(stepper.engine().is_balanced());
     assert_eq!(allocs, 0, "mixed steady-state rounds allocated");
 }

@@ -227,26 +227,25 @@ fn legacy_one_shot_outcomes_are_bit_identical_to_pre_stepper_runs() {
 /// balance against the same threshold with conserved total weight.
 #[test]
 fn incremental_stepping_reaches_the_one_shot_fixed_point() {
-    use tlb_core::resource_protocol::ResourceControlledStepper;
     let g = torus2d(6, 6);
     let tasks = TaskSet::new((0..300).map(|i| 1.0 + (i % 4) as f64).collect::<Vec<_>>());
-    let cfg = ResourceControlledConfig::default();
+    let kind = ProtocolKind::Resource(ResourceControlledConfig::default());
 
     let mut rng = SmallRng::seed_from_u64(8);
-    let mut stepper =
-        ResourceControlledStepper::new(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut rng);
+    let mut stepper = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut rng);
     // Drive in bursts of 4 rounds with pauses in between, as the online
     // engine does between event batches.
-    while !stepper.is_done() {
+    while !stepper.engine().is_done() {
         for _ in 0..4 {
             if stepper.step(&g, &mut rng) {
                 break;
             }
         }
     }
-    assert!(stepper.is_balanced());
-    let threshold = stepper.threshold();
-    let stacks = stepper.stacks();
+    let eng = stepper.engine();
+    assert!(eng.is_balanced());
+    let threshold = eng.threshold();
+    let stacks = &eng.stacks;
     let total: f64 = stacks.iter().map(|s| s.load()).sum();
     assert!((total - tasks.total_weight()).abs() < 1e-6);
     assert!(stacks.iter().all(|s| s.load() <= threshold));

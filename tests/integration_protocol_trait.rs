@@ -2,14 +2,18 @@
 //! through one round frame (`tlb_core::protocol::Stepper`) and the round
 //! engine's phases, so these values, together with the goldens in
 //! `tests/integration_online.rs` and the baseline pins, must not move
-//! unless a change moves a stream on purpose.
+//! unless a change moves a stream on purpose. Driving a run through
+//! `ProtocolKind::new_stepper` and `Stepper::run` by hand must also be
+//! **bit-identical** to the one-shot entry point: same RNG draws, same
+//! order, same outcome, for every protocol variant and walk kind.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlb_core::mixed_protocol::{run_mixed, Departure, MixedConfig};
 use tlb_core::prelude::*;
 use tlb_core::protocol::EngineStats;
-use tlb_graphs::generators::{star, torus2d};
+use tlb_graphs::generators::{complete, star, torus2d};
+use tlb_graphs::Graph;
 use tlb_walks::WalkKind;
 
 fn rng(seed: u64) -> SmallRng {
@@ -18,6 +22,55 @@ fn rng(seed: u64) -> SmallRng {
 
 fn tasks() -> TaskSet {
     TaskSet::new((0..300).map(|i| 1.0 + (i % 5) as f64).collect::<Vec<_>>())
+}
+
+/// Drive a kind through its stepper with the same seed as a one-shot run
+/// and return its outcome.
+fn trait_run(kind: &ProtocolKind, g: &Graph, tasks: &TaskSet, seed: u64) -> ProtocolOutcome {
+    let mut r = rng(seed);
+    let mut stepper = kind.new_stepper(g, tasks, Placement::AllOnOne(0), &mut r);
+    stepper.run(g, &mut r);
+    stepper.into_outcome()
+}
+
+#[test]
+fn resource_trait_dispatch_is_bit_identical_for_both_walks() {
+    let g = torus2d(6, 6);
+    let tasks = tasks();
+    for (walk, seed) in [(WalkKind::MaxDegree, 101), (WalkKind::Lazy, 102)] {
+        let cfg = ResourceControlledConfig { walk, track_potential: true, ..Default::default() };
+        let direct =
+            run_resource_controlled(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut rng(seed));
+        let via_trait = trait_run(&ProtocolKind::Resource(cfg), &g, &tasks, seed);
+        assert_eq!(via_trait, direct, "resource/{walk:?} diverged under stepper dispatch");
+        assert!(direct.balanced());
+    }
+}
+
+#[test]
+fn user_trait_dispatch_is_bit_identical() {
+    // The entry point runs on an edgeless graph; the stepper here gets a
+    // complete one. Algorithm 6.1 never reads the graph, so they agree.
+    let g = complete(40);
+    let tasks = tasks();
+    let cfg = UserControlledConfig { track_potential: true, ..Default::default() };
+    let direct = run_user_controlled(40, &tasks, Placement::AllOnOne(0), &cfg, &mut rng(103));
+    let via_trait = trait_run(&ProtocolKind::User(cfg), &g, &tasks, 103);
+    assert_eq!(via_trait, direct, "user protocol diverged under stepper dispatch");
+    assert!(direct.balanced());
+}
+
+#[test]
+fn mixed_trait_dispatch_is_bit_identical_for_both_walks() {
+    let g = torus2d(6, 6);
+    let tasks = tasks();
+    for (walk, seed) in [(WalkKind::MaxDegree, 104), (WalkKind::Lazy, 105)] {
+        let cfg = MixedConfig { walk, track_potential: true, ..Default::default() };
+        let direct = run_mixed(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut rng(seed));
+        let via_trait = trait_run(&ProtocolKind::Mixed(cfg), &g, &tasks, seed);
+        assert_eq!(via_trait, direct, "mixed/{walk:?} diverged under stepper dispatch");
+        assert!(direct.balanced());
+    }
 }
 
 #[test]

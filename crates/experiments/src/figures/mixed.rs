@@ -9,7 +9,7 @@
 //!
 //! All `(family × protocol)` cells run as one [`Sweep`] batch (obs
 //! prefix `mixed`) through the protocol-generic
-//! [`harness::run_protocol_once`] — each cell is a [`ProtocolPoint`]
+//! [`harness::run_protocol_once_with_stats`] — each cell is a [`ProtocolPoint`]
 //! holding its [`ProtocolKind`], so adding a fourth protocol is one more
 //! point, not another hand-rolled closure.
 
@@ -111,8 +111,8 @@ pub fn run(cfg: &Config) -> (Table, ObsReport) {
     }
     let seeds: Vec<u64> = points.iter().map(|(_, p)| p.seed).collect();
     let (results, reg) = Sweep::new("mixed").run(&seeds, cfg.trials, |i, s| {
-        let outcome = harness::run_protocol_once(&points[i].1, s);
-        Trial { rounds: outcome.rounds, value: outcome, stats: None }
+        let (outcome, stats) = harness::run_protocol_once_with_stats(&points[i].1, s);
+        Trial { rounds: outcome.rounds, value: outcome, stats: Some(stats) }
     });
     for ((family, point), outcomes) in points.iter().zip(&results) {
         let rounds: Vec<f64> = outcomes.iter().map(|o| o.rounds as f64).collect();

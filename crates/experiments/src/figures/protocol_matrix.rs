@@ -4,7 +4,7 @@
 //! The cross-product no pre-trait layer could express: all three paper
 //! protocols (resource-, user-controlled, mixed) *and* the related-work
 //! baselines (`Greedy[d]`, `(1+β)`, sequential/parallel threshold-retry)
-//! run through [`harness::run_protocol_once`] over every configured
+//! run through [`harness::run_protocol_once_with_stats`] over every configured
 //! graph family and arrival scenario (initial placement × weight
 //! distribution), as **one** [`Sweep`] batch. Every cell
 //! reports balancing rounds, migration volume, and completion rate
@@ -233,8 +233,8 @@ pub fn run(cfg: &Config) -> (Table, ObsReport) {
     }
     let seeds: Vec<u64> = cells.iter().map(|c| c.point.seed).collect();
     let (results, reg) = Sweep::new("matrix").unit("cells").run(&seeds, cfg.trials, |i, s| {
-        let outcome = harness::run_protocol_once(&cells[i].point, s);
-        Trial { rounds: outcome.rounds, value: outcome, stats: None }
+        let (outcome, stats) = harness::run_protocol_once_with_stats(&cells[i].point, s);
+        Trial { rounds: outcome.rounds, value: outcome, stats: Some(stats) }
     });
     for (cell, outcomes) in cells.iter().zip(&results) {
         // Deterministic sweep totals: u64 sums over outcomes, identical

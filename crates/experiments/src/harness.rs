@@ -30,7 +30,7 @@ use rand::{RngCore, SeedableRng};
 use rayon::prelude::*;
 use tlb_baselines::BaselineConfig;
 use tlb_core::placement::Placement;
-use tlb_core::protocol::{ProtocolKind, ProtocolOutcome, Stepper};
+use tlb_core::protocol::{EngineStats, ProtocolKind, ProtocolOutcome, Stepper};
 use tlb_core::task::TaskSet;
 use tlb_core::weights::WeightSpec;
 use tlb_graphs::Graph;
@@ -171,11 +171,21 @@ pub struct ProtocolPoint {
 /// One trial of a protocol point: generate the workload, run the
 /// protocol's stepper to completion, report the outcome.
 pub fn run_protocol_once(p: &ProtocolPoint, seed: u64) -> ProtocolOutcome {
+    run_protocol_once_with_stats(p, seed).0
+}
+
+/// [`run_protocol_once`] plus the stepper's deterministic engine counters
+/// (what a driver puts in `Trial::stats`).
+pub fn run_protocol_once_with_stats(
+    p: &ProtocolPoint,
+    seed: u64,
+) -> (ProtocolOutcome, EngineStats) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let tasks = p.weights.generate(&mut rng);
     let mut stepper = p.protocol.new_stepper(&p.graph, &tasks, p.placement.clone(), &mut rng);
     stepper.run(&p.graph, &mut rng);
-    stepper.into_outcome()
+    let stats = stepper.engine().obs_stats();
+    (stepper.into_outcome(), stats)
 }
 
 /// Run a whole protocol sweep — every `(point × trial)` pair as **one**

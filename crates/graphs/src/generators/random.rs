@@ -126,38 +126,40 @@ pub fn random_regular<R: Rng + ?Sized>(
 
     // Circulant seed: node i connects to i±1, …, i±⌊d/2⌋ (mod n), plus the
     // antipode i + n/2 when d is odd (then n is even by the parity check).
+    // `d < n` makes every seed edge distinct.
     let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(n * d / 2);
-    let mut present: std::collections::HashSet<(NodeId, NodeId)> =
-        std::collections::HashSet::with_capacity(n * d / 2);
-    let push = |edges: &mut Vec<(NodeId, NodeId)>,
-                present: &mut std::collections::HashSet<(NodeId, NodeId)>,
-                u: NodeId,
-                v: NodeId| {
-        let key = (u.min(v), u.max(v));
-        if present.insert(key) {
-            edges.push(key);
-        }
-    };
     for i in 0..n {
         for j in 1..=(d / 2) {
-            let u = i as NodeId;
-            let v = ((i + j) % n) as NodeId;
-            push(&mut edges, &mut present, u, v);
+            let (u, v) = (i as NodeId, ((i + j) % n) as NodeId);
+            edges.push((u.min(v), u.max(v)));
         }
     }
     if d % 2 == 1 {
-        for i in 0..n / 2 {
-            push(&mut edges, &mut present, i as NodeId, (i + n / 2) as NodeId);
-        }
+        edges.extend((0..n / 2).map(|i| (i as NodeId, (i + n / 2) as NodeId)));
     }
     debug_assert_eq!(edges.len(), n * d / 2, "circulant seed must be exactly d-regular");
+    // Fixed-width adjacency rows: row `u` is `adj[u·d..(u+1)·d]`. Every
+    // swap keeps the graph d-regular, so a membership probe is a scan of
+    // d ids and an accepted swap rewrites four entries in place.
+    let mut adj: Vec<NodeId> = vec![0; n * d];
+    let mut fill = vec![0usize; n];
+    for &(u, v) in &edges {
+        for (a, b) in [(u, v), (v, u)] {
+            adj[a as usize * d + fill[a as usize]] = b;
+            fill[a as usize] += 1;
+        }
+    }
+    let has_edge = |adj: &[NodeId], u: NodeId, v: NodeId| adj[u as usize * d..][..d].contains(&v);
+    let relink = |adj: &mut [NodeId], u: NodeId, from: NodeId, to: NodeId| {
+        let row = &mut adj[u as usize * d..][..d];
+        *row.iter_mut().find(|x| **x == from).expect("edge is in its row") = to;
+    };
 
     // Double-edge-swap randomization.
     let m = edges.len();
     let budget = 30 * m.max(8);
     const MAX_ROUNDS: usize = 50;
     for _round in 0..MAX_ROUNDS {
-        let mut _accepted = 0usize;
         for _ in 0..budget {
             if m < 2 {
                 break;
@@ -178,16 +180,15 @@ pub fn random_regular<R: Rng + ?Sized>(
             }
             let e1 = (a.min(c), a.max(c));
             let e2 = (b.min(dd), b.max(dd));
-            if e1 == e2 || present.contains(&e1) || present.contains(&e2) {
+            if e1 == e2 || has_edge(&adj, a, c) || has_edge(&adj, b, dd) {
                 continue;
             }
-            present.remove(&edges[i]);
-            present.remove(&(c.min(dd), c.max(dd)));
-            present.insert(e1);
-            present.insert(e2);
+            relink(&mut adj, a, b, c);
+            relink(&mut adj, b, a, dd);
+            relink(&mut adj, c, dd, a);
+            relink(&mut adj, dd, c, b);
             edges[i] = e1;
             edges[j] = e2;
-            _accepted += 1;
         }
         let g = {
             let mut b = GraphBuilder::with_edge_capacity(n, m);
@@ -275,6 +276,33 @@ mod tests {
             assert!(g.is_regular(), "n={n} d={d}");
             assert_eq!(g.max_degree() as usize, d);
             assert!(crate::algo::is_connected(&g));
+        }
+    }
+
+    /// FNV-1a over the sorted edge list: a fingerprint of the whole graph.
+    fn edge_hash(g: &Graph) -> u64 {
+        g.edges().fold(0xcbf2_9ce4_8422_2325, |h, (u, v)| {
+            [u, v].iter().fold(h, |h, &x| (h ^ x as u64).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    /// The swap chain's graphs at fixed seeds, odd degrees included —
+    /// pinned so a faster membership test cannot change a single
+    /// accept/reject decision.
+    #[test]
+    fn random_regular_graphs_are_pinned_at_fixed_seeds() {
+        let pins: [(usize, usize, u64, u64); 7] = [
+            (10, 3, 1, 0x30d8_6bc0_1fb9_66b0),
+            (30, 1, 5, 0x430c_d9c8_37bf_214c),
+            (31, 2, 11, 0x71f8_1511_1b34_b403),
+            (64, 5, 7, 0xc364_f1d6_5ef2_9d71),
+            (101, 6, 3, 0x8600_e383_3cdc_0f7d),
+            (500, 4, 42, 0xedcc_5e0f_8cdb_3edd),
+            (2000, 8, 9, 0x66fb_a514_de65_abbd),
+        ];
+        for (n, d, seed, want) in pins {
+            let g = random_regular(n, d, &mut SmallRng::seed_from_u64(seed)).unwrap();
+            assert_eq!(edge_hash(&g), want, "n={n} d={d} seed={seed}");
         }
     }
 

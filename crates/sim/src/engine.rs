@@ -24,7 +24,9 @@
 //!   on overloaded ones;
 //! * a single tenant's SLO violations are counted from the cached stack
 //!   loads. Several tenants still gather per-(tenant, resource) loads in
-//!   O(m).
+//!   O(m);
+//! * the adaptive adversary's targets are an O(n) top-`spread` selection
+//!   over a snapshot of last epoch's loads, not a sort of all n ids.
 //!
 //! [`OnlineSim::audit`] checks the cached state against full recomputes.
 //!
@@ -32,7 +34,9 @@
 //! [`crate::shard`]: the stacks are rebalanced in place, split into
 //! `SimConfig::shards` contiguous slices, each stepped as one task on the
 //! persistent rayon pool, with cross-shard walk handoffs batched at round
-//! boundaries. At `shards = 1` this is the sequential reference.
+//! boundaries. At `shards = 1` this is the sequential reference. The pass
+//! scans the n stacks once; each round then touches only the overloaded
+//! frontier and its destinations, so it costs O(cohort), not O(n).
 //!
 //! ## Determinism
 //!
@@ -692,12 +696,15 @@ impl OnlineSim {
         let domains = &self.cfg.churn.domains;
 
         // The adaptive arrival adversary reacts to the loads as last
-        // epoch's rebalancing pass left them — capture the ranking
-        // before this epoch's churn/departures disturb it. Every branch
-        // below is feature-gated, so configs without the new knobs draw
-        // the exact RNG sequence they always did.
-        let adaptive_ranking = match self.cfg.arrival_placement {
-            ArrivalPlacement::Adaptive { spread } => Some((spread, state.load_ranking())),
+        // epoch's rebalancing pass left them — snapshot them before this
+        // epoch's churn/departures disturb them. Every branch below is
+        // feature-gated, so configs without the new knobs draw the exact
+        // RNG sequence they always did.
+        let adaptive_spread = match self.cfg.arrival_placement {
+            ArrivalPlacement::Adaptive { spread } => {
+                state.snapshot_loads();
+                Some(spread)
+            }
             _ => None,
         };
 
@@ -803,10 +810,8 @@ impl OnlineSim {
             // The adaptive adversary's targets for this whole epoch:
             // last epoch's `spread` most-loaded resources still active
             // (empty for the other placements).
-            let adaptive_targets: Vec<tlb_graphs::NodeId> = match adaptive_ranking {
-                Some((spread, ranking)) => {
-                    ranking.into_iter().filter(|&v| state.dg.is_active(v)).take(spread).collect()
-                }
+            let adaptive_targets: Vec<tlb_graphs::NodeId> = match adaptive_spread {
+                Some(spread) => state.top_loaded(&active, spread),
                 None => Vec::new(),
             };
             // Projected total live weight, tracked incrementally for
@@ -881,19 +886,23 @@ impl OnlineSim {
             );
             rebalance_rounds = engine.rounds();
             migrations = engine.migrations();
-            // A pass that started balanced is not a rebalance: it ran no
-            // round and leaves no trace in the counters.
-            let started_unbalanced = rebalance_rounds > 0 || !engine.is_balanced();
-            if let (Some(obs), Some(s)) = (&self.obs, engine.obs().filter(|_| started_unbalanced)) {
+            if let (Some(obs), Some(s)) = (&self.obs, engine.obs()) {
                 let reg = &obs.reg;
-                // Shard-count-invariant (counters subtree).
-                reg.add("rebalance.ejected", migrations);
-                reg.gauge("rebalance.max_round_cohort").record_max(s.max_round_cohort);
-                // Layout-dependent (exec) and wall clock (timings).
-                obs.reg.add_exec("shard.cross_shard_handoffs", s.cross_shard_handoffs);
-                reg.record_ns("shard.eject_walk_ns", s.eject_walk_ns);
-                reg.record_ns("shard.route_ns", s.route_ns);
-                reg.record_ns("shard.apply_ns", s.apply_ns);
+                // Shard-count-invariant work counter: the pass's one scan
+                // counts even when it finds the stacks balanced.
+                reg.add("rebalance.stacks_scanned", s.stacks_scanned);
+                // A pass that started balanced is not a rebalance: it ran no
+                // round and leaves no other trace in the report.
+                if rebalance_rounds > 0 || !engine.is_balanced() {
+                    // Shard-count-invariant (counters subtree).
+                    reg.add("rebalance.ejected", migrations);
+                    reg.gauge("rebalance.max_round_cohort").record_max(s.max_round_cohort);
+                    // Layout-dependent (exec) and wall clock (timings).
+                    reg.add_exec("shard.cross_shard_handoffs", s.cross_shard_handoffs);
+                    reg.record_ns("shard.eject_walk_ns", s.eject_walk_ns);
+                    reg.record_ns("shard.route_ns", s.route_ns);
+                    reg.record_ns("shard.apply_ns", s.apply_ns);
+                }
             }
         }
 

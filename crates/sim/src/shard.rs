@@ -7,20 +7,23 @@
 //! The node id space is split into contiguous ranges by a
 //! [`Partition`]. [`ShardedEngine::run`] borrows the flat stack slice and
 //! splits it once per pass with `split_at_mut`, so each shard holds the
-//! `&mut` stacks of its range; nothing is moved or copied. One protocol
-//! round runs in three phases:
+//! `&mut` stacks of its range; nothing is moved or copied. The pass's one
+//! O(n) scan gives each shard its *frontier*: the sorted local indices of
+//! its overloaded stacks. One protocol round runs in three phases:
 //!
-//! 1. **eject + walk** (parallel, one task per shard): every overloaded
-//!    resource in the shard ejects its cutting/above tasks in ascending
-//!    node order, and each ejected task takes one walk step, producing
-//!    the shard's *outbox* of `(task, destination)` handoffs;
+//! 1. **eject + walk** (parallel, one task per shard): each frontier
+//!    stack, in ascending node order, ejects its cutting/above tasks and
+//!    keeps its accepted prefix (load ≤ T); each ejected task takes one
+//!    walk step into the shard's *outbox* of `(task, destination)`s;
 //! 2. **route** (sequential barrier): outboxes are concatenated in shard
 //!    order — which by contiguity *is* the global ascending-node-order
 //!    cohort of the sequential stepper — and routed into per-destination
 //!    shard inboxes, preserving that order;
-//! 3. **apply** (parallel): each shard pushes its inbox in routed order
-//!    and reports whether its range is balanced; the round is globally
-//!    balanced iff every shard is.
+//! 3. **apply** (parallel): each shard pushes its inbox in routed order.
+//!    Only a stack that received a task can now be overloaded, so the
+//!    next frontier is the inbox's distinct destinations (a per-shard
+//!    mark dedups them), filtered to the overloaded ones and sorted; the
+//!    round is balanced iff every frontier is empty. O(cohort), not O(n).
 //!
 //! ## Determinism: counter-based walk words
 //!
@@ -34,11 +37,9 @@
 //! destination by [`walk_dest`], which reproduces the batched kernel's
 //! one-word-per-walker law (`tlb_walks::BatchWalker`) bit for bit: the
 //! same Lemire widening multiply for the slot, the same top-bit fused
-//! stay-coin for the lazy walk. Distribution equivalence against the
-//! exact transition matrix is chi-square-pinned in this module's tests —
-//! the justification, per the repo's RNG stream policy, for the one-time
-//! golden re-pin that moving the online resource-policy path onto this
-//! engine required.
+//! stay-coin for the lazy walk. This module's tests chi-square-pin the
+//! law against the exact transition matrix (the stream policy's re-pin
+//! justification).
 //!
 //! Because every phase is a pure function of the phase inputs and the
 //! rayon shim's `collect` preserves input order, a run is bit-identical
@@ -48,7 +49,6 @@
 use std::time::Instant;
 
 use rayon::prelude::*;
-use tlb_core::potential::is_balanced;
 use tlb_core::stack::ResourceStack;
 use tlb_core::task::TaskId;
 use tlb_graphs::{Graph, NodeId, Partition};
@@ -56,8 +56,7 @@ use tlb_walks::WalkKind;
 
 use crate::engine::epoch_seed;
 
-/// Domain-separation tag deriving the rebalance stream from an epoch
-/// seed (see [`rebalance_seed`]).
+/// Domain-separation tag of the rebalance stream (see [`rebalance_seed`]).
 const REBALANCE_STREAM_TAG: u64 = 0x5AAD_ED00_31C7_B21F;
 
 /// Seed of the counter-based rebalance stream for `epoch`: a splitmix
@@ -106,37 +105,38 @@ pub fn walk_dest(g: &Graph, kind: WalkKind, v: NodeId, word: u64) -> NodeId {
     g.neighbors(v).get(slot).copied().unwrap_or(v)
 }
 
-/// Per-pass observability for the sharded engine, collected only when
-/// [`ShardedEngine::enable_obs`] was called (a pass with obs off never
-/// reads a clock).
+/// Per-pass observability for the sharded engine, collected only after
+/// [`ShardedEngine::enable_obs`]: a pass with obs off reads no clock.
 ///
 /// The split follows the obs contract (`tlb-obs` crate docs):
 ///
-/// * `max_round_cohort` is **deterministic and shard-count-invariant** —
-///   a pure function of the pass inputs, tallied at the round's
-///   sequential route barrier (the ejected total is
-///   [`ShardedEngine::migrations`]);
-/// * `cross_shard_handoffs` is deterministic **for a fixed shard
-///   layout** (one shard has none by construction) — an execution-layout
-///   diagnostic;
+/// * `max_round_cohort` and `stacks_scanned` are **deterministic and
+///   shard-count-invariant** — pure functions of the pass inputs (the
+///   ejected total is [`ShardedEngine::migrations`]);
+/// * `cross_shard_handoffs` is deterministic **for a fixed shard layout**
+///   (one shard has none) — an execution-layout diagnostic;
 /// * the `*_ns` fields are wall clock: time inside each of the three
 ///   round phases, the parallel ones summed over shards.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardPassStats {
     /// Largest single-round global cohort.
     pub max_round_cohort: u64,
-    /// Handoffs whose destination lay on a different shard than their
-    /// source.
+    /// Stacks whose balance was checked: n for the initial scan, then
+    /// each round's distinct destinations.
+    pub stacks_scanned: u64,
+    /// Handoffs whose destination lay on another shard than their source.
     pub cross_shard_handoffs: u64,
-    /// Wall time inside the parallel eject+walk phase, summed over
-    /// shards.
+    /// Wall time in the parallel eject+walk phase, summed over shards.
     pub eject_walk_ns: u64,
     /// Wall time of the sequential route barrier.
     pub route_ns: u64,
-    /// Wall time inside the parallel apply+balance phase, summed over
-    /// shards.
+    /// Wall time in the parallel apply+frontier phase, summed over shards.
     pub apply_ns: u64,
 }
+
+/// One shard of a pass: its first node, its stacks (split once per pass),
+/// its frontier (from the pass's one scan) and apply's dedup marks.
+type Shard<'a> = (NodeId, &'a mut [ResourceStack], Vec<NodeId>, Vec<bool>);
 
 /// A sharded rebalancing pass: the resource-controlled protocol's round
 /// loop over stacks it borrows. Configure with [`ShardedEngine::new`] and
@@ -175,21 +175,19 @@ impl ShardedEngine {
     /// Turn on per-pass observability (idempotent). Off by default: a
     /// pass without it takes no timestamps.
     pub fn enable_obs(&mut self) {
-        if self.obs.is_none() {
-            self.obs = Some(Box::default());
-        }
+        self.obs.get_or_insert_with(Box::default);
     }
 
-    /// The pass statistics, if [`enable_obs`](Self::enable_obs) was
-    /// called.
+    /// The pass statistics, if [`enable_obs`](Self::enable_obs) was called.
     pub fn obs(&self) -> Option<&ShardPassStats> {
         self.obs.as_deref()
     }
 
     /// Rebalance `stacks` (index = node id) in place: scan them once for
-    /// balance, then run rounds until balanced or the round budget is
-    /// spent. `weights` is the global task-weight table; `stream_seed`
-    /// roots the counter-based walk stream (see [`rebalance_seed`]).
+    /// the overloaded frontier, then run rounds until balanced or the
+    /// round budget is spent. `weights` is the global task-weight table;
+    /// `stream_seed` roots the counter-based walk stream (see
+    /// [`rebalance_seed`]).
     ///
     /// # Panics
     /// If the partition does not cover exactly `stacks.len()` nodes.
@@ -202,16 +200,17 @@ impl ShardedEngine {
     ) {
         let n = stacks.len();
         assert_eq!(self.partition.num_nodes(), n, "the partition must cover the {n} stacks");
-        self.balanced = is_balanced(stacks, self.threshold);
-        // One `&mut` slice per shard, split once for the whole pass.
-        let mut shards: Vec<(NodeId, &mut [ResourceStack])> =
-            Vec::with_capacity(self.partition.num_shards());
+        let mut shards: Vec<Shard> = Vec::with_capacity(self.partition.num_shards());
         let mut rest = stacks;
         for r in self.partition.ranges() {
             let (shard, tail) = rest.split_at_mut(r.len());
-            shards.push((r.start, shard));
+            let frontier = (0..).zip(&*shard).filter(|(_, s)| s.is_overloaded(self.threshold));
+            let frontier = frontier.map(|(i, _)| i).collect();
+            shards.push((r.start, shard, frontier, vec![false; r.len()]));
             rest = tail;
         }
+        self.balanced = shards.iter().all(|s| s.2.is_empty());
+        self.obs.iter_mut().for_each(|obs| obs.stacks_scanned += n as u64);
         while !self.balanced && self.rounds < self.max_rounds {
             let round_seed = epoch_seed(stream_seed, self.rounds);
             self.round(&mut shards, g, weights, round_seed);
@@ -219,44 +218,31 @@ impl ShardedEngine {
     }
 
     /// One three-phase round (see the module docs).
-    fn round(
-        &mut self,
-        shards: &mut [(NodeId, &mut [ResourceStack])],
-        g: &Graph,
-        weights: &[f64],
-        round_seed: u64,
-    ) {
-        let threshold = self.threshold;
-        let walk = self.walk;
-        let timed = self.obs.is_some();
-        // Phase 1: eject + walk, one pool task per shard. Each outbox of
-        // `(task, destination)` handoffs is in ascending (node, slot)
-        // order within its shard; the ns are 0 when obs is off.
+    fn round(&mut self, shards: &mut [Shard], g: &Graph, weights: &[f64], round_seed: u64) {
+        let (threshold, walk, timed) = (self.threshold, self.walk, self.obs.is_some());
+        // Phase 1: eject + walk, one pool task per shard; each outbox is in
+        // ascending (node, slot) order. The ns are 0 when obs is off.
         let ejected: Vec<(Vec<(TaskId, NodeId)>, u64)> = shards
             .iter_mut()
-            .map(|(start, shard)| (*start, &mut **shard))
             .collect::<Vec<_>>()
             .into_par_iter()
-            .map(|(start, shard)| {
+            .map(|(start, shard, frontier, _)| {
                 let t0 = timed.then(Instant::now);
                 let mut outbox = Vec::new();
                 let mut cohort: Vec<TaskId> = Vec::new();
-                for (i, stack) in shard.iter_mut().enumerate() {
-                    if stack.is_overloaded(threshold) {
-                        let v = start + i as NodeId;
-                        cohort.clear();
-                        stack.remove_active_into(threshold, weights, &mut cohort);
-                        outbox.extend(cohort.iter().enumerate().map(|(slot, &t)| {
-                            (t, walk_dest(g, walk, v, walk_word(round_seed, v, slot as u64)))
-                        }));
-                    }
+                for &i in &*frontier {
+                    let v = *start + i;
+                    cohort.clear();
+                    shard[i as usize].remove_active_into(threshold, weights, &mut cohort);
+                    outbox.extend(cohort.iter().enumerate().map(|(slot, &t)| {
+                        (t, walk_dest(g, walk, v, walk_word(round_seed, v, slot as u64)))
+                    }));
                 }
                 (outbox, t0.map_or(0, |t| t.elapsed().as_nanos() as u64))
             })
             .collect();
-        // Phase 2: route handoffs. Iterating shards in order keeps each
-        // inbox in canonical global cohort order, so the apply phase
-        // stacks arrivals exactly as the sequential stepper would.
+        // Phase 2: route handoffs in shard order, which keeps each inbox in
+        // the canonical global cohort order the sequential stepper stacks.
         let t_route = timed.then(Instant::now);
         let mut inboxes: Vec<Vec<(TaskId, NodeId)>> = vec![Vec::new(); shards.len()];
         let (mut cohort, mut handoffs) = (0u64, 0u64);
@@ -275,26 +261,34 @@ impl ShardedEngine {
             obs.eject_walk_ns += ejected.iter().map(|&(_, ns)| ns).sum::<u64>();
             obs.route_ns += t_route.map_or(0, |t| t.elapsed().as_nanos() as u64);
         }
-        // Phase 3: apply inboxes and check balance per shard.
-        let applied: Vec<(bool, u64)> = shards
+        // Phase 3: apply inboxes; the overloaded destinations are the next frontier.
+        let applied: Vec<(u64, u64)> = shards
             .iter_mut()
             .zip(inboxes)
-            .map(|((start, shard), inbox)| (*start, &mut **shard, inbox))
             .collect::<Vec<_>>()
             .into_par_iter()
-            .map(|(start, shard, inbox)| {
+            .map(|((start, shard, frontier, seen), inbox)| {
                 let t0 = timed.then(Instant::now);
+                frontier.clear();
                 for (t, dest) in inbox {
-                    shard[(dest - start) as usize].push(t, weights[t as usize]);
+                    let i = dest - *start;
+                    shard[i as usize].push(t, weights[t as usize]);
+                    if !std::mem::replace(&mut seen[i as usize], true) {
+                        frontier.push(i);
+                    }
                 }
-                let balanced = is_balanced(shard, threshold);
-                (balanced, t0.map_or(0, |t| t.elapsed().as_nanos() as u64))
+                let scanned = frontier.len() as u64;
+                frontier.iter().for_each(|&i| seen[i as usize] = false);
+                frontier.retain(|&i| shard[i as usize].is_overloaded(threshold));
+                frontier.sort_unstable();
+                (scanned, t0.map_or(0, |t| t.elapsed().as_nanos() as u64))
             })
             .collect();
         if let Some(obs) = self.obs.as_deref_mut() {
+            obs.stacks_scanned += applied.iter().map(|&(scanned, _)| scanned).sum::<u64>();
             obs.apply_ns += applied.iter().map(|&(_, ns)| ns).sum::<u64>();
         }
-        self.balanced = applied.iter().all(|&(ok, _)| ok);
+        self.balanced = shards.iter().all(|s| s.2.is_empty());
         self.rounds += 1;
     }
 
@@ -303,8 +297,7 @@ impl ShardedEngine {
         self.rounds
     }
 
-    /// Total walk steps taken (every ejected task counts, stays included
-    /// — the sequential steppers' convention).
+    /// Total walk steps taken: every ejected task, stays included.
     pub fn migrations(&self) -> u64 {
         self.migrations
     }
@@ -468,11 +461,12 @@ mod tests {
         assert!(ref_stats.max_round_cohort > 0);
         assert!(ref_stats.max_round_cohort <= migrations);
         assert_eq!(ref_stats.cross_shard_handoffs, 0, "one shard has no handoffs");
-        for k in [2usize, 3, 8] {
+        for k in [2usize, 3, 4, 8] {
             let run = run_at(k, true);
             assert_eq!((run.0, run.1, &run.2), (rounds, migrations, &parts));
             let stats = run.3.expect("obs was enabled");
             assert_eq!(stats.max_round_cohort, ref_stats.max_round_cohort, "shard count {k}");
+            assert_eq!(stats.stacks_scanned, ref_stats.stacks_scanned, "shard count {k}");
             assert!(stats.cross_shard_handoffs <= migrations);
         }
     }

@@ -11,6 +11,9 @@
 //! [`crate::shard::ShardedEngine`], which rebalances them in place
 //! without knowing how the rest of the state is stored between epochs.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use rand::Rng;
 use tlb_core::stack::ResourceStack;
 use tlb_core::task::TaskId;
@@ -47,6 +50,29 @@ impl MaxCount {
     }
 }
 
+/// A resource ranked by load for the adaptive adversary: it orders before
+/// another when it is heavier, ties to the lower id.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Ranked(f64, NodeId);
+
+impl Eq for Ranked {}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .0
+            .partial_cmp(&self.0)
+            .expect("loads are finite")
+            .then(self.1.cmp(&other.1))
+    }
+}
+
 /// All state an online simulation owns between epochs (see the module
 /// docs for the state/scheduler split).
 #[derive(Debug, Clone)]
@@ -72,6 +98,10 @@ pub struct SimState {
     pub(crate) w_max: MaxCount,
     /// Reused per-epoch buffer for departure draws.
     pub(crate) departed: Vec<TaskId>,
+    /// Reused per-epoch buffer: every stack's load as the last pass left
+    /// it, for the adaptive adversary (see
+    /// [`snapshot_loads`](Self::snapshot_loads)).
+    pub(crate) prior_loads: Vec<f64>,
     /// Per failure domain (index = position in the config's domain
     /// list): the epoch at whose start the domain recovers, or 0 when
     /// the domain is healthy. Non-RNG persistent state — it travels in
@@ -98,6 +128,7 @@ impl SimState {
             live: 0,
             w_max: MaxCount::default(),
             departed: Vec::new(),
+            prior_loads: Vec::new(),
             domain_down_until: Vec::new(),
             admission_tokens: Vec::new(),
         }
@@ -227,19 +258,31 @@ impl SimState {
         self.stacks[from as usize..to as usize].iter().map(ResourceStack::load).sum()
     }
 
-    /// Every node id ranked by current stack load, heaviest first, ties
-    /// to the lowest id — the adversary's view of last epoch's loads
-    /// when taken before this epoch's churn runs.
-    pub(crate) fn load_ranking(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = (0..self.dg.num_nodes() as NodeId).collect();
-        ids.sort_by(|&a, &b| {
-            self.stacks[b as usize]
-                .load()
-                .partial_cmp(&self.stacks[a as usize].load())
-                .expect("loads are finite")
-                .then(a.cmp(&b))
-        });
-        ids
+    /// Record every stack's current load — the adversary's view of last
+    /// epoch's loads when taken before this epoch's churn runs.
+    pub(crate) fn snapshot_loads(&mut self) {
+        self.prior_loads.clear();
+        self.prior_loads.extend(self.stacks.iter().map(ResourceStack::load));
+    }
+
+    /// The adaptive adversary's targets: the `k` ids of `candidates` with
+    /// the largest [`snapshot_loads`](Self::snapshot_loads) load, heaviest
+    /// first, ties to the lowest id — the first `k` candidates of a full
+    /// sort of every id by snapshot load, in the same order. One pass
+    /// keeps the best `k` so far in a heap whose top is the worst of
+    /// them, so a candidate that does not beat it costs one comparison:
+    /// O(|candidates|·log k) at worst instead of a sort of every id.
+    pub(crate) fn top_loaded(&self, candidates: &[NodeId], k: usize) -> Vec<NodeId> {
+        let mut best = BinaryHeap::with_capacity(k + 1);
+        for &v in candidates {
+            let ranked = Ranked(self.prior_loads[v as usize], v);
+            if best.len() < k {
+                best.push(ranked);
+            } else if let Some(mut worst) = best.peek_mut().filter(|w| ranked < **w) {
+                *worst = ranked;
+            }
+        }
+        best.into_sorted_vec().into_iter().map(|Ranked(_, v)| v).collect()
     }
 
     fn deactivate_one<R: Rng + ?Sized>(
@@ -586,6 +629,67 @@ mod tests {
                 "p={p}: resource chi2 {res_stat:.2} >= {:.2}",
                 chi2_crit(res_df)
             );
+        }
+    }
+
+    /// The adversary's old ranking, kept as the oracle for
+    /// [`SimState::top_loaded`]: every id fully sorted by stack load,
+    /// heaviest first, ties to the lowest id.
+    fn full_sort_ranking(state: &SimState) -> Vec<NodeId> {
+        let mut ids: Vec<NodeId> = (0..state.dg.num_nodes() as NodeId).collect();
+        ids.sort_by(|&a, &b| {
+            state.stacks[b as usize]
+                .load()
+                .partial_cmp(&state.stacks[a as usize].load())
+                .expect("loads are finite")
+                .then(a.cmp(&b))
+        });
+        ids
+    }
+
+    /// Top-k selection equals the head of the full sort, filtered to the
+    /// ids active after churn: many equal loads (unit weights, empty
+    /// stacks), ids deactivated and reactivated between the snapshot and
+    /// the selection, and `k` past the active count.
+    #[test]
+    fn top_loaded_is_the_head_of_the_old_full_sort() {
+        let n = 40usize;
+        for seed in 0..24u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut state = SimState::new(complete(n));
+            let mut changed = false;
+            for _ in 0..rng.gen_range(0..6) {
+                state.apply_event(
+                    ChurnEvent::Deactivate(rng.gen_range(0..n as NodeId)),
+                    &mut rng,
+                    &mut changed,
+                );
+            }
+            let active = state.active_ids();
+            let unit = seed % 2 == 0;
+            for _ in 0..rng.gen_range(0..3 * n) {
+                let w = if unit { 1.0 } else { [1.0, 2.5, 4.0][rng.gen_range(0..3usize)] };
+                state.admit(w, 0, active[rng.gen_range(0..active.len())]);
+            }
+            state.snapshot_loads();
+            let ranking = full_sort_ranking(&state);
+            // This epoch's churn: drains (which move load after the
+            // snapshot) and recoveries of ids that were down.
+            for _ in 0..rng.gen_range(0..6) {
+                let v = rng.gen_range(0..n as NodeId);
+                let ev = if rng.gen_bool(0.5) {
+                    ChurnEvent::Deactivate(v)
+                } else {
+                    ChurnEvent::Activate(v)
+                };
+                state.apply_event(ev, &mut rng, &mut changed);
+            }
+            let active = state.active_ids();
+            for k in [1, 2, 5, 16, active.len(), active.len() + 3] {
+                let want: Vec<NodeId> =
+                    ranking.iter().copied().filter(|&v| state.dg.is_active(v)).take(k).collect();
+                assert_eq!(state.top_loaded(&active, k), want, "seed {seed} k {k}");
+            }
         }
     }
 

@@ -18,10 +18,12 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use rand::SeedableRng;
+use tlb_core::potential::is_balanced;
 use tlb_core::stack::ResourceStack;
 use tlb_core::threshold::ThresholdPolicy;
+use tlb_core::weights::sample_pareto_truncated;
 use tlb_graphs::generators::{complete, random_regular};
-use tlb_graphs::{DynamicGraph, Graph, NodeId, Partition};
+use tlb_graphs::{DynamicGraph, Graph, GraphBuilder, NodeId, Partition};
 use tlb_sim::shard::{walk_dest, walk_word};
 use tlb_sim::{
     epoch_seed, AdmissionPolicy, ArrivalProcess, ArrivalWeights, ChurnEvent, ChurnProcess,
@@ -216,6 +218,59 @@ proptest! {
                 (rounds, migrations, balanced),
                 "shards {}", shards
             );
+        }
+    }
+
+    /// Round by round, the frontier engine is the full-scan oracle: for
+    /// every round budget `r`, a pass capped at `r` rounds leaves the
+    /// stacks (bitwise loads) the naive oracle leaves after `r` rounds,
+    /// and its balanced flag equals a full `is_balanced` scan of them. So
+    /// after every round the frontier the engine checks is exactly the
+    /// full scan's overloaded set. Churned random expanders, truncated
+    /// Pareto weights, shard counts 1, 3 and 4.
+    #[test]
+    fn frontier_matches_a_full_scan_after_every_round(
+        walk in prop_oneof![Just(WalkKind::MaxDegree), Just(WalkKind::Lazy)],
+        n in 8usize..40,
+        tasks in 0usize..200,
+        slack in 0.0f64..0.8,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut dg = DynamicGraph::new(random_regular(n, 4, &mut rng).unwrap());
+        for _ in 0..n / 4 {
+            dg.deactivate(rng.gen_range(0..n as NodeId));
+        }
+        let g = dg.snapshot();
+        let active: Vec<NodeId> = (0..n as NodeId).filter(|&v| dg.is_active(v)).collect();
+        let mut stacks = vec![ResourceStack::new(); n];
+        let mut weights = Vec::new();
+        for t in 0..tasks as u32 {
+            let w = sample_pareto_truncated(1.2, 24.0, &mut rng);
+            let v = if rng.gen_bool(0.5) { active[0] } else { active[rng.gen_range(0..active.len())] };
+            weights.push(w);
+            stacks[v as usize].push(t, w);
+        }
+        let total: f64 = weights.iter().sum();
+        let w_max = weights.iter().copied().fold(0.0, f64::max);
+        let threshold = total / active.len() as f64 * (1.0 + slack) + w_max * slack;
+        for r in 1..=12u64 {
+            let mut want = stacks.clone();
+            let (rounds, migrations, balanced) =
+                naive_rebalance(&mut want, &g, walk, &weights, threshold, r, seed);
+            for shards in [1usize, 3, 4] {
+                let mut got = stacks.clone();
+                let mut engine =
+                    ShardedEngine::new(Partition::contiguous(n, shards), threshold, walk, r);
+                engine.run(&mut got, &g, &weights, seed);
+                prop_assert_eq!(stack_bits(&got), stack_bits(&want), "r {} shards {}", r, shards);
+                prop_assert_eq!(
+                    (engine.rounds(), engine.migrations(), engine.is_balanced()),
+                    (rounds, migrations, balanced),
+                    "r {} shards {}", r, shards
+                );
+                prop_assert_eq!(engine.is_balanced(), is_balanced(&got, threshold));
+            }
         }
     }
 
@@ -533,5 +588,41 @@ proptest! {
         let after_total: f64 = stacks.iter().map(|s| s.load()).sum();
         prop_assert!((after_total - total).abs() < 1e-6,
             "weight not conserved: {} vs {}", after_total, total);
+    }
+}
+
+/// The scan counter on a hand-checked pass. A perfect matching has
+/// maximum degree 1, so every max-degree walk step crosses its edge. With
+/// unit tasks and T = 3, round 1 ejects two tasks 0 → 1 and one 2 → 3,
+/// which overloads 3 (load 4). From then on one task bounces between 2
+/// and 3 (one destination per round) until the 5-round budget is spent.
+/// So the pass checks the 6 stacks once, then 2 destinations, then 1 in
+/// each of rounds 2–5: 12 stacks, at every shard count.
+#[test]
+fn stacks_scanned_is_n_plus_the_distinct_destinations() {
+    let mut b = GraphBuilder::new(6);
+    for (u, v) in [(0, 1), (2, 3), (4, 5)] {
+        b.add_edge(u, v).unwrap();
+    }
+    let g = b.build();
+    let mut stacks = vec![ResourceStack::new(); 6];
+    let mut weights = Vec::new();
+    for (v, k) in [(0usize, 5), (2, 4), (3, 3), (4, 1), (5, 1)] {
+        for _ in 0..k {
+            stacks[v].push(weights.len() as u32, 1.0);
+            weights.push(1.0);
+        }
+    }
+    for shards in [1usize, 3, 4] {
+        let mut after = stacks.clone();
+        let mut engine =
+            ShardedEngine::new(Partition::contiguous(6, shards), 3.0, WalkKind::MaxDegree, 5);
+        engine.enable_obs();
+        engine.run(&mut after, &g, &weights, 1);
+        assert!(!engine.is_balanced());
+        assert_eq!((engine.rounds(), engine.migrations()), (5, 3 + 4), "shards {shards}");
+        assert_eq!(engine.obs().unwrap().stacks_scanned, 6 + 2 + 4, "shards {shards}");
+        let loads: Vec<f64> = after.iter().map(ResourceStack::load).collect();
+        assert_eq!(loads, [3.0, 2.0, 3.0, 4.0, 1.0, 1.0], "shards {shards}");
     }
 }

@@ -18,6 +18,7 @@ use rand::SeedableRng;
 use tlb_core::drift::{analysis_alpha, theorem11_bound};
 use tlb_core::prelude::*;
 use tlb_core::weights::WeightSpec;
+use tlb_graphs::{Graph, GraphBuilder};
 
 fn main() {
     let mut rng = SmallRng::seed_from_u64(99);
@@ -33,6 +34,8 @@ fn main() {
     );
     println!("caches: {n} (complete graph — any cache can receive from any other)\n");
 
+    // Algorithm 6.1 never reads the graph; an edgeless one carries `n`.
+    let edgeless = GraphBuilder::new(n).build();
     let eps = 0.2;
     let scenarios: Vec<(&str, f64, ThresholdPolicy)> = vec![
         (
@@ -50,7 +53,8 @@ fn main() {
     );
     for (name, alpha, threshold) in scenarios {
         let cfg = UserControlledConfig { threshold, alpha, ..Default::default() };
-        let out = run_user_controlled(n, &tasks, Placement::AllOnOne(0), &cfg, &mut rng);
+        let kind = ProtocolKind::User(cfg);
+        let out = run_checked(kind, &edgeless, &tasks, Placement::AllOnOne(0), &mut rng);
         println!(
             "{:<32} {:>10} {:>12} {:>12.1} {:>14.1}",
             name, out.rounds, out.migrations, out.final_max_load, out.threshold
@@ -62,4 +66,28 @@ fn main() {
         "\nTheorem-11 bound at alpha = 1: {bound:.0} rounds — the measured times sit well \
          below it, and the analysis-alpha run shows the 1/alpha slowdown the bound predicts."
     );
+}
+
+/// Run `kind` to the end through its stepper and check what the example
+/// claims of it: the run ends balanced, no load sits above the threshold,
+/// and every task and all the weight are still placed. Draws exactly what
+/// the `run_*` entry points draw.
+fn run_checked(
+    kind: ProtocolKind,
+    g: &Graph,
+    tasks: &TaskSet,
+    placement: Placement,
+    rng: &mut SmallRng,
+) -> ProtocolOutcome {
+    let mut stepper = kind.new_stepper(g, tasks, placement, rng);
+    stepper.run(g, rng);
+    let eng = stepper.engine();
+    assert!(eng.is_balanced(), "the run must end balanced");
+    assert!(eng.stacks.iter().all(|s| s.load() <= eng.threshold()), "a load exceeds T");
+    let placed: usize = eng.stacks.iter().map(|s| s.num_tasks()).sum();
+    assert_eq!(placed, tasks.len(), "tasks lost or duplicated");
+    let load: f64 = eng.stacks.iter().map(|s| s.load()).sum();
+    let total = tasks.total_weight();
+    assert!((load - total).abs() <= 1e-9 * total, "load {load} is not the total weight {total}");
+    stepper.into_outcome()
 }

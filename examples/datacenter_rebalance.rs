@@ -19,7 +19,7 @@ use tlb_core::diffusion::{estimate_average_to_tolerance, DiffusionKind};
 use tlb_core::prelude::*;
 use tlb_core::weights::WeightSpec;
 use tlb_graphs::generators;
-use tlb_graphs::NodeId;
+use tlb_graphs::{Graph, NodeId};
 
 fn main() {
     let mut rng = SmallRng::seed_from_u64(2024);
@@ -68,7 +68,8 @@ fn main() {
         threshold: ThresholdPolicy::AboveAverage { epsilon: 0.2 },
         ..Default::default()
     };
-    let out = run_resource_controlled(&g, &tasks, Placement::Explicit(locs), &cfg, &mut rng);
+    let kind = ProtocolKind::Resource(cfg);
+    let out = run_checked(kind, &g, &tasks, Placement::Explicit(locs), &mut rng);
     println!("\nphase 2: resource-controlled rebalancing (Algorithm 5.1)");
     println!("  threshold        = {:.2}", out.threshold);
     println!("  rounds           = {}", out.rounds);
@@ -87,4 +88,28 @@ fn main() {
     for (i, b) in buckets.iter().enumerate() {
         println!("  {:>3}%-{:>3}%: {:>4} machines", i * 25, (i + 1) * 25, b);
     }
+}
+
+/// Run `kind` to the end through its stepper and check what the example
+/// claims of it: the run ends balanced, no load sits above the threshold,
+/// and every task and all the weight are still placed. Draws exactly what
+/// the `run_*` entry points draw.
+fn run_checked(
+    kind: ProtocolKind,
+    g: &Graph,
+    tasks: &TaskSet,
+    placement: Placement,
+    rng: &mut SmallRng,
+) -> ProtocolOutcome {
+    let mut stepper = kind.new_stepper(g, tasks, placement, rng);
+    stepper.run(g, rng);
+    let eng = stepper.engine();
+    assert!(eng.is_balanced(), "the run must end balanced");
+    assert!(eng.stacks.iter().all(|s| s.load() <= eng.threshold()), "a load exceeds T");
+    let placed: usize = eng.stacks.iter().map(|s| s.num_tasks()).sum();
+    assert_eq!(placed, tasks.len(), "tasks lost or duplicated");
+    let load: f64 = eng.stacks.iter().map(|s| s.load()).sum();
+    let total = tasks.total_weight();
+    assert!((load - total).abs() <= 1e-9 * total, "load {load} is not the total weight {total}");
+    stepper.into_outcome()
 }

@@ -17,6 +17,7 @@ use rand::SeedableRng;
 use tlb_core::prelude::*;
 use tlb_experiments::figures::obs8;
 use tlb_graphs::generators::lollipop;
+use tlb_graphs::Graph;
 use tlb_walks::{hitting, TransitionMatrix, WalkKind};
 
 fn main() {
@@ -45,14 +46,14 @@ fn main() {
         let h_mc = hitting::max_hitting_time_mc(&g, WalkKind::MaxDegree, 8, 300, 2_000_000, 11);
         let asymptotic = (n * n) as f64 / k as f64;
 
-        let cfg = ResourceControlledConfig {
+        let kind = ProtocolKind::Resource(ResourceControlledConfig {
             threshold: ThresholdPolicy::TightResource,
             ..Default::default()
-        };
+        });
         let trials = 10;
         let mean_rounds: f64 = (0..trials)
             .map(|_| {
-                run_resource_controlled(&g, &tasks, placement.clone(), &cfg, &mut rng).rounds as f64
+                run_checked(kind.clone(), &g, &tasks, placement.clone(), &mut rng).rounds as f64
             })
             .sum::<f64>()
             / trials as f64;
@@ -68,4 +69,28 @@ fn main() {
          — the last column stays roughly flat, which is exactly the Ω(H·log m) / O(H·log W) \
          sandwich of Observation 8 and Theorem 7."
     );
+}
+
+/// Run `kind` to the end through its stepper and check what the example
+/// claims of it: the run ends balanced, no load sits above the threshold,
+/// and every task and all the weight are still placed. Draws exactly what
+/// the `run_*` entry points draw.
+fn run_checked(
+    kind: ProtocolKind,
+    g: &Graph,
+    tasks: &TaskSet,
+    placement: Placement,
+    rng: &mut SmallRng,
+) -> ProtocolOutcome {
+    let mut stepper = kind.new_stepper(g, tasks, placement, rng);
+    stepper.run(g, rng);
+    let eng = stepper.engine();
+    assert!(eng.is_balanced(), "the run must end balanced");
+    assert!(eng.stacks.iter().all(|s| s.load() <= eng.threshold()), "a load exceeds T");
+    let placed: usize = eng.stacks.iter().map(|s| s.num_tasks()).sum();
+    assert_eq!(placed, tasks.len(), "tasks lost or duplicated");
+    let load: f64 = eng.stacks.iter().map(|s| s.load()).sum();
+    let total = tasks.total_weight();
+    assert!((load - total).abs() <= 1e-9 * total, "load {load} is not the total weight {total}");
+    stepper.into_outcome()
 }

@@ -106,12 +106,6 @@ impl ProtocolOutcome {
 pub struct EngineStats {
     /// Walk-kernel steps taken (one per cohort member per batched step).
     pub walk_steps: u64,
-    /// Lazy-walk fused coin+neighbor words drawn (one per walker per
-    /// step under [`WalkKind::Lazy`]).
-    pub fused_word_draws: u64,
-    /// Steps served by the kernel's regular fast path (affine CSR
-    /// offsets; taken whenever the graph is regular with degree > 0).
-    pub regular_fast_path_hits: u64,
     /// Uniform re-placement words drawn (user-style arrival phase).
     pub uniform_jump_draws: u64,
     /// Largest single-round migration cohort seen this pass.
@@ -123,8 +117,6 @@ impl EngineStats {
     /// cohort high-water mark).
     pub fn merge(&mut self, other: &EngineStats) {
         self.walk_steps += other.walk_steps;
-        self.fused_word_draws += other.fused_word_draws;
-        self.regular_fast_path_hits += other.regular_fast_path_hits;
         self.uniform_jump_draws += other.uniform_jump_draws;
         self.max_round_cohort = self.max_round_cohort.max(other.max_round_cohort);
     }
@@ -346,14 +338,7 @@ impl RoundEngine {
             self.sort_cohort_by_degree(g);
         }
         self.walker.step_batch(g, kind, &mut self.positions, rng);
-        let n = self.positions.len() as u64;
-        self.stats.walk_steps += n;
-        if kind == WalkKind::Lazy {
-            self.stats.fused_word_draws += n;
-        }
-        if g.max_degree() > 0 && g.is_regular() {
-            self.stats.regular_fast_path_hits += n;
-        }
+        self.stats.walk_steps += self.positions.len() as u64;
     }
 
     /// Shuffle the arrival order: one permutation over the cohort and its
@@ -722,7 +707,7 @@ mod tests {
 
     #[test]
     fn obs_stats_count_walks_and_cohorts_deterministically() {
-        let g = torus2d(5, 5); // 4-regular: every step hits the fast path
+        let g = torus2d(5, 5);
         let tasks = TaskSet::new((0..200).map(|i| 1.0 + (i % 3) as f64).collect::<Vec<_>>());
         let run_once = |walk: WalkKind| {
             let cfg = ResourceControlledConfig { walk, ..Default::default() };
@@ -733,20 +718,16 @@ mod tests {
         };
         let (stats, migrations) = run_once(WalkKind::MaxDegree);
         // The resource protocol moves exactly the walked cohort each
-        // round, so steps == migrations; on a regular graph every step is
-        // a fast-path hit; max-degree walks draw no fused words.
+        // round, so steps == migrations.
         assert_eq!(stats.walk_steps, migrations);
-        assert_eq!(stats.regular_fast_path_hits, stats.walk_steps);
-        assert_eq!(stats.fused_word_draws, 0);
         assert_eq!(stats.uniform_jump_draws, 0);
         assert!(stats.max_round_cohort > 0);
         assert!(stats.max_round_cohort <= migrations);
         // Counters are a pure function of the seed: identical on re-run.
         assert_eq!(run_once(WalkKind::MaxDegree).0, stats);
-        // A lazy walk draws exactly one fused word per step.
-        let (lazy_stats, _) = run_once(WalkKind::Lazy);
-        assert_eq!(lazy_stats.fused_word_draws, lazy_stats.walk_steps);
-        assert!(lazy_stats.fused_word_draws > 0);
+        let (lazy_stats, lazy_migrations) = run_once(WalkKind::Lazy);
+        assert_eq!(lazy_stats.walk_steps, lazy_migrations);
+        assert!(lazy_stats.walk_steps > 0);
 
         // The user protocol draws uniform words instead of walk steps.
         let ucfg = UserControlledConfig::default();

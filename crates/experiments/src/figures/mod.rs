@@ -88,8 +88,7 @@ impl<'a> Sweep<'a> {
     /// * counters `<prefix>.<unit>`, `<prefix>.trials` and
     ///   `<prefix>.rounds`;
     /// * if any trial carried [`EngineStats`], their merge as
-    ///   `<prefix>.walk_steps`, `.fused_word_draws`,
-    ///   `.regular_fast_path_hits` and `.uniform_jump_draws` plus the
+    ///   `<prefix>.walk_steps` and `.uniform_jump_draws` plus the
     ///   `<prefix>.max_round_cohort` gauge;
     /// * the batch wall time `<prefix>.sweep_ns`;
     /// * the rayon pool deltas the batch caused (`pool.threads`,
@@ -137,8 +136,6 @@ impl<'a> Sweep<'a> {
             .collect();
         if let Some(stats) = merged {
             reg.add(&self.key("walk_steps"), stats.walk_steps);
-            reg.add(&self.key("fused_word_draws"), stats.fused_word_draws);
-            reg.add(&self.key("regular_fast_path_hits"), stats.regular_fast_path_hits);
             reg.add(&self.key("uniform_jump_draws"), stats.uniform_jump_draws);
             reg.set(&self.key("max_round_cohort"), stats.max_round_cohort);
         }

@@ -16,8 +16,8 @@
 //! across thread and shard counts.
 //!
 //! The token-bucket balances are the one piece of persistent state
-//! (refilled once per epoch, spent per admitted task); they live in
-//! [`crate::SimState`] and travel in the snapshot, so checkpoint/restore
+//! (refilled once per epoch, spent per admitted task); they live in the
+//! engine's state and travel in the snapshot, so checkpoint/restore
 //! resumes mid-bucket bit-identically.
 
 use serde::{Deserialize, Serialize};

@@ -144,6 +144,19 @@ impl ArrivalPlacement {
             _ => Ok(()),
         }
     }
+
+    /// Check the placement against an `n`-node graph.
+    ///
+    /// # Errors
+    /// If a hot spot names a node outside the graph.
+    pub fn validate_against_graph(&self, n: usize) -> Result<(), String> {
+        match *self {
+            ArrivalPlacement::HotSpot(v) if v as usize >= n => {
+                Err(format!("hot spot {v} does not fit the {n}-node graph"))
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Weight distribution of arriving tasks (all respect the paper's
@@ -287,6 +300,8 @@ mod tests {
         assert!(ArrivalWeights::ParetoTruncated { alpha: 1.5, cap: 8.0 }.validate().is_ok());
         assert!(ArrivalPlacement::Adaptive { spread: 0 }.validate().is_err());
         assert!(ArrivalPlacement::Adaptive { spread: 2 }.validate().is_ok());
+        assert!(ArrivalPlacement::HotSpot(7).validate_against_graph(8).is_ok());
+        assert!(ArrivalPlacement::HotSpot(8).validate_against_graph(8).is_err());
     }
 
     #[test]

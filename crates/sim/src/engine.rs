@@ -1,5 +1,6 @@
 //! The epoch-driven online simulation engine — the *scheduler* half of
-//! the state/scheduler split (the state half lives in [`crate::state`]).
+//! the state/scheduler split (the state half is the crate-private `state`
+//! module).
 //!
 //! Each epoch the scheduler: (1) applies resource churn (scripted rack
 //! drains and stochastic failures/recoveries, draining tasks off leaving
@@ -18,7 +19,7 @@
 //!
 //! * departures are geometric skips over the concatenated stacks — one
 //!   draw per departure, plus an O(n) walk over the stack lengths;
-//! * the live `w_max` and its multiplicity are cached in [`SimState`];
+//! * the live `w_max` and its multiplicity are cached in the state;
 //!   the O(m) rescan runs only when the last task carrying it departs;
 //! * the metrics are one pass over the stacks, reading task weights only
 //!   on overloaded ones;
@@ -32,11 +33,14 @@
 //!
 //! The rebalancing pass always runs through the sharded engine of
 //! [`crate::shard`]: the stacks are rebalanced in place, split into
-//! `SimConfig::shards` contiguous slices, each stepped as one task on the
-//! persistent rayon pool, with cross-shard walk handoffs batched at round
-//! boundaries. At `shards = 1` this is the sequential reference. The pass
-//! scans the n stacks once; each round then touches only the overloaded
-//! frontier and its destinations, so it costs O(cohort), not O(n).
+//! `SimConfig::shards` contiguous slices. Each round is two parallel
+//! phases on the persistent rayon pool, one task per slice: eject+walk,
+//! which files every handoff under its destination's slice, then apply.
+//! At `shards = 1` this is the sequential reference. The pass scans the n
+//! stacks once; each round then touches only the overloaded frontier and
+//! its destinations, so it costs O(cohort), not O(n). The epoch reads the
+//! rounds, migrations and obs counters off the returned
+//! [`PassOutcome`](crate::shard::PassOutcome).
 //!
 //! ## Determinism
 //!
@@ -148,9 +152,6 @@ pub struct SimConfig {
     /// Protocol-round budget per epoch (the pass stops early once
     /// balanced).
     pub rounds_per_epoch: u64,
-    /// Compact the churn overlay back to CSR once this many edge deltas
-    /// accumulate.
-    pub compact_after_ops: usize,
     /// Shard count of the rebalancing pass (the output is bit-identical
     /// at every shard count, so this is purely a throughput knob — see
     /// `crate::shard`). Clamped to the node count.
@@ -178,7 +179,6 @@ impl Default for SimConfig {
             threshold: ThresholdPolicy::AboveAverage { epsilon: 0.2 },
             rebalance: RebalancePolicy::Resource { walk: WalkKind::MaxDegree },
             rounds_per_epoch: 16,
-            compact_after_ops: 64,
             shards: 1,
         }
     }
@@ -193,7 +193,7 @@ struct ObsState {
     pool_base: rayon::PoolStats,
 }
 
-/// The online simulation: a [`SimState`] plus the epoch scheduler
+/// The online simulation: the engine's state plus the epoch scheduler
 /// driving it (see the module docs for the split).
 #[derive(Debug)]
 pub struct OnlineSim {
@@ -224,14 +224,13 @@ impl OnlineSim {
     /// # Panics
     /// If the graph is empty, the tenant list is empty or has
     /// non-positive shares, `departure_prob` is not in `[0, 1)`, a churn
-    /// probability is not in `[0, 1]`, a failure domain or scripted
-    /// churn event does not fit the graph, `shards` is zero, or the walk
-    /// is [`WalkKind::Simple`].
+    /// probability is not in `[0, 1]`, a failure domain, scripted churn
+    /// event or hot spot does not fit the graph, `shards` is zero, or the
+    /// walk is [`WalkKind::Simple`].
     pub fn new(base: Graph, cfg: SimConfig) -> Self {
         let n = base.num_nodes();
         assert!(n > 0, "need at least one resource");
-        Self::validate(&cfg);
-        if let Err(msg) = cfg.churn.validate_against_graph(n) {
+        if let Err(msg) = Self::try_validate(&cfg, n) {
             panic!("{msg}");
         }
         let tenants = TenantSet::new(cfg.tenants.clone());
@@ -254,9 +253,10 @@ impl OnlineSim {
 
     /// Parameters come from config literals and snapshots, so reject bad
     /// ones up front instead of panicking deep inside a sampler mid-run.
-    /// The graph-size checks live in
-    /// [`ChurnProcess::validate_against_graph`].
-    fn try_validate(cfg: &SimConfig) -> Result<(), String> {
+    /// The checks against the `n`-node graph live in
+    /// [`ChurnProcess::validate_against_graph`] and
+    /// [`ArrivalPlacement::validate_against_graph`].
+    fn try_validate(cfg: &SimConfig, n: usize) -> Result<(), String> {
         if cfg.tenants.is_empty() {
             return Err("need at least one tenant".to_string());
         }
@@ -313,27 +313,8 @@ impl OnlineSim {
                     .to_string(),
             );
         }
-        Ok(())
-    }
-
-    /// Panicking form of [`try_validate`](Self::try_validate), for the
-    /// constructor paths where a bad config is a programming error.
-    fn validate(cfg: &SimConfig) {
-        if let Err(msg) = Self::try_validate(cfg) {
-            panic!("{msg}");
-        }
-    }
-
-    /// Swap the configuration between runs (phase-driven scenarios: a new
-    /// arrival process or round budget for the next batch of epochs)
-    /// while keeping all engine state — stacks, churn overlay, epoch
-    /// counter, records. The tenant list must be unchanged, because
-    /// task→tenant assignments are indices into it.
-    ///
-    /// Panicking builder form of [`reconfigure`](Self::reconfigure).
-    pub fn with_config(mut self, cfg: SimConfig) -> Self {
-        self.reconfigure(cfg).unwrap_or_else(|e| panic!("{e}"));
-        self
+        cfg.churn.validate_against_graph(n)?;
+        cfg.arrival_placement.validate_against_graph(n)
     }
 
     /// Validated in-place configuration swap for a live service: apply a
@@ -349,7 +330,8 @@ impl OnlineSim {
     /// * any config [`new`](Self::new) rejects, which
     ///   includes `WalkKind::Simple` (undefined on the isolated nodes
     ///   churn creates);
-    /// * scripted churn naming a node, range or edge outside the graph.
+    /// * scripted churn or a hot spot naming a node, range or edge
+    ///   outside the graph.
     ///
     /// Swapping the *admission* policy resets its token balances to the
     /// new policy's initial state (an unchanged policy keeps mid-bucket
@@ -363,10 +345,7 @@ impl OnlineSim {
             self.cfg.churn.domains == cfg.churn.domains,
             "failure domains cannot change mid-run (recovery deadlines index into them)"
         );
-        Self::try_validate(&cfg).map_err(anyhow::Error::msg)?;
-        cfg.churn
-            .validate_against_graph(self.base.num_nodes())
-            .map_err(anyhow::Error::msg)?;
+        Self::try_validate(&cfg, self.base.num_nodes()).map_err(anyhow::Error::msg)?;
         if self.cfg.admission != cfg.admission {
             self.state.admission_tokens = cfg.admission.initial_tokens(self.tenants.len());
         }
@@ -515,10 +494,7 @@ impl OnlineSim {
     }
 
     /// Fallible form of [`run`](Self::run): run `cfg.epochs` epochs,
-    /// flush the sink, and assemble the report. With record buffering on
-    /// the report carries the buffered series; with it off the series is
-    /// empty and the summary fields come from the streaming aggregates
-    /// (bit-equal to the buffered computation).
+    /// flush the sink, and assemble the [`report`](Self::report).
     ///
     /// # Errors
     /// If the attached metrics sink fails to record or flush.
@@ -532,21 +508,17 @@ impl OnlineSim {
         Ok(self.report())
     }
 
-    /// Assemble a report for the epochs this engine has run: the
-    /// buffered series in batch mode, or the streaming aggregates (with
-    /// an empty series — it went to the sink) in service mode.
+    /// Assemble a report for every epoch of the run, including those
+    /// before a [`restore`](Self::restore): the aggregates come from the
+    /// streaming [`summary`](Self::summary), and the series is whatever
+    /// is buffered (empty in service mode, where it went to the sink; the
+    /// post-restore tail after a restore).
     pub fn report(&self) -> SimReport {
-        if self.buffer_records {
-            SimReport::from_records(
-                self.cfg.name.clone(),
-                self.cfg.seed,
-                self.tenants.names(),
-                self.records.clone(),
-            )
-        } else {
+        let mut report =
             self.summary
-                .to_report(self.cfg.name.clone(), self.cfg.seed, self.tenants.names())
-        }
+                .to_report(self.cfg.name.clone(), self.cfg.seed, self.tenants.names());
+        report.records = self.records.clone();
+        report
     }
 
     /// Checkpoint the engine at the current epoch boundary.
@@ -604,10 +576,9 @@ impl OnlineSim {
             snap.version,
             SNAPSHOT_VERSION
         );
-        Self::try_validate(&snap.config).map_err(anyhow::Error::msg)?;
         let n = base.num_nodes();
         anyhow::ensure!(n > 0, "need at least one resource");
-        snap.config.churn.validate_against_graph(n).map_err(anyhow::Error::msg)?;
+        Self::try_validate(&snap.config, n).map_err(anyhow::Error::msg)?;
         anyhow::ensure!(
             snap.domain_down_until.len() == snap.config.churn.domains.len(),
             "snapshot carries {} domain deadlines for {} configured domains",
@@ -783,7 +754,7 @@ impl OnlineSim {
             }
         }
         if topology_changed {
-            state.refresh_walk_graph(self.cfg.compact_after_ops);
+            state.refresh_walk_graph();
         }
         let t_churn = obs_on.then(Instant::now);
 
@@ -863,8 +834,7 @@ impl OnlineSim {
         };
 
         // --- 5. incremental rebalancing pass.
-        let mut rebalance_rounds = 0u64;
-        let mut migrations = 0u64;
+        let (mut rebalance_rounds, mut migrations) = (0u64, 0u64);
         let t_arrivals = obs_on.then(Instant::now);
         if state.live > 0 {
             // The sharded engine — at shards = 1 this *is* the reference
@@ -873,35 +843,31 @@ impl OnlineSim {
             // does the epoch's one balance scan itself.
             let RebalancePolicy::Resource { walk } = self.cfg.rebalance;
             let partition = state.dg.partition(self.cfg.shards);
-            let mut engine =
-                ShardedEngine::new(partition, threshold, walk, self.cfg.rounds_per_epoch);
-            if obs_on {
-                engine.enable_obs();
-            }
-            engine.run(
-                &mut state.stacks,
-                &state.walk_graph,
-                &state.weights,
-                rebalance_seed(self.cfg.seed, self.epoch),
-            );
-            rebalance_rounds = engine.rounds();
-            migrations = engine.migrations();
-            if let (Some(obs), Some(s)) = (&self.obs, engine.obs()) {
+            let pass = ShardedEngine::new(partition, threshold, walk, self.cfg.rounds_per_epoch)
+                .run(
+                    &mut state.stacks,
+                    &state.walk_graph,
+                    &state.weights,
+                    rebalance_seed(self.cfg.seed, self.epoch),
+                    obs_on,
+                );
+            (rebalance_rounds, migrations) = (pass.rounds, pass.migrations);
+            if let Some(obs) = &self.obs {
                 let reg = &obs.reg;
                 // Shard-count-invariant work counter: the pass's one scan
                 // counts even when it finds the stacks balanced.
-                reg.add("rebalance.stacks_scanned", s.stacks_scanned);
+                reg.add("rebalance.stacks_scanned", pass.stacks_scanned);
                 // A pass that started balanced is not a rebalance: it ran no
                 // round and leaves no other trace in the report.
-                if rebalance_rounds > 0 || !engine.is_balanced() {
+                if pass.rounds > 0 || !pass.balanced {
                     // Shard-count-invariant (counters subtree).
-                    reg.add("rebalance.ejected", migrations);
-                    reg.gauge("rebalance.max_round_cohort").record_max(s.max_round_cohort);
+                    reg.add("rebalance.ejected", pass.migrations);
+                    reg.gauge("rebalance.max_round_cohort").record_max(pass.max_round_cohort);
                     // Layout-dependent (exec) and wall clock (timings).
-                    reg.add_exec("shard.cross_shard_handoffs", s.cross_shard_handoffs);
-                    reg.record_ns("shard.eject_walk_ns", s.eject_walk_ns);
-                    reg.record_ns("shard.route_ns", s.route_ns);
-                    reg.record_ns("shard.apply_ns", s.apply_ns);
+                    reg.add_exec("shard.cross_shard_handoffs", pass.cross_shard_handoffs);
+                    let t = pass.timings.expect("a pass with obs on is timed");
+                    reg.record_ns("shard.eject_walk_ns", t.eject_walk_ns);
+                    reg.record_ns("shard.apply_ns", t.apply_ns);
                 }
             }
         }
@@ -1186,6 +1152,28 @@ mod tests {
     }
 
     #[test]
+    fn restored_batch_report_covers_the_whole_run() {
+        // Batch mode after a restore: the report's aggregates cover every
+        // epoch of the run, bit for bit as the uninterrupted run reports
+        // them, and its series is the uninterrupted run's tail.
+        let cfg = quick_cfg("restored-report");
+        let full = OnlineSim::new(complete(8), cfg.clone()).run();
+        let mut first = OnlineSim::new(complete(8), cfg.clone());
+        for _ in 0..25 {
+            first.run_epoch();
+        }
+        let mut resumed = OnlineSim::restore(first.checkpoint().unwrap(), complete(8)).unwrap();
+        while resumed.epoch() < cfg.epochs {
+            resumed.run_epoch();
+        }
+        let report = resumed.report();
+        assert_eq!(report.records, full.records[25..]);
+        // The JSON writer round-trips every f64, so equal text is bit-equal.
+        let aggregates = |r: &SimReport| SimReport { records: Vec::new(), ..r.clone() }.to_json();
+        assert_eq!(aggregates(&report).unwrap(), aggregates(&full).unwrap());
+    }
+
+    #[test]
     fn restore_rejects_corrupt_snapshots() {
         let mut sim = OnlineSim::new(complete(8), quick_cfg("corrupt"));
         for _ in 0..5 {
@@ -1242,6 +1230,8 @@ mod tests {
             s.config.churn.scripted = vec![(snap.epoch, ChurnEvent::Deactivate(99))];
         });
         assert!(ghost.unwrap().contains("8-node graph"));
+        let hot_ghost = corrupt(&|s| s.config.arrival_placement = ArrivalPlacement::HotSpot(1000));
+        assert!(hot_ghost.unwrap().contains("8-node graph"));
 
         // Wrong base graph: node count mismatch surfaces as a delta error.
         assert!(OnlineSim::restore(snap, complete(9)).is_err());
@@ -1273,6 +1263,9 @@ mod tests {
         let mut ghost = quick_cfg("reconf");
         ghost.churn.scripted = vec![(sim.epoch(), ChurnEvent::Deactivate(99))];
         assert!(sim.reconfigure(ghost).is_err());
+        let mut hot_ghost = quick_cfg("reconf");
+        hot_ghost.arrival_placement = ArrivalPlacement::HotSpot(1000);
+        assert!(sim.reconfigure(hot_ghost).is_err());
 
         // A legal phase swap applies and the run continues.
         let mut ok = quick_cfg("reconf");
@@ -1333,7 +1326,8 @@ mod tests {
         assert_eq!(obs.counters["rebalance.ejected"], plain.total_migrations);
         assert!(obs.counters["rebalance.max_round_cohort"] > 0);
         assert!(obs.timings.contains_key("epoch.total_ns"));
-        assert!(obs.timings.contains_key("shard.route_ns"));
+        assert!(obs.timings.contains_key("shard.eject_walk_ns"));
+        assert!(obs.timings.contains_key("shard.apply_ns"));
         assert!(obs.exec.contains_key("pool.threads"));
         assert_eq!(obs.exec["shard.cross_shard_handoffs"], 0);
 

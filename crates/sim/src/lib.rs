@@ -21,16 +21,18 @@
 //!
 //! ## Architecture: state, scheduler, shards
 //!
-//! The engine is split into a *state* half ([`SimState`] in [`state`]:
-//! the churn overlay, walk snapshot, stacks, and task tables, plus the
-//! event primitives that mutate them) and a *scheduler* half
+//! The engine is split into a *state* half (the crate-private `state`
+//! module: the churn overlay, walk snapshot, stacks, and task tables,
+//! plus the event primitives that mutate them) and a *scheduler* half
 //! ([`OnlineSim`] in [`engine`]: the epoch loop deciding when churn,
 //! departures, arrivals, and the rebalancing pass run). The rebalancing
 //! pass runs through the **sharded engine** ([`ShardedEngine`] in
 //! [`shard`]): it borrows the stacks and splits them in place into
-//! contiguous node-range slices, each stepped as one task on the
-//! persistent rayon pool, with cross-shard walk handoffs batched at round
-//! boundaries.
+//! contiguous node-range slices. Each round runs as two parallel phases
+//! on the persistent rayon pool, one task per slice: eject+walk files
+//! every handoff under its destination's slice, then each slice applies
+//! what it received. The pass returns its
+//! [`PassOutcome`](shard::PassOutcome).
 //!
 //! Runs are bit-reproducible across thread counts **and shard counts**:
 //! each epoch's churn/departure/arrival draws come from its own
@@ -95,7 +97,7 @@ pub mod metrics;
 pub mod shard;
 pub mod sink;
 pub mod snapshot;
-pub mod state;
+mod state;
 pub mod tenants;
 
 pub use admission::AdmissionPolicy;
@@ -107,5 +109,4 @@ pub use metrics::{EpochRecord, RunningSummary, SimReport};
 pub use shard::ShardedEngine;
 pub use sink::{MemorySink, MetricsSink, NdjsonSink};
 pub use snapshot::{SimSnapshot, SNAPSHOT_VERSION};
-pub use state::SimState;
 pub use tenants::{TenantSet, TenantSpec};

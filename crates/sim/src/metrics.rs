@@ -8,11 +8,11 @@
 //! summaries and serializes to JSON for the CI perf-trajectory artifacts
 //! (`BENCH_online.json`).
 //!
-//! Long-running service mode cannot afford the full series in memory:
-//! [`RunningSummary`] folds each record into O(1) state as it streams
-//! past (the series itself goes to a [`crate::sink::MetricsSink`]), and
-//! reconstitutes the same run-level aggregates a buffered
-//! [`SimReport::from_records`] would have computed.
+//! Every run-level aggregate comes from [`RunningSummary`], which folds
+//! each record into O(1) state as it streams past, so batch mode, service
+//! mode (the series goes to a [`crate::sink::MetricsSink`]) and a
+//! restored run all report the same aggregates. The unit tests check the
+//! fold bit for bit against a direct computation over the series.
 
 use serde::{Deserialize, Serialize};
 
@@ -104,60 +104,6 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Assemble a report from a finished series.
-    pub fn from_records(
-        scenario: impl Into<String>,
-        seed: u64,
-        tenants: Vec<String>,
-        records: Vec<EpochRecord>,
-    ) -> Self {
-        let epochs = records.len() as u64;
-        let total_arrivals: u64 = records.iter().map(|r| r.arrivals).sum();
-        let total_admitted: u64 = records.iter().map(|r| r.admitted).sum();
-        let total_rejected: u64 = records.iter().map(|r| r.rejected).sum();
-        let shed_fraction =
-            if total_arrivals == 0 { 0.0 } else { total_rejected as f64 / total_arrivals as f64 };
-        let total_departures = records.iter().map(|r| r.departures).sum();
-        let total_migrations = records.iter().map(|r| r.migrations).sum();
-        let balanced = records.iter().filter(|r| r.balanced).count();
-        let balanced_fraction = if epochs == 0 { 1.0 } else { balanced as f64 / epochs as f64 };
-        let tenant_violation_rates = (0..tenants.len())
-            .map(|c| {
-                if epochs == 0 {
-                    return 0.0;
-                }
-                let violated = records.iter().filter(|r| r.tenant_violations[c] > 0).count();
-                violated as f64 / epochs as f64
-            })
-            .collect();
-        let per_tenant = |field: fn(&EpochRecord) -> &Vec<u64>| -> Vec<u64> {
-            (0..tenants.len())
-                .map(|c| records.iter().map(|r| field(r).get(c).copied().unwrap_or(0)).sum())
-                .collect()
-        };
-        let tenant_admitted_totals = per_tenant(|r| &r.tenant_admitted);
-        let tenant_rejected_totals = per_tenant(|r| &r.tenant_rejected);
-        let peak_load = records.iter().map(|r| r.max_load).fold(0.0, f64::max);
-        SimReport {
-            scenario: scenario.into(),
-            seed,
-            epochs,
-            tenants,
-            records,
-            total_arrivals,
-            total_admitted,
-            total_rejected,
-            shed_fraction,
-            total_departures,
-            total_migrations,
-            balanced_fraction,
-            tenant_violation_rates,
-            tenant_admitted_totals,
-            tenant_rejected_totals,
-            peak_load,
-        }
-    }
-
     /// Serialize to pretty JSON (the CI artifact format).
     ///
     /// # Errors
@@ -177,12 +123,10 @@ impl SimReport {
 ///
 /// The engine feeds every [`EpochRecord`] through
 /// [`observe`](Self::observe) whether or not the record itself is
-/// buffered, so a run with buffering off (service mode) can still
-/// produce a [`SimReport`] — with an empty `records` series — whose
-/// summary fields are bit-equal to what
-/// [`SimReport::from_records`] computes over the full series. The
-/// summary is part of [`crate::SimSnapshot`], so aggregates survive a
-/// checkpoint/restore cycle and keep counting from where they left off.
+/// buffered, and takes every aggregate of its [`SimReport`] from here,
+/// in batch and service mode alike. The summary is part of
+/// [`crate::SimSnapshot`], so aggregates survive a checkpoint/restore
+/// cycle and keep counting from where they left off.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunningSummary {
     /// Epochs observed.
@@ -246,9 +190,8 @@ impl RunningSummary {
 
     /// Reconstitute a [`SimReport`] from the aggregates alone.
     ///
-    /// `records` comes back empty (the series went to the sink); every
-    /// summary field matches [`SimReport::from_records`] over the same
-    /// series bit for bit.
+    /// `records` comes back empty; every summary field equals, bit for
+    /// bit, the same aggregate computed directly over the observed series.
     pub fn to_report(
         &self,
         scenario: impl Into<String>,
@@ -301,6 +244,62 @@ impl RunningSummary {
 mod tests {
     use super::*;
 
+    /// The reference aggregation: every summary field computed directly
+    /// over a finished series, the oracle [`RunningSummary`] is checked
+    /// against.
+    fn from_records(
+        scenario: impl Into<String>,
+        seed: u64,
+        tenants: Vec<String>,
+        records: Vec<EpochRecord>,
+    ) -> SimReport {
+        let epochs = records.len() as u64;
+        let total_arrivals: u64 = records.iter().map(|r| r.arrivals).sum();
+        let total_admitted: u64 = records.iter().map(|r| r.admitted).sum();
+        let total_rejected: u64 = records.iter().map(|r| r.rejected).sum();
+        let shed_fraction =
+            if total_arrivals == 0 { 0.0 } else { total_rejected as f64 / total_arrivals as f64 };
+        let total_departures = records.iter().map(|r| r.departures).sum();
+        let total_migrations = records.iter().map(|r| r.migrations).sum();
+        let balanced = records.iter().filter(|r| r.balanced).count();
+        let balanced_fraction = if epochs == 0 { 1.0 } else { balanced as f64 / epochs as f64 };
+        let tenant_violation_rates = (0..tenants.len())
+            .map(|c| {
+                if epochs == 0 {
+                    return 0.0;
+                }
+                let violated = records.iter().filter(|r| r.tenant_violations[c] > 0).count();
+                violated as f64 / epochs as f64
+            })
+            .collect();
+        let per_tenant = |field: fn(&EpochRecord) -> &Vec<u64>| -> Vec<u64> {
+            (0..tenants.len())
+                .map(|c| records.iter().map(|r| field(r).get(c).copied().unwrap_or(0)).sum())
+                .collect()
+        };
+        let tenant_admitted_totals = per_tenant(|r| &r.tenant_admitted);
+        let tenant_rejected_totals = per_tenant(|r| &r.tenant_rejected);
+        let peak_load = records.iter().map(|r| r.max_load).fold(0.0, f64::max);
+        SimReport {
+            scenario: scenario.into(),
+            seed,
+            epochs,
+            tenants,
+            records,
+            total_arrivals,
+            total_admitted,
+            total_rejected,
+            shed_fraction,
+            total_departures,
+            total_migrations,
+            balanced_fraction,
+            tenant_violation_rates,
+            tenant_admitted_totals,
+            tenant_rejected_totals,
+            peak_load,
+        }
+    }
+
     fn record(epoch: u64, balanced: bool, violations: Vec<u64>) -> EpochRecord {
         let tenants = violations.len();
         EpochRecord {
@@ -328,7 +327,7 @@ mod tests {
 
     #[test]
     fn summaries_aggregate_the_series() {
-        let report = SimReport::from_records(
+        let report = from_records(
             "unit",
             7,
             vec!["a".into(), "b".into()],
@@ -356,12 +355,8 @@ mod tests {
 
     #[test]
     fn json_roundtrips() {
-        let report = SimReport::from_records(
-            "roundtrip",
-            1,
-            vec!["only".into()],
-            vec![record(0, true, vec![0])],
-        );
+        let report =
+            from_records("roundtrip", 1, vec!["only".into()], vec![record(0, true, vec![0])]);
         let back: SimReport = serde_json::from_str(&report.to_json().unwrap()).unwrap();
         assert_eq!(back, report);
     }
@@ -379,7 +374,7 @@ mod tests {
             summary.observe(r);
         }
         let tenants = vec!["a".to_string(), "b".to_string()];
-        let buffered = SimReport::from_records("unit", 7, tenants.clone(), records);
+        let buffered = from_records("unit", 7, tenants.clone(), records);
         let streamed = summary.to_report("unit", 7, tenants);
         assert_eq!(streamed.epochs, buffered.epochs);
         assert_eq!(streamed.total_arrivals, buffered.total_arrivals);
@@ -399,13 +394,13 @@ mod tests {
     #[test]
     fn empty_summary_reports_like_an_empty_run() {
         let streamed = RunningSummary::default().to_report("empty", 0, vec![]);
-        let buffered = SimReport::from_records("empty", 0, vec![], vec![]);
+        let buffered = from_records("empty", 0, vec![], vec![]);
         assert_eq!(streamed, buffered);
     }
 
     #[test]
     fn empty_run_is_vacuously_balanced() {
-        let report = SimReport::from_records("empty", 0, vec![], vec![]);
+        let report = from_records("empty", 0, vec![], vec![]);
         assert_eq!(report.balanced_fraction, 1.0);
         assert!(report.last().is_none());
     }

@@ -9,21 +9,22 @@
 //! splits it once per pass with `split_at_mut`, so each shard holds the
 //! `&mut` stacks of its range; nothing is moved or copied. The pass's one
 //! O(n) scan gives each shard its *frontier*: the sorted local indices of
-//! its overloaded stacks. One protocol round runs in three phases:
+//! its overloaded stacks. One protocol round runs in two parallel phases,
+//! one pool task per shard each:
 //!
-//! 1. **eject + walk** (parallel, one task per shard): each frontier
-//!    stack, in ascending node order, ejects its cutting/above tasks and
-//!    keeps its accepted prefix (load ≤ T); each ejected task takes one
-//!    walk step into the shard's *outbox* of `(task, destination)`s;
-//! 2. **route** (sequential barrier): outboxes are concatenated in shard
-//!    order — which by contiguity *is* the global ascending-node-order
-//!    cohort of the sequential stepper — and routed into per-destination
-//!    shard inboxes, preserving that order;
-//! 3. **apply** (parallel): each shard pushes its inbox in routed order.
-//!    Only a stack that received a task can now be overloaded, so the
-//!    next frontier is the inbox's distinct destinations (a per-shard
-//!    mark dedups them), filtered to the overloaded ones and sorted; the
-//!    round is balanced iff every frontier is empty. O(cohort), not O(n).
+//! 1. **eject + walk**: each frontier stack, in ascending node order,
+//!    ejects its cutting/above tasks and keeps its accepted prefix
+//!    (load ≤ T); each ejected task takes one walk step and goes straight
+//!    into the source shard's bucket for its destination's shard, in
+//!    ascending (node, slot) order;
+//! 2. **apply**: each shard pushes its bucket from every source shard,
+//!    in source-shard order. By contiguity that *is* the global
+//!    ascending-node-order cohort of the sequential stepper, restricted to
+//!    the shard's own nodes. Only a stack that received a task can now be
+//!    overloaded, so the next frontier is the received tasks' distinct
+//!    destinations (a per-shard mark dedups them), filtered to the
+//!    overloaded ones and sorted; the round is balanced iff every
+//!    frontier is empty. O(cohort), not O(n).
 //!
 //! ## Determinism: counter-based walk words
 //!
@@ -41,7 +42,7 @@
 //! law against the exact transition matrix (the stream policy's re-pin
 //! justification).
 //!
-//! Because every phase is a pure function of the phase inputs and the
+//! Because both phases are pure functions of the phase inputs and the
 //! rayon shim's `collect` preserves input order, a run is bit-identical
 //! across `RAYON_NUM_THREADS` *and* across shard counts; the engine at
 //! `shards = 1` is the reference sequential semantics.
@@ -105,20 +106,24 @@ pub fn walk_dest(g: &Graph, kind: WalkKind, v: NodeId, word: u64) -> NodeId {
     g.neighbors(v).get(slot).copied().unwrap_or(v)
 }
 
-/// Per-pass observability for the sharded engine, collected only after
-/// [`ShardedEngine::enable_obs`]: a pass with obs off reads no clock.
+/// What one rebalancing pass did, returned by [`ShardedEngine::run`].
 ///
 /// The split follows the obs contract (`tlb-obs` crate docs):
 ///
-/// * `max_round_cohort` and `stacks_scanned` are **deterministic and
-///   shard-count-invariant** — pure functions of the pass inputs (the
-///   ejected total is [`ShardedEngine::migrations`]);
+/// * `rounds`, `migrations`, `balanced`, `max_round_cohort` and
+///   `stacks_scanned` are **deterministic and shard-count-invariant** —
+///   pure functions of the pass inputs;
 /// * `cross_shard_handoffs` is deterministic **for a fixed shard layout**
 ///   (one shard has none) — an execution-layout diagnostic;
-/// * the `*_ns` fields are wall clock: time inside each of the three
-///   round phases, the parallel ones summed over shards.
+/// * `timings` is wall clock, present only for a timed pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardPassStats {
+pub struct PassOutcome {
+    /// Rounds executed.
+    pub rounds: u64,
+    /// Walk steps taken: every ejected task, stays included.
+    pub migrations: u64,
+    /// Whether no resource exceeds the threshold after the pass.
+    pub balanced: bool,
     /// Largest single-round global cohort.
     pub max_round_cohort: u64,
     /// Stacks whose balance was checked: n for the initial scan, then
@@ -126,11 +131,17 @@ pub struct ShardPassStats {
     pub stacks_scanned: u64,
     /// Handoffs whose destination lay on another shard than their source.
     pub cross_shard_handoffs: u64,
-    /// Wall time in the parallel eject+walk phase, summed over shards.
+    /// Phase wall times; `None` unless the pass was timed.
+    pub timings: Option<PassTimings>,
+}
+
+/// Wall time inside each of a timed pass's two round phases, summed over
+/// shards and rounds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PassTimings {
+    /// The parallel eject+walk phase.
     pub eject_walk_ns: u64,
-    /// Wall time of the sequential route barrier.
-    pub route_ns: u64,
-    /// Wall time in the parallel apply+frontier phase, summed over shards.
+    /// The parallel apply+frontier phase.
     pub apply_ns: u64,
 }
 
@@ -138,66 +149,53 @@ pub struct ShardPassStats {
 /// its frontier (from the pass's one scan) and apply's dedup marks.
 type Shard<'a> = (NodeId, &'a mut [ResourceStack], Vec<NodeId>, Vec<bool>);
 
+/// One source shard's handoffs of a round, bucketed by destination shard.
+type Outbox = Vec<Vec<(TaskId, NodeId)>>;
+
 /// A sharded rebalancing pass: the resource-controlled protocol's round
 /// loop over stacks it borrows. Configure with [`ShardedEngine::new`] and
 /// drive with [`ShardedEngine::run`], which splits the caller's stacks by
-/// the partition's node ranges and rebalances them in place. The engine
-/// owns no stacks and holds no RNG: it draws its counter-based stream
-/// from the seed passed to `run`.
+/// the partition's node ranges, rebalances them in place and returns the
+/// [`PassOutcome`]. The engine owns no stacks, holds no RNG and keeps no
+/// counters: it draws its counter-based stream from the seed passed to
+/// `run`.
 #[derive(Debug, Clone)]
 pub struct ShardedEngine {
     partition: Partition,
     threshold: f64,
     walk: WalkKind,
     max_rounds: u64,
-    rounds: u64,
-    migrations: u64,
-    balanced: bool,
-    obs: Option<Box<ShardPassStats>>,
+}
+
+/// Nanoseconds since `t0`, or 0 for an untimed phase.
+fn elapsed_ns(t0: Option<Instant>) -> u64 {
+    t0.map_or(0, |t| t.elapsed().as_nanos() as u64)
 }
 
 impl ShardedEngine {
     /// Set up a pass over `partition`'s shards enforcing `threshold` with
     /// up to `max_rounds` rounds of `walk` steps.
     pub fn new(partition: Partition, threshold: f64, walk: WalkKind, max_rounds: u64) -> Self {
-        ShardedEngine {
-            partition,
-            threshold,
-            walk,
-            max_rounds,
-            rounds: 0,
-            migrations: 0,
-            balanced: false,
-            obs: None,
-        }
-    }
-
-    /// Turn on per-pass observability (idempotent). Off by default: a
-    /// pass without it takes no timestamps.
-    pub fn enable_obs(&mut self) {
-        self.obs.get_or_insert_with(Box::default);
-    }
-
-    /// The pass statistics, if [`enable_obs`](Self::enable_obs) was called.
-    pub fn obs(&self) -> Option<&ShardPassStats> {
-        self.obs.as_deref()
+        ShardedEngine { partition, threshold, walk, max_rounds }
     }
 
     /// Rebalance `stacks` (index = node id) in place: scan them once for
     /// the overloaded frontier, then run rounds until balanced or the
     /// round budget is spent. `weights` is the global task-weight table;
     /// `stream_seed` roots the counter-based walk stream (see
-    /// [`rebalance_seed`]).
+    /// [`rebalance_seed`]). With `timed`, the outcome carries the phase
+    /// wall times; without it the pass reads no clock.
     ///
     /// # Panics
     /// If the partition does not cover exactly `stacks.len()` nodes.
     pub fn run(
-        &mut self,
+        &self,
         stacks: &mut [ResourceStack],
         g: &Graph,
         weights: &[f64],
         stream_seed: u64,
-    ) {
+        timed: bool,
+    ) -> PassOutcome {
         let n = stacks.len();
         assert_eq!(self.partition.num_nodes(), n, "the partition must cover the {n} stacks");
         let mut shards: Vec<Shard> = Vec::with_capacity(self.partition.num_shards());
@@ -209,68 +207,72 @@ impl ShardedEngine {
             shards.push((r.start, shard, frontier, vec![false; r.len()]));
             rest = tail;
         }
-        self.balanced = shards.iter().all(|s| s.2.is_empty());
-        self.obs.iter_mut().for_each(|obs| obs.stacks_scanned += n as u64);
-        while !self.balanced && self.rounds < self.max_rounds {
-            let round_seed = epoch_seed(stream_seed, self.rounds);
-            self.round(&mut shards, g, weights, round_seed);
+        let mut pass = PassOutcome {
+            balanced: shards.iter().all(|s| s.2.is_empty()),
+            stacks_scanned: n as u64,
+            timings: timed.then(PassTimings::default),
+            ..PassOutcome::default()
+        };
+        while !pass.balanced && pass.rounds < self.max_rounds {
+            let round_seed = epoch_seed(stream_seed, pass.rounds);
+            self.round(&mut shards, g, weights, round_seed, &mut pass);
         }
+        pass
     }
 
-    /// One three-phase round (see the module docs).
-    fn round(&mut self, shards: &mut [Shard], g: &Graph, weights: &[f64], round_seed: u64) {
-        let (threshold, walk, timed) = (self.threshold, self.walk, self.obs.is_some());
-        // Phase 1: eject + walk, one pool task per shard; each outbox is in
-        // ascending (node, slot) order. The ns are 0 when obs is off.
-        let ejected: Vec<(Vec<(TaskId, NodeId)>, u64)> = shards
+    /// One two-phase round (see the module docs), folded into `pass`.
+    fn round(
+        &self,
+        shards: &mut [Shard],
+        g: &Graph,
+        weights: &[f64],
+        round_seed: u64,
+        pass: &mut PassOutcome,
+    ) {
+        let (threshold, walk, partition) = (self.threshold, self.walk, &self.partition);
+        let (timed, k) = (pass.timings.is_some(), shards.len());
+        // Phase 1: eject + walk, one pool task per source shard. Each
+        // handoff goes straight into the bucket of its destination shard,
+        // so every bucket is in ascending (node, slot) order. The buckets
+        // are fresh each round: kept across a pass, they fragmented the
+        // heap the stacks grow in and raised peak RSS by several MB.
+        let ejected: Vec<(Outbox, u64, u64, u64)> = shards
             .iter_mut()
+            .enumerate()
             .collect::<Vec<_>>()
             .into_par_iter()
-            .map(|(start, shard, frontier, _)| {
+            .map(|(from, (start, shard, frontier, _))| {
                 let t0 = timed.then(Instant::now);
-                let mut outbox = Vec::new();
+                let mut outbox: Outbox = vec![Vec::new(); k];
+                let (mut ejected, mut handoffs) = (0u64, 0u64);
                 let mut cohort: Vec<TaskId> = Vec::new();
                 for &i in &*frontier {
                     let v = *start + i;
                     cohort.clear();
                     shard[i as usize].remove_active_into(threshold, weights, &mut cohort);
-                    outbox.extend(cohort.iter().enumerate().map(|(slot, &t)| {
-                        (t, walk_dest(g, walk, v, walk_word(round_seed, v, slot as u64)))
-                    }));
+                    for (slot, &t) in cohort.iter().enumerate() {
+                        let dest = walk_dest(g, walk, v, walk_word(round_seed, v, slot as u64));
+                        let to = partition.shard_of(dest);
+                        handoffs += u64::from(to != from);
+                        outbox[to].push((t, dest));
+                    }
+                    ejected += cohort.len() as u64;
                 }
-                (outbox, t0.map_or(0, |t| t.elapsed().as_nanos() as u64))
+                (outbox, ejected, handoffs, elapsed_ns(t0))
             })
             .collect();
-        // Phase 2: route handoffs in shard order, which keeps each inbox in
-        // the canonical global cohort order the sequential stepper stacks.
-        let t_route = timed.then(Instant::now);
-        let mut inboxes: Vec<Vec<(TaskId, NodeId)>> = vec![Vec::new(); shards.len()];
-        let (mut cohort, mut handoffs) = (0u64, 0u64);
-        for (shard, (outbox, _)) in ejected.iter().enumerate() {
-            cohort += outbox.len() as u64;
-            for &(t, dest) in outbox {
-                let to = self.partition.shard_of(dest);
-                handoffs += u64::from(to != shard);
-                inboxes[to].push((t, dest));
-            }
-        }
-        self.migrations += cohort;
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.max_round_cohort = obs.max_round_cohort.max(cohort);
-            obs.cross_shard_handoffs += handoffs;
-            obs.eject_walk_ns += ejected.iter().map(|&(_, ns)| ns).sum::<u64>();
-            obs.route_ns += t_route.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        }
-        // Phase 3: apply inboxes; the overloaded destinations are the next frontier.
+        // Phase 2: each shard applies bucket `to` of every source shard in
+        // shard order — the canonical global cohort order the sequential
+        // stepper stacks. The overloaded destinations are the next frontier.
         let applied: Vec<(u64, u64)> = shards
             .iter_mut()
-            .zip(inboxes)
+            .enumerate()
             .collect::<Vec<_>>()
             .into_par_iter()
-            .map(|((start, shard, frontier, seen), inbox)| {
+            .map(|(to, (start, shard, frontier, seen))| {
                 let t0 = timed.then(Instant::now);
                 frontier.clear();
-                for (t, dest) in inbox {
+                for &(t, dest) in ejected.iter().flat_map(|(outbox, ..)| &outbox[to]) {
                     let i = dest - *start;
                     shard[i as usize].push(t, weights[t as usize]);
                     if !std::mem::replace(&mut seen[i as usize], true) {
@@ -281,31 +283,20 @@ impl ShardedEngine {
                 frontier.iter().for_each(|&i| seen[i as usize] = false);
                 frontier.retain(|&i| shard[i as usize].is_overloaded(threshold));
                 frontier.sort_unstable();
-                (scanned, t0.map_or(0, |t| t.elapsed().as_nanos() as u64))
+                (scanned, elapsed_ns(t0))
             })
             .collect();
-        if let Some(obs) = self.obs.as_deref_mut() {
-            obs.stacks_scanned += applied.iter().map(|&(scanned, _)| scanned).sum::<u64>();
-            obs.apply_ns += applied.iter().map(|&(_, ns)| ns).sum::<u64>();
+        let cohort: u64 = ejected.iter().map(|e| e.1).sum();
+        pass.migrations += cohort;
+        pass.max_round_cohort = pass.max_round_cohort.max(cohort);
+        pass.cross_shard_handoffs += ejected.iter().map(|e| e.2).sum::<u64>();
+        pass.stacks_scanned += applied.iter().map(|a| a.0).sum::<u64>();
+        if let Some(t) = pass.timings.as_mut() {
+            t.eject_walk_ns += ejected.iter().map(|e| e.3).sum::<u64>();
+            t.apply_ns += applied.iter().map(|a| a.1).sum::<u64>();
         }
-        self.balanced = shards.iter().all(|s| s.2.is_empty());
-        self.rounds += 1;
-    }
-
-    /// Rounds executed so far.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// Total walk steps taken: every ejected task, stays included.
-    pub fn migrations(&self) -> u64 {
-        self.migrations
-    }
-
-    /// Whether no resource exceeded the threshold after the last
-    /// [`run`](Self::run) (`false` before the first).
-    pub fn is_balanced(&self) -> bool {
-        self.balanced
+        pass.balanced = shards.iter().all(|s| s.2.is_empty());
+        pass.rounds += 1;
     }
 }
 
@@ -426,9 +417,14 @@ mod tests {
         let run_at = |k: usize| {
             let mut stacks = stacks.clone();
             let p = Partition::contiguous(36, k);
-            let mut eng = ShardedEngine::new(p, 5.0, WalkKind::MaxDegree, 64);
-            eng.run(&mut stacks, &g, &weights, 0xFEED);
-            (eng.rounds(), eng.migrations(), eng.is_balanced(), stacks)
+            let pass = ShardedEngine::new(p, 5.0, WalkKind::MaxDegree, 64).run(
+                &mut stacks,
+                &g,
+                &weights,
+                0xFEED,
+                false,
+            );
+            (pass.rounds, pass.migrations, pass.balanced, stacks)
         };
         let reference = run_at(1);
         for k in [2usize, 3, 5, 8, 36] {
@@ -441,33 +437,36 @@ mod tests {
     fn obs_counters_are_shard_count_invariant_and_off_by_default() {
         let g = torus2d(6, 6);
         let (stacks, weights) = loaded_stacks(36, &[(0, 40), (17, 25), (35, 10)]);
-        let run_at = |k: usize, obs: bool| {
+        let run_at = |k: usize, timed: bool| {
             let mut stacks = stacks.clone();
             let p = Partition::contiguous(36, k);
-            let mut eng = ShardedEngine::new(p, 5.0, WalkKind::MaxDegree, 64);
-            if obs {
-                eng.enable_obs();
-            }
-            eng.run(&mut stacks, &g, &weights, 0xFEED);
-            let stats = eng.obs().cloned();
-            (eng.rounds(), eng.migrations(), stacks, stats)
+            let pass = ShardedEngine::new(p, 5.0, WalkKind::MaxDegree, 64).run(
+                &mut stacks,
+                &g,
+                &weights,
+                0xFEED,
+                timed,
+            );
+            (pass, stacks)
         };
-        // Obs off: no stats, and the pass output matches the obs-on runs.
-        let (rounds, migrations, parts, none) = run_at(1, false);
-        assert_eq!(none, None, "obs must be opt-in");
-        let reference = run_at(1, true);
-        assert_eq!((reference.0, reference.1, &reference.2), (rounds, migrations, &parts));
-        let ref_stats = reference.3.expect("obs was enabled");
-        assert!(ref_stats.max_round_cohort > 0);
-        assert!(ref_stats.max_round_cohort <= migrations);
-        assert_eq!(ref_stats.cross_shard_handoffs, 0, "one shard has no handoffs");
+        // Untimed: no timings, and the pass output matches the timed runs.
+        let (reference, parts) = run_at(1, false);
+        assert_eq!(reference.timings, None, "timings must be opt-in");
+        let (timed, timed_parts) = run_at(1, true);
+        assert!(timed.timings.is_some());
+        assert_eq!(
+            (PassOutcome { timings: None, ..timed }, timed_parts),
+            (reference.clone(), parts.clone())
+        );
+        assert!(reference.max_round_cohort > 0);
+        assert!(reference.max_round_cohort <= reference.migrations);
+        assert_eq!(reference.cross_shard_handoffs, 0, "one shard has no handoffs");
         for k in [2usize, 3, 4, 8] {
-            let run = run_at(k, true);
-            assert_eq!((run.0, run.1, &run.2), (rounds, migrations, &parts));
-            let stats = run.3.expect("obs was enabled");
-            assert_eq!(stats.max_round_cohort, ref_stats.max_round_cohort, "shard count {k}");
-            assert_eq!(stats.stacks_scanned, ref_stats.stacks_scanned, "shard count {k}");
-            assert!(stats.cross_shard_handoffs <= migrations);
+            let (pass, after) = run_at(k, true);
+            assert_eq!(after, parts, "shard count {k}");
+            assert!(pass.cross_shard_handoffs <= pass.migrations);
+            let layout_free = PassOutcome { cross_shard_handoffs: 0, timings: None, ..pass };
+            assert_eq!(layout_free, reference, "shard count {k}");
         }
     }
 
@@ -478,10 +477,10 @@ mod tests {
         for k in [1usize, 2, 4, 10] {
             let mut after = stacks.clone();
             let p = Partition::contiguous(10, k);
-            let mut eng = ShardedEngine::new(p, f64::INFINITY, WalkKind::Lazy, 8);
-            eng.run(&mut after, &g, &weights, 3);
-            assert!(eng.is_balanced());
-            assert_eq!((eng.rounds(), eng.migrations()), (0, 0));
+            let pass = ShardedEngine::new(p, f64::INFINITY, WalkKind::Lazy, 8)
+                .run(&mut after, &g, &weights, 3, false);
+            assert!(pass.balanced);
+            assert_eq!((pass.rounds, pass.migrations), (0, 0));
             assert_eq!(after, stacks);
         }
     }
@@ -492,10 +491,15 @@ mod tests {
         // All load on one node, threshold so tight it cannot balance.
         let (mut stacks, weights) = loaded_stacks(4, &[(0, 50)]);
         let p = Partition::contiguous(4, 2);
-        let mut eng = ShardedEngine::new(p, 0.5, WalkKind::MaxDegree, 6);
-        eng.run(&mut stacks, &g, &weights, 9);
-        assert_eq!(eng.rounds(), 6);
-        assert!(!eng.is_balanced());
-        assert!(eng.migrations() > 0);
+        let pass = ShardedEngine::new(p, 0.5, WalkKind::MaxDegree, 6).run(
+            &mut stacks,
+            &g,
+            &weights,
+            9,
+            false,
+        );
+        assert_eq!(pass.rounds, 6);
+        assert!(!pass.balanced);
+        assert!(pass.migrations > 0);
     }
 }

@@ -31,6 +31,10 @@ use crate::domains::DomainSpec;
 /// scale.
 const LOAD_AUDIT_REL_TOL: f64 = 1e-9;
 
+/// Compact the churn overlay back to CSR once this many edge deltas
+/// accumulate.
+const COMPACT_AFTER_OPS: usize = 64;
+
 /// The largest weight of a task multiset and how many tasks carry it
 /// (`max = 0, count = 0` when empty).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -76,7 +80,7 @@ impl Ord for Ranked {
 /// All state an online simulation owns between epochs (see the module
 /// docs for the state/scheduler split).
 #[derive(Debug, Clone)]
-pub struct SimState {
+pub(crate) struct SimState {
     /// The churn overlay.
     pub(crate) dg: DynamicGraph,
     /// CSR snapshot of the effective graph the walk kernels use;
@@ -136,8 +140,8 @@ impl SimState {
 
     /// Re-snapshot the walk graph after churn, compacting the overlay
     /// first once enough edge deltas accumulated.
-    pub(crate) fn refresh_walk_graph(&mut self, compact_after_ops: usize) {
-        if self.dg.delta_ops() >= compact_after_ops {
+    pub(crate) fn refresh_walk_graph(&mut self) {
+        if self.dg.delta_ops() >= COMPACT_AFTER_OPS {
             self.dg.compact();
         }
         self.walk_graph = self.dg.snapshot();

@@ -209,12 +209,11 @@ proptest! {
             naive_rebalance(&mut want, &g, walk, &weights, threshold, 32, seed);
         for shards in 1..=n + 2 {
             let mut got = stacks.clone();
-            let mut engine =
-                ShardedEngine::new(Partition::contiguous(n, shards), threshold, walk, 32);
-            engine.run(&mut got, &g, &weights, seed);
+            let pass = ShardedEngine::new(Partition::contiguous(n, shards), threshold, walk, 32)
+                .run(&mut got, &g, &weights, seed, false);
             prop_assert_eq!(stack_bits(&got), stack_bits(&want), "shards {}", shards);
             prop_assert_eq!(
-                (engine.rounds(), engine.migrations(), engine.is_balanced()),
+                (pass.rounds, pass.migrations, pass.balanced),
                 (rounds, migrations, balanced),
                 "shards {}", shards
             );
@@ -227,7 +226,7 @@ proptest! {
     /// and its balanced flag equals a full `is_balanced` scan of them. So
     /// after every round the frontier the engine checks is exactly the
     /// full scan's overloaded set. Churned random expanders, truncated
-    /// Pareto weights, shard counts 1, 3 and 4.
+    /// Pareto weights, shard counts 1, 3, 4 and n + 2 (clamped to n).
     #[test]
     fn frontier_matches_a_full_scan_after_every_round(
         walk in prop_oneof![Just(WalkKind::MaxDegree), Just(WalkKind::Lazy)],
@@ -258,18 +257,17 @@ proptest! {
             let mut want = stacks.clone();
             let (rounds, migrations, balanced) =
                 naive_rebalance(&mut want, &g, walk, &weights, threshold, r, seed);
-            for shards in [1usize, 3, 4] {
+            for shards in [1usize, 3, 4, n + 2] {
                 let mut got = stacks.clone();
-                let mut engine =
-                    ShardedEngine::new(Partition::contiguous(n, shards), threshold, walk, r);
-                engine.run(&mut got, &g, &weights, seed);
+                let pass = ShardedEngine::new(Partition::contiguous(n, shards), threshold, walk, r)
+                    .run(&mut got, &g, &weights, seed, false);
                 prop_assert_eq!(stack_bits(&got), stack_bits(&want), "r {} shards {}", r, shards);
                 prop_assert_eq!(
-                    (engine.rounds(), engine.migrations(), engine.is_balanced()),
+                    (pass.rounds, pass.migrations, pass.balanced),
                     (rounds, migrations, balanced),
                     "r {} shards {}", r, shards
                 );
-                prop_assert_eq!(engine.is_balanced(), is_balanced(&got, threshold));
+                prop_assert_eq!(pass.balanced, is_balanced(&got, threshold));
             }
         }
     }
@@ -285,10 +283,10 @@ proptest! {
         let (stacks, weights) = workload;
         let mut after = stacks.clone();
         let partition = Partition::contiguous(stacks.len(), shards);
-        let mut engine = ShardedEngine::new(partition, 1e18, WalkKind::MaxDegree, 8);
-        engine.run(&mut after, &complete(stacks.len()), &weights, 7);
-        prop_assert!(engine.is_balanced());
-        prop_assert_eq!((engine.rounds(), engine.migrations()), (0, 0));
+        let pass = ShardedEngine::new(partition, 1e18, WalkKind::MaxDegree, 8)
+            .run(&mut after, &complete(stacks.len()), &weights, 7, false);
+        prop_assert!(pass.balanced);
+        prop_assert_eq!((pass.rounds, pass.migrations), (0, 0));
         prop_assert_eq!(stack_bits(&after), stack_bits(&stacks));
     }
 
@@ -583,8 +581,8 @@ proptest! {
         let total: f64 = weights.iter().sum();
         let threshold = (total / n as f64) * 1.2 + 1e-9;
         let partition = Partition::contiguous(n, shards);
-        let mut engine = ShardedEngine::new(partition, threshold, WalkKind::Lazy, 16);
-        engine.run(&mut stacks, &g, &weights, seed);
+        ShardedEngine::new(partition, threshold, WalkKind::Lazy, 16)
+            .run(&mut stacks, &g, &weights, seed, false);
         let after_total: f64 = stacks.iter().map(|s| s.load()).sum();
         prop_assert!((after_total - total).abs() < 1e-6,
             "weight not conserved: {} vs {}", after_total, total);
@@ -613,15 +611,14 @@ fn stacks_scanned_is_n_plus_the_distinct_destinations() {
             weights.push(1.0);
         }
     }
-    for shards in [1usize, 3, 4] {
+    for shards in [1usize, 3, 4, 8] {
         let mut after = stacks.clone();
-        let mut engine =
-            ShardedEngine::new(Partition::contiguous(6, shards), 3.0, WalkKind::MaxDegree, 5);
-        engine.enable_obs();
-        engine.run(&mut after, &g, &weights, 1);
-        assert!(!engine.is_balanced());
-        assert_eq!((engine.rounds(), engine.migrations()), (5, 3 + 4), "shards {shards}");
-        assert_eq!(engine.obs().unwrap().stacks_scanned, 6 + 2 + 4, "shards {shards}");
+        let pass =
+            ShardedEngine::new(Partition::contiguous(6, shards), 3.0, WalkKind::MaxDegree, 5)
+                .run(&mut after, &g, &weights, 1, false);
+        assert!(!pass.balanced);
+        assert_eq!((pass.rounds, pass.migrations), (5, 3 + 4), "shards {shards}");
+        assert_eq!(pass.stacks_scanned, 6 + 2 + 4, "shards {shards}");
         let loads: Vec<f64> = after.iter().map(ResourceStack::load).collect();
         assert_eq!(loads, [3.0, 2.0, 3.0, 4.0, 1.0, 1.0], "shards {shards}");
     }

@@ -211,15 +211,15 @@ impl RoundRule for Rebalance {
             rule::wave(k, &mut self.slots, &mut self.bins, rng);
             for (&i, &c) in self.slots.iter().zip(&self.bins) {
                 let (i, c) = (i as usize, c as usize);
-                let w = eng.weights[eng.cohort[i] as usize];
-                let fits = eng.stacks[cands[c] as usize].load() + w <= threshold;
+                let w = eng.weights()[eng.cohort[i] as usize];
+                let fits = eng.stacks()[cands[c] as usize].load() + w <= threshold;
                 migrated += land(eng, i, fits.then_some(cands[c]));
             }
             return migrated;
         }
         for i in 0..eng.cohort.len() {
-            let w = eng.weights[eng.cohort[i] as usize];
-            let load = |c: usize| eng.stacks[cands[c] as usize].load();
+            let w = eng.weights()[eng.cohort[i] as usize];
+            let load = |c: usize| eng.stacks()[cands[c] as usize].load();
             let c = match self.rule {
                 BaselineRule::Greedy { d } => Some(rule::greedy(k, d, load, rng)),
                 BaselineRule::OnePlusBeta { beta } => {
@@ -240,9 +240,7 @@ impl RoundRule for Rebalance {
 /// (`positions[i]`) if the rule found no bin. Returns the migrations made
 /// (1 or 0).
 fn land(eng: &mut RoundEngine, i: usize, dest: Option<NodeId>) -> u64 {
-    let t = eng.cohort[i];
-    let node = dest.unwrap_or(eng.positions[i]);
-    eng.stacks[node as usize].push(t, eng.weights[t as usize]);
+    eng.push(dest.unwrap_or(eng.positions[i]), eng.cohort[i]);
     dest.is_some() as u64
 }
 
@@ -318,7 +316,7 @@ mod tests {
         while !s.step(&g, &mut r) {}
         // Every bin except the hotspot source was only ever filled by
         // accepted (under-threshold) placements.
-        for (i, stack) in s.engine().stacks.iter().enumerate().skip(1) {
+        for (i, stack) in s.engine().stacks().iter().enumerate().skip(1) {
             assert!(stack.load() <= t + 1e-9, "bin {i} overfilled: {}", stack.load());
         }
     }
@@ -338,7 +336,7 @@ mod tests {
         let mut s = cfg.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
         s.run(&g, &mut r);
         assert!(s.engine().is_balanced());
-        assert!(s.engine().stacks[3].is_empty(), "isolated node received tasks");
+        assert!(s.engine().stacks()[3].is_empty(), "isolated node received tasks");
     }
 
     #[test]
@@ -353,7 +351,7 @@ mod tests {
         assert!(!eng.is_balanced());
         assert_eq!(eng.migrations(), 0);
         assert_eq!(eng.rounds(), 5);
-        assert_eq!(eng.stacks[0].num_tasks(), 9, "cohort must return to its source");
+        assert_eq!(eng.stacks()[0].num_tasks(), 9, "cohort must return to its source");
     }
 
     #[test]
@@ -379,7 +377,7 @@ mod tests {
             let eng = RoundEngine::new(stacks, vec![1.0; 7], 2.0, 1, false, false);
             let mut s = Stepper::new(eng, Rebalance::new(BaselineRule::ParallelThreshold));
             s.step(&g, &mut rng(seed));
-            let spare = &s.engine().stacks[2];
+            let spare = &s.engine().stacks()[2];
             if spare.tasks().contains(&2) {
                 wins[0] += 1;
             }
@@ -412,7 +410,7 @@ mod tests {
         first.run(&g, &mut r);
         let first = first.engine();
         assert!(!first.is_balanced());
-        let (stacks, weights) = (first.stacks.clone(), first.weights.clone());
+        let (stacks, weights) = (first.stacks().to_vec(), first.weights().to_vec());
 
         let rule = Rebalance::new(BaselineConfig::default().rule);
         let eng = RoundEngine::new(stacks, weights, first.threshold(), 10_000_000, false, false);

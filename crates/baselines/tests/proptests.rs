@@ -6,7 +6,8 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlb_baselines::{greedy, one_plus_beta, parallel_threshold, sequential_threshold};
-use tlb_core::task::TaskSet;
+use tlb_core::stack::ResourceStack;
+use tlb_core::task::{TaskId, TaskSet};
 
 fn arb_weights() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(1u32..30, 1..200)
@@ -84,6 +85,95 @@ proptest! {
             prop_assert!(w[1] <= w[0]);
         }
         prop_assert_eq!(*out.survivors_per_round.last().unwrap(), out.forced);
+    }
+}
+
+/// Check one round of Algorithm 5.1 ejection plus re-placement (`before`
+/// → `after`, moving `cohort`) against a scan from the bottom: every
+/// stack keeps exactly the prefix that scan accepts, what lies above it
+/// in `after` was pushed on top (the load is the fold of those pushes
+/// onto the prefix's load, bit for bit), and the tasks the scan ejects
+/// are the cohort and the pushes.
+fn check_round_against_fresh_scan(
+    before: &[ResourceStack],
+    after: &[ResourceStack],
+    weights: &[f64],
+    threshold: f64,
+    cohort: &[TaskId],
+) {
+    let (mut ejected, mut landed) = (Vec::new(), Vec::new());
+    for (r, (b, a)) in before.iter().zip(after).enumerate() {
+        let mut kept = b.clone();
+        if kept.is_overloaded(threshold) {
+            kept.remove_active_into(threshold, weights, &mut ejected);
+        }
+        let k = kept.num_tasks();
+        assert_eq!(a.tasks().get(..k), Some(kept.tasks()), "resource {r} prefix");
+        let pushed = &a.tasks()[k..];
+        let load = pushed.iter().fold(kept.load(), |h, &t| h + weights[t as usize]);
+        assert_eq!(a.load().to_bits(), load.to_bits(), "resource {r} load");
+        landed.extend_from_slice(pushed);
+    }
+    let mut moved = cohort.to_vec();
+    for ids in [&mut ejected, &mut landed, &mut moved] {
+        ids.sort_unstable();
+    }
+    assert_eq!(moved, ejected, "the cohort is not the ejected tasks");
+    assert_eq!(landed, ejected, "the pushes are not the ejected tasks");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The baselines eject through the round engine, which resumes each
+    /// scan where the resource's last ejection stopped. After every round
+    /// of every rule — Erdős–Rényi graphs (isolated nodes included),
+    /// integral two-point and non-integral truncated-Pareto weights — the
+    /// stacks and the cohort are those a scan from the bottom gives,
+    /// including the tasks a threshold rule sends back to their source.
+    #[test]
+    fn resumed_ejection_matches_a_fresh_scan_after_every_round(
+        n in 4usize..24,
+        rule in 0usize..5,
+        pareto in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        use tlb_baselines::{BaselineConfig, BaselineRule};
+        use tlb_core::placement::Placement;
+        use tlb_core::weights::WeightSpec;
+
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let g = tlb_graphs::generators::erdos_renyi(n, 0.4, &mut rng).unwrap();
+        let spec = if pareto {
+            WeightSpec::ParetoTruncated { m: 8 * n, alpha: 1.3, cap: 20.0 }
+        } else {
+            WeightSpec::TwoPoint { total: 10.0 * n as f64, k: 2, heavy: 7.0 }
+        };
+        let tasks = spec.generate(&mut rng);
+        let rule = [
+            BaselineRule::Greedy { d: 1 },
+            BaselineRule::Greedy { d: 2 },
+            BaselineRule::OnePlusBeta { beta: 0.5 },
+            BaselineRule::SequentialThreshold { retries: 2 },
+            BaselineRule::ParallelThreshold,
+        ][rule];
+        let cfg = BaselineConfig { rule, max_rounds: 200, ..Default::default() };
+        let mut stepper = cfg.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut rng);
+        loop {
+            let before = stepper.engine().stacks().to_vec();
+            let done = stepper.step(&g, &mut rng);
+            let eng = stepper.engine();
+            check_round_against_fresh_scan(
+                &before,
+                eng.stacks(),
+                eng.weights(),
+                eng.threshold(),
+                &eng.cohort,
+            );
+            if done {
+                break;
+            }
+        }
     }
 }
 

@@ -30,6 +30,25 @@
 //! * [`ProtocolKind`] — the serializable "which variant + its config"
 //!   value that constructs a [`Stepper`].
 //!
+//! ## Resumed ejection
+//!
+//! The engine keeps one *mark* `(len, height)` per resource: the accepted
+//! prefix its last Algorithm 5.1 ejection left, with the scan's exact
+//! fold as `height`. Between two ejections a one-shot run only pushes on
+//! top of a stack (the threshold is fixed for the run), so
+//! [`eject_active`](RoundEngine::eject_active) resumes each scan at the
+//! mark and reads the tasks pushed since plus the first one it ejects —
+//! not the whole accepted prefix again. The split and the load bits are
+//! those of a scan from the bottom (why: [`crate::stack`]); debug builds
+//! assert that on every ejection. A coin departure removes tasks from
+//! anywhere in a stack, so it resets that resource's mark to `(0, 0.0)`.
+//!
+//! Marks stay valid only because nothing else can change a stack: the
+//! stacks and weights are read-only outside the engine
+//! ([`stacks`](RoundEngine::stacks), [`weights`](RoundEngine::weights)),
+//! and a rule outside this crate lands its cohort with
+//! [`push`](RoundEngine::push).
+//!
 //! ## RNG-stream guarantee
 //!
 //! There is one dispatch path: the stepper hands the rule the RNG as a
@@ -93,8 +112,9 @@ impl ProtocolOutcome {
 
 /// Deterministic per-pass observability counters, accumulated by the
 /// round engine as a side effect of quantities every round computes
-/// anyway (cohort lengths) — a handful of integer adds per *round*, so
-/// tracking is unconditional and costs nothing measurable.
+/// anyway (cohort lengths, ejection splits) — a handful of integer adds
+/// per *round* plus one per ejected stack, so tracking is unconditional
+/// and costs nothing measurable.
 ///
 /// These are pure functions of the stack configuration, threshold, and
 /// seed: none of them reads a clock or consumes an RNG word, so they are
@@ -110,6 +130,10 @@ pub struct EngineStats {
     pub uniform_jump_draws: u64,
     /// Largest single-round migration cohort seen this pass.
     pub max_round_cohort: u64,
+    /// Stack entries whose weight Algorithm 5.1's ejection scan read:
+    /// per overloaded stack, the tasks from its mark up to and including
+    /// the first one ejected.
+    pub eject_weight_reads: u64,
 }
 
 impl EngineStats {
@@ -118,6 +142,7 @@ impl EngineStats {
     pub fn merge(&mut self, other: &EngineStats) {
         self.walk_steps += other.walk_steps;
         self.uniform_jump_draws += other.uniform_jump_draws;
+        self.eject_weight_reads += other.eject_weight_reads;
         self.max_round_cohort = self.max_round_cohort.max(other.max_round_cohort);
     }
 }
@@ -130,10 +155,19 @@ impl EngineStats {
 /// between protocols.
 #[derive(Debug, Clone)]
 pub struct RoundEngine {
-    /// Per-resource stacks (index = resource id).
-    pub stacks: Vec<ResourceStack>,
-    /// Weight per task id.
-    pub weights: Vec<f64>,
+    /// Per-resource stacks (index = resource id). Read-only outside the
+    /// engine ([`stacks`](Self::stacks)); [`push`](Self::push) is the one
+    /// outside mutation, so no caller can invalidate a `marks` entry.
+    stacks: Vec<ResourceStack>,
+    /// Weight per task id ([`weights`](Self::weights)).
+    weights: Vec<f64>,
+    /// Per resource: the accepted prefix `(len, height)` its last
+    /// Algorithm 5.1 ejection left, `height` being the scan's exact fold
+    /// over those `len` tasks; `(0, 0.0)` before the first ejection and
+    /// after a coin departure drains the stack. Only pushes on top
+    /// happen in between, so [`eject_active`](Self::eject_active) resumes
+    /// the scan there (see [`ResourceStack::remove_active_from`]).
+    marks: Vec<(usize, f64)>,
     /// Round buffer: the departing tasks of the current round, in
     /// departure order. Cleared by [`begin_round`](Self::begin_round).
     pub cohort: Vec<TaskId>,
@@ -188,6 +222,7 @@ impl RoundEngine {
         }
         let trace = record_trace.then(|| RoundTrace::start(&stacks, threshold, &weights));
         RoundEngine {
+            marks: vec![(0, 0.0); stacks.len()],
             stacks,
             weights,
             cohort: Vec::new(),
@@ -285,17 +320,59 @@ impl RoundEngine {
         self.stats
     }
 
+    /// The per-resource stacks (index = resource id).
+    pub fn stacks(&self) -> &[ResourceStack] {
+        &self.stacks
+    }
+
+    /// The weight of each task id.
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
+    }
+
+    /// Push `task` on top of resource `dest`'s stack: the arrival step a
+    /// [`RoundRule`] outside this crate uses to land its cohort.
+    pub fn push(&mut self, dest: NodeId, task: TaskId) {
+        self.stacks[dest as usize].push(task, self.weights[task as usize]);
+    }
+
     /// Algorithm 5.1's departures: every overloaded resource, in node
     /// order, ejects its cutting and above tasks (`I_a ∪ I_c`) into the
     /// cohort, and `positions[i]` records `cohort[i]`'s source. Draws no
     /// RNG.
+    ///
+    /// Each scan resumes from the resource's mark (see `marks`), so it
+    /// reads the tasks pushed since that resource's last ejection plus
+    /// the first one it ejects, not the whole stack. Debug builds check
+    /// every resumed split against a scan from the bottom.
     pub fn eject_active(&mut self) {
         for r in 0..self.stacks.len() as NodeId {
             let stack = &mut self.stacks[r as usize];
-            if stack.is_overloaded(self.threshold) {
-                stack.remove_active_into(self.threshold, &self.weights, &mut self.cohort);
-                self.positions.resize(self.cohort.len(), r);
+            if !stack.is_overloaded(self.threshold) {
+                continue;
             }
+            let fresh = cfg!(debug_assertions)
+                .then(|| stack.accepted_prefix_from(0, 0.0, self.threshold, &self.weights));
+            let mark = &mut self.marks[r as usize];
+            let removed = stack.remove_active_from(
+                mark.0,
+                mark.1,
+                self.threshold,
+                &self.weights,
+                &mut self.cohort,
+            );
+            let split = stack.num_tasks();
+            self.stats.eject_weight_reads += (split - mark.0 + usize::from(removed > 0)) as u64;
+            *mark = (split, stack.load());
+            // Both scans split the same stack, so equal splits eject the
+            // same tasks.
+            if let Some((len, height)) = fresh {
+                assert!(
+                    (len, height.to_bits()) == (split, stack.load().to_bits()),
+                    "resource {r}: the resumed ejection split differs from a scan from the bottom"
+                );
+            }
+            self.positions.resize(self.cohort.len(), r);
         }
     }
 
@@ -318,6 +395,7 @@ impl RoundEngine {
                 self.words.resize(stack.num_tasks(), 0);
                 rng.fill_u64(&mut self.words);
                 stack.drain_bernoulli_into(p, &self.words, &self.weights, &mut self.cohort);
+                self.marks[r as usize] = (0, 0.0);
             }
             self.positions.resize(self.cohort.len(), r);
         }
@@ -656,6 +734,7 @@ mod tests {
     use super::*;
     use crate::resource_protocol::{run_resource_controlled, run_resource_controlled_with_stats};
     use crate::user_protocol::run_user_controlled_with_stats;
+    use crate::weights::WeightSpec;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use tlb_graphs::generators::{complete, torus2d};
@@ -757,12 +836,12 @@ mod tests {
         let mcfg = MixedConfig::default();
         let kind = ProtocolKind::Mixed(mcfg.clone());
         let mixed = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut rng(2));
-        assert_eq!(heaviest(&mixed.engine().weights), 9.5);
+        assert_eq!(heaviest(mixed.engine().weights()), 9.5);
         assert_eq!(mixed.engine().threshold(), mcfg.threshold.value(tasks.total_weight(), 8, 9.5));
         let ucfg = UserControlledConfig::default();
         let kind = ProtocolKind::User(ucfg.clone());
         let user = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut rng(2));
-        assert_eq!(heaviest(&user.engine().weights), 9.5);
+        assert_eq!(heaviest(user.engine().weights()), 9.5);
         assert_eq!(user.engine().threshold(), ucfg.threshold.value(tasks.total_weight(), 8, 9.5));
     }
 
@@ -780,11 +859,11 @@ mod tests {
         assert_eq!(eng.rounds(), 0);
 
         eng.begin_round();
-        // Move the top task across by hand.
-        let mut moved = Vec::new();
-        assert_eq!(eng.stacks[0].remove_active_into(4.0, &eng.weights, &mut moved), 1);
-        for t in moved {
-            eng.stacks[1].push(t, eng.weights[t as usize]);
+        // Eject the top task and land it on the other resource by hand.
+        eng.eject_active();
+        assert_eq!(eng.cohort, [2]);
+        for t in std::mem::take(&mut eng.cohort) {
+            eng.push(1, t);
         }
         let done = eng.finish_round(1);
         assert!(done && eng.is_balanced());
@@ -796,6 +875,89 @@ mod tests {
         let trace = out.trace.expect("trace was recorded");
         assert_eq!(trace.rounds(), 1);
         assert_eq!(trace.total_migrations(), 1);
+    }
+
+    #[test]
+    fn eject_weight_reads_count_the_resumed_scans() {
+        // Unit weights, T = 3. Resource 0 holds tasks 0..5, resource 1
+        // tasks 5 and 6.
+        let mut stacks = vec![ResourceStack::new(); 2];
+        for id in 0..7 {
+            stacks[usize::from(id >= 5)].push(id, 1.0);
+        }
+        let mut eng = RoundEngine::new(stacks, vec![1.0; 7], 3.0, 100, false, false);
+        let reads = |eng: &RoundEngine| eng.obs_stats().eject_weight_reads;
+
+        // Round 1: resource 0 scans from the bottom: three accepted
+        // tasks and the cut at position 3, four reads; resource 1 is not
+        // overloaded and reads nothing.
+        eng.begin_round();
+        eng.eject_active();
+        assert_eq!((eng.cohort.as_slice(), reads(&eng)), ([3, 4].as_slice(), 4));
+        eng.push(1, 3);
+        eng.push(0, 4);
+        eng.finish_round(2);
+
+        // Round 2: resource 0 resumes at its mark (3, 3.0) and reads only
+        // the task pushed since, which it ejects; a scan from the bottom
+        // would have read four entries again.
+        eng.begin_round();
+        eng.eject_active();
+        assert_eq!((eng.cohort.as_slice(), reads(&eng)), ([4].as_slice(), 5));
+        assert_eq!(eng.stacks()[0].tasks(), [0, 1, 2]);
+        assert_eq!(eng.stacks()[1].tasks(), [5, 6, 3]);
+
+        // Round 3: landing task 4 overloads resource 1, which has no mark
+        // yet, so it scans from the bottom: tasks 5, 6, 3 accepted and
+        // task 4 cut, four reads.
+        eng.push(1, 4);
+        eng.finish_round(1);
+        eng.begin_round();
+        eng.eject_active();
+        assert_eq!((eng.cohort.as_slice(), reads(&eng)), ([4].as_slice(), 9));
+    }
+
+    /// Every mark is an accepted prefix of its stack: `len` within the
+    /// stack, `height` the exact bottom-up fold over those tasks, and at
+    /// most the threshold.
+    fn assert_marks_are_accepted_prefixes(eng: &RoundEngine) {
+        for (r, (s, &(len, height))) in eng.stacks.iter().zip(&eng.marks).enumerate() {
+            let prefix = s.tasks().get(..len).unwrap_or_else(|| {
+                panic!("resource {r}: mark {len} past a {}-task stack", s.num_tasks())
+            });
+            let fold = prefix.iter().fold(0.0, |h, &t| h + eng.weights[t as usize]);
+            assert_eq!(fold.to_bits(), height.to_bits(), "resource {r}: mark height");
+            assert!(height <= eng.threshold, "resource {r}: mark above the threshold");
+        }
+    }
+
+    #[test]
+    fn marks_stay_accepted_prefixes_when_coin_departures_drain_stacks() {
+        // No protocol mixes the two departure rules, so one engine runs
+        // the mixed protocol's all-active and Bernoulli rules on
+        // alternate rounds: ejections set marks, and coin departures
+        // drain stacks under them.
+        let g = torus2d(4, 4);
+        for seed in 0..16 {
+            let mut r = rng(seed);
+            let tasks =
+                WeightSpec::ParetoTruncated { m: 300, alpha: 1.1, cap: 30.0 }.generate(&mut r);
+            let mixed =
+                |departure| ProtocolKind::Mixed(MixedConfig { departure, ..Default::default() });
+            let (active, coins) = (mixed(Departure::AllActive), mixed(Departure::Bernoulli));
+            let mut rules = [active.rule(tasks.w_max()), coins.rule(tasks.w_max())];
+            let mut stepper = active.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut r);
+            let eng = &mut stepper.eng;
+            for round in 0..60 {
+                if eng.is_done() {
+                    break;
+                }
+                eng.begin_round();
+                let migrated = rules[round % 2].round(eng, &g, &mut r);
+                eng.finish_round(migrated);
+                assert_marks_are_accepted_prefixes(eng);
+            }
+        }
     }
 
     #[test]

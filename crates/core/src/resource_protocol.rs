@@ -328,7 +328,7 @@ mod tests {
         first.run(&g, &mut r);
         let first = first.engine();
         assert!(!first.is_balanced());
-        let (stacks, weights) = (first.stacks.clone(), first.weights.clone());
+        let (stacks, weights) = (first.stacks().to_vec(), first.weights().to_vec());
 
         let cfg2 = ResourceControlledConfig::default();
         let mut second = resume(stacks, weights, first.threshold(), cfg2);

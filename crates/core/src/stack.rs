@@ -4,6 +4,20 @@
 //! `i` is the total weight of tasks below it. Task `i` **cuts** the
 //! threshold `T` if `h_i < T < h_i + w_i`; it is **above** if `h_i ≥ T`;
 //! otherwise it is **below** (equivalently *accepted*: `h_i + w_i ≤ T`).
+//!
+//! ## Resuming Algorithm 5.1's ejection
+//!
+//! An overloaded resource ejects its cutting and above tasks: everything
+//! from the first height with `h + w > T` upward. The scan that finds
+//! that cut folds the weights bottom-up, and the fold only grows (a
+//! non-negative f64 add never lowers the sum), so an accepted prefix
+//! stays accepted while tasks are only pushed on top of it.
+//! [`ResourceStack::remove_active_from`] therefore takes a *mark* — the
+//! prefix length and the exact fold a previous scan left — and scans only
+//! from there, with the same split and the same load bits as a scan from
+//! the bottom ([`ResourceStack::remove_active_into`], the `(0, 0.0)`
+//! mark). The one-shot round engine keeps one mark per resource
+//! (`tlb_core::protocol::RoundEngine`).
 
 use rand::unit_f64;
 use serde::{Deserialize, Serialize};
@@ -123,27 +137,80 @@ impl ResourceStack {
     /// resource per round with a reused buffer, so it allocates nothing
     /// of its own. The cached load is reset to the exact accepted-prefix
     /// height, which also clears any accumulated f64 drift.
+    ///
+    /// This is [`remove_active_from`](Self::remove_active_from) scanning
+    /// from the bottom, `(0, 0.0)`.
+    #[inline]
     pub fn remove_active_into(
         &mut self,
         threshold: f64,
         weights: &[f64],
         out: &mut Vec<TaskId>,
     ) -> usize {
-        let mut h = 0.0;
-        let mut split = self.tasks.len();
-        for (pos, &t) in self.tasks.iter().enumerate() {
-            let w = weights[t as usize];
-            if h + w > threshold {
-                split = pos;
-                break;
-            }
-            h += w;
-        }
+        self.remove_active_from(0, 0.0, threshold, weights, out)
+    }
+
+    /// [`remove_active_into`](Self::remove_active_into) with the scan
+    /// resumed at stack position `len` from height `height`: the split
+    /// and the new load are those of the scan from the bottom whenever
+    /// the bottom `len` tasks are unchanged since a scan of the same
+    /// weights accepted them and `height` is that scan's fold over them.
+    ///
+    /// Why that is exact: the fresh scan tests `h + w > T`, and `h + w`
+    /// is its next fold value. Adding a non-negative weight never lowers
+    /// an f64 sum, so the folds below position `len` are at most
+    /// `height`, and `height ≤ T` (every accepted task passed the test),
+    /// so the fresh scan cannot stop below `len` and reaches it holding
+    /// `height` — the state this scan starts from. Only pushes on top
+    /// keep that true; a removal below `len` or a smaller threshold does
+    /// not, and the caller must then restart from `(0, 0.0)`.
+    ///
+    /// Reads the weights of positions `len` up to and including the
+    /// first task it ejects.
+    ///
+    /// # Panics
+    /// If `len` exceeds the stack length.
+    pub fn remove_active_from(
+        &mut self,
+        len: usize,
+        height: f64,
+        threshold: f64,
+        weights: &[f64],
+        out: &mut Vec<TaskId>,
+    ) -> usize {
+        let (split, h) = self.accepted_prefix_from(len, height, threshold, weights);
         let removed = self.tasks.len() - split;
         out.extend_from_slice(&self.tasks[split..]);
         self.tasks.truncate(split);
         self.load = h;
         removed
+    }
+
+    /// The accepted prefix `(length, height)` that Algorithm 5.1's scan
+    /// finds, resumed at position `len` from height `height` (see
+    /// [`remove_active_from`](Self::remove_active_from)): the scan stops
+    /// at the first task with `h + w > T`, and `height` is the exact
+    /// bottom-up fold over the prefix. The one scan loop of both
+    /// ejection methods; it only reads the stack.
+    ///
+    /// # Panics
+    /// If `len` exceeds the stack length.
+    pub(crate) fn accepted_prefix_from(
+        &self,
+        len: usize,
+        height: f64,
+        threshold: f64,
+        weights: &[f64],
+    ) -> (usize, f64) {
+        let mut h = height;
+        for (pos, &t) in (len..).zip(&self.tasks[len..]) {
+            let w = weights[t as usize];
+            if h + w > threshold {
+                return (pos, h);
+            }
+            h += w;
+        }
+        (self.tasks.len(), h)
     }
 
     /// Independently remove each task with probability `p` (the
@@ -344,6 +411,67 @@ mod tests {
         assert_eq!(out, vec![1, 2, 0]);
         assert_eq!(a.load(), 2.0);
         assert_eq!(b.load(), 1.0);
+    }
+
+    /// Eject from `ids_weights` by a scan from the bottom and by one
+    /// resumed at `len` from the bottom scan's own fold; both must leave
+    /// the same stack (ids and load bits) and eject the same tasks.
+    fn resumed_equals_fresh(ids_weights: &[(TaskId, f64)], len: usize, threshold: f64) -> usize {
+        let (mut fresh, weights) = stack_of(ids_weights);
+        let mut resumed = fresh.clone();
+        let height = ids_weights[..len].iter().fold(0.0, |h, &(_, w)| h + w);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let removed = fresh.remove_active_into(threshold, &weights, &mut a);
+        assert_eq!(resumed.remove_active_from(len, height, threshold, &weights, &mut b), removed);
+        assert_eq!((resumed.tasks(), &b), (fresh.tasks(), &a));
+        assert_eq!(resumed.load().to_bits(), fresh.load().to_bits());
+        removed
+    }
+
+    #[test]
+    fn remove_active_from_a_mark_in_the_middle() {
+        // Non-integral weights, T = 2.5: the fold reaches 2.1 after four
+        // tasks, and the fifth (0.7) cuts. Every resume point up to the
+        // cut gives the bottom scan's split and load bits.
+        let stack = [(0, 0.1), (1, 0.2), (2, 0.3), (3, 1.5), (4, 0.7), (5, 2.0)];
+        for len in 0..=4 {
+            assert_eq!(resumed_equals_fresh(&stack, len, 2.5), 2, "resume at {len}");
+        }
+    }
+
+    #[test]
+    fn remove_active_from_a_mark_at_exactly_the_threshold() {
+        // The accepted prefix fills T exactly (1 + 2 = 3): the next task
+        // ejects, whatever its weight.
+        let stack = [(0, 1.0), (1, 2.0), (2, 0.5), (3, 4.0)];
+        assert_eq!(resumed_equals_fresh(&stack, 2, 3.0), 2);
+        let (mut s, weights) = stack_of(&stack);
+        let mut out = Vec::new();
+        assert_eq!(s.remove_active_from(2, 3.0, 3.0, &weights, &mut out), 2);
+        assert_eq!(
+            (s.tasks(), out.as_slice(), s.load()),
+            ([0, 1].as_slice(), [2, 3].as_slice(), 3.0)
+        );
+    }
+
+    #[test]
+    fn remove_active_from_the_stack_top_reads_nothing() {
+        // A mark at the stack length: nothing above it to scan, nothing
+        // ejected, and the load is reset to the mark's height.
+        let stack = [(0, 1.0), (1, 2.0)];
+        assert_eq!(resumed_equals_fresh(&stack, 2, 3.0), 0);
+        let (mut s, weights) = stack_of(&stack);
+        let mut out = Vec::new();
+        assert_eq!(s.remove_active_from(2, 3.0, 3.0, &weights, &mut out), 0);
+        assert!(out.is_empty());
+        assert_eq!((s.num_tasks(), s.load()), (2, 3.0));
+    }
+
+    #[test]
+    #[should_panic]
+    fn remove_active_from_rejects_a_mark_past_the_top() {
+        let (mut s, weights) = stack_of(&[(0, 1.0)]);
+        s.remove_active_from(2, 1.0, 3.0, &weights, &mut Vec::new());
     }
 
     #[test]

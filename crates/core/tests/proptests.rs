@@ -5,13 +5,17 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tlb_core::assignment;
+use tlb_core::mixed_protocol::{Departure, MixedConfig};
 use tlb_core::placement::Placement;
+use tlb_core::protocol::ProtocolKind;
 use tlb_core::resource_protocol::{run_resource_controlled, ResourceControlledConfig};
-use tlb_core::task::TaskSet;
+use tlb_core::stack::ResourceStack;
+use tlb_core::task::{TaskId, TaskSet};
 use tlb_core::threshold::ThresholdPolicy;
 use tlb_core::user_protocol::{run_user_controlled, UserControlledConfig};
 use tlb_core::weights::WeightSpec;
 use tlb_graphs::generators;
+use tlb_walks::WalkKind;
 
 fn arb_weights() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(1u32..40, 1..120)
@@ -241,5 +245,114 @@ proptest! {
         moves_unsorted.sort_unstable();
         moves_sorted.sort_unstable();
         prop_assert_eq!(moves_unsorted, moves_sorted);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Resumed Algorithm 5.1 ejection against a scan from the bottom.
+
+/// Check one Algorithm 5.1 round (`before` → `after`, moving `cohort`)
+/// against a scan from the bottom: every stack keeps exactly the prefix
+/// that scan accepts, what lies above it in `after` was pushed on top
+/// (the load is the fold of those pushes onto the prefix's load, bit for
+/// bit), and the tasks the scan ejects are the cohort and the pushes.
+fn check_round_against_fresh_scan(
+    before: &[ResourceStack],
+    after: &[ResourceStack],
+    weights: &[f64],
+    threshold: f64,
+    cohort: &[TaskId],
+) {
+    let (mut ejected, mut landed) = (Vec::new(), Vec::new());
+    for (r, (b, a)) in before.iter().zip(after).enumerate() {
+        let mut kept = b.clone();
+        if kept.is_overloaded(threshold) {
+            kept.remove_active_into(threshold, weights, &mut ejected);
+        }
+        let k = kept.num_tasks();
+        assert_eq!(a.tasks().get(..k), Some(kept.tasks()), "resource {r} prefix");
+        let pushed = &a.tasks()[k..];
+        let load = pushed.iter().fold(kept.load(), |h, &t| h + weights[t as usize]);
+        assert_eq!(a.load().to_bits(), load.to_bits(), "resource {r} load");
+        landed.extend_from_slice(pushed);
+    }
+    let mut moved = cohort.to_vec();
+    for ids in [&mut ejected, &mut landed, &mut moved] {
+        ids.sort_unstable();
+    }
+    assert_eq!(moved, ejected, "the cohort is not the ejected tasks");
+    assert_eq!(landed, ejected, "the pushes are not the ejected tasks");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The round engine resumes each ejection scan where the resource's
+    /// last ejection stopped. After every round of the resource protocol
+    /// and of the mixed protocol's all-active rule — random regular and
+    /// Erdős–Rényi graphs (isolated nodes included), MaxDegree and Lazy
+    /// walks, integral two-point and non-integral truncated-Pareto
+    /// weights — the stacks and the cohort are those a scan from the
+    /// bottom gives.
+    #[test]
+    fn resumed_ejection_matches_a_fresh_scan_after_every_round(
+        n in 6usize..28,
+        regular in any::<bool>(),
+        lazy in any::<bool>(),
+        pareto in any::<bool>(),
+        mixed in any::<bool>(),
+        shuffle in any::<bool>(),
+        heavy in 0usize..5,
+        alpha in 0.8f64..2.5,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let g = if regular {
+            generators::random_regular(n & !1, 4, &mut rng)
+        } else {
+            generators::erdos_renyi(n, 0.3, &mut rng)
+        }
+        .unwrap();
+        let spec = if pareto {
+            WeightSpec::ParetoTruncated { m: 8 * n, alpha, cap: 20.0 }
+        } else {
+            WeightSpec::TwoPoint { total: 10.0 * n as f64, k: heavy, heavy: 7.0 }
+        };
+        let tasks = spec.generate(&mut rng);
+        let walk = if lazy { WalkKind::Lazy } else { WalkKind::MaxDegree };
+        let threshold = ThresholdPolicy::AboveAverage { epsilon: 0.1 };
+        let kind = if mixed {
+            ProtocolKind::Mixed(MixedConfig {
+                threshold,
+                departure: Departure::AllActive,
+                walk,
+                max_rounds: 300,
+                ..Default::default()
+            })
+        } else {
+            ProtocolKind::Resource(ResourceControlledConfig {
+                threshold,
+                walk,
+                shuffle_arrivals: shuffle,
+                max_rounds: 300,
+                ..Default::default()
+            })
+        };
+        let mut stepper = kind.new_stepper(&g, &tasks, Placement::AllOnOne(0), &mut rng);
+        loop {
+            let before = stepper.engine().stacks().to_vec();
+            let done = stepper.step(&g, &mut rng);
+            let eng = stepper.engine();
+            check_round_against_fresh_scan(
+                &before,
+                eng.stacks(),
+                eng.weights(),
+                eng.threshold(),
+                &eng.cohort,
+            );
+            if done {
+                break;
+            }
+        }
     }
 }

@@ -88,8 +88,8 @@ impl<'a> Sweep<'a> {
     /// * counters `<prefix>.<unit>`, `<prefix>.trials` and
     ///   `<prefix>.rounds`;
     /// * if any trial carried [`EngineStats`], their merge as
-    ///   `<prefix>.walk_steps` and `.uniform_jump_draws` plus the
-    ///   `<prefix>.max_round_cohort` gauge;
+    ///   `<prefix>.walk_steps`, `.uniform_jump_draws` and
+    ///   `.eject_weight_reads` plus the `<prefix>.max_round_cohort` gauge;
     /// * the batch wall time `<prefix>.sweep_ns`;
     /// * the rayon pool deltas the batch caused (`pool.threads`,
     ///   `pool.batches`, `pool.chunks_claimed`).
@@ -137,6 +137,7 @@ impl<'a> Sweep<'a> {
         if let Some(stats) = merged {
             reg.add(&self.key("walk_steps"), stats.walk_steps);
             reg.add(&self.key("uniform_jump_draws"), stats.uniform_jump_draws);
+            reg.add(&self.key("eject_weight_reads"), stats.eject_weight_reads);
             reg.set(&self.key("max_round_cohort"), stats.max_round_cohort);
         }
         (values, reg)
@@ -163,6 +164,7 @@ mod tests {
             rounds: s % 7,
             stats: Some(EngineStats {
                 walk_steps: 2,
+                eject_weight_reads: 3,
                 max_round_cohort: s % 13,
                 ..Default::default()
             }),
@@ -180,6 +182,7 @@ mod tests {
         assert_eq!(obs.counters["t.trials"], 12);
         assert_eq!(obs.counters["t.rounds"], all().map(|s| s % 7).sum::<u64>());
         assert_eq!(obs.counters["t.walk_steps"], 24);
+        assert_eq!(obs.counters["t.eject_weight_reads"], 36);
         assert_eq!(obs.counters["t.max_round_cohort"], all().map(|s| s % 13).max().unwrap());
         assert!(obs.timings.contains_key("t.sweep_ns") && obs.exec.contains_key("pool.batches"));
 
@@ -228,8 +231,8 @@ mod tests {
     /// their own test modules.
     #[test]
     fn every_driver_reports_its_sweep_through_the_runner() {
-        check(obs8::run, 2, "obs8", "points", &["rounds", "walk_steps"]);
-        check(mixed::run, 2, "mixed", "points", &["rounds"]);
+        check(obs8::run, 2, "obs8", "points", &["rounds", "walk_steps", "eject_weight_reads"]);
+        check(mixed::run, 2, "mixed", "points", &["rounds", "eject_weight_reads"]);
         check(figure1::run, 2, "figure1", "points", &["rounds", "uniform_jump_draws"]);
         check(figure2::run, 2, "figure2", "points", &["rounds", "uniform_jump_draws"]);
         check(related_work::run, 2, "related", "points", &[]);

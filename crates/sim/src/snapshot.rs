@@ -35,6 +35,11 @@
 //!   missing robustness state defaults to "feature off" (no domains,
 //!   admit everything, every offered arrival counted as admitted),
 //!   which is exactly what a v1 engine did.
+//! * **v3**: the config lost `compact_after_ops` (now a constant of the
+//!   state layer). Otherwise v2's layout, so v2 documents load as they
+//!   are: the key, if present, is ignored. Snapshots written before the
+//!   bump by builds that had already dropped the key also say v2 and
+//!   load the same way.
 
 use serde::{Deserialize, Serialize};
 use serde_json::{Number, Value};
@@ -51,7 +56,7 @@ use crate::metrics::RunningSummary;
 /// layout or the determinism contract it relies on changes; `load`
 /// rejects mismatches instead of misinterpreting old state (known old
 /// versions upgrade through a shim — see the module docs).
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// A versioned, serializable checkpoint of an online run at an epoch
 /// boundary (see the module docs for what is and is not captured).
@@ -115,6 +120,7 @@ impl SimSnapshot {
             Some(1) => {
                 upgrade_v1(&mut value).map_err(|e| anyhow::anyhow!("snapshot v1 upgrade: {e}"))?;
             }
+            Some(2) => {}
             Some(v) if v == u64::from(SNAPSHOT_VERSION) => {}
             other => anyhow::bail!(
                 "snapshot version {} unsupported (this build reads versions 1..={})",
@@ -122,8 +128,9 @@ impl SimSnapshot {
                 SNAPSHOT_VERSION
             ),
         }
-        let snap = <SimSnapshot as Deserialize>::from_value(&value)
+        let mut snap = <SimSnapshot as Deserialize>::from_value(&value)
             .map_err(|e| anyhow::anyhow!("snapshot parse: {e}"))?;
+        snap.version = SNAPSHOT_VERSION;
         Ok(snap)
     }
 
@@ -179,8 +186,9 @@ fn insert_missing(pairs: &mut Vec<(String, Value)>, key: &str, value: Value) {
     }
 }
 
-/// In-place v1 → v2 upgrade of a parsed snapshot document. The added
-/// state all defaults to "robustness features off", which is exactly
+/// In-place v1 → v2 upgrade of a parsed snapshot document (a v2
+/// document then reads as v3; see the module docs). The added state all
+/// defaults to "robustness features off", which is exactly
 /// the v1 engine's behaviour: no failure domains (so no recovery
 /// deadlines), `AdmissionPolicy::None` (so every offered arrival was
 /// admitted — the summary's new admitted total equals its arrival
@@ -205,7 +213,5 @@ fn upgrade_v1(value: &mut Value) -> Result<(), String> {
     insert_missing(summary, "total_rejected", Value::Number(Number::U(0)));
     insert_missing(summary, "tenant_admitted_tasks", Value::Array(Vec::new()));
     insert_missing(summary, "tenant_rejected_tasks", Value::Array(Vec::new()));
-
-    *field_mut(root, "version", "snapshot")? = Value::Number(Number::U(2));
     Ok(())
 }

@@ -67,10 +67,37 @@ fn v1_fixture_restores_and_keeps_running() {
 
 #[test]
 fn unknown_versions_are_rejected_not_guessed() {
-    let future = V1_FIXTURE.replacen("\"version\": 1", "\"version\": 3", 1);
-    assert!(future.contains("\"version\": 3"), "fixture must carry a leading version field");
+    let current = SimSnapshot::from_json(V1_FIXTURE).unwrap().to_json().unwrap();
+    let future = current.replacen("\"version\": 3", "\"version\": 4", 1);
+    assert!(future.contains("\"version\": 4"), "snapshot must carry a leading version field");
     let err = SimSnapshot::from_json(&future).unwrap_err().to_string();
-    assert!(err.contains("version"), "unhelpful error: {err}");
+    assert!(err.contains("version 4 unsupported"), "unhelpful error: {err}");
+}
+
+#[test]
+fn v2_documents_with_or_without_compact_after_ops_restore_like_v3() {
+    // v2 builds wrote `compact_after_ops` into the config; v3 dropped the
+    // key. A v2 document carrying it restores to the same state as its
+    // v3 twin, and so does a v2 document without it (written by builds
+    // that dropped the key before the version was bumped).
+    let v3 = SimSnapshot::from_json(V1_FIXTURE).unwrap().to_json().unwrap();
+    assert!(!v3.contains("compact_after_ops"), "v3 writes no compact_after_ops");
+    let without = v3.replacen("\"version\": 3", "\"version\": 2", 1);
+    let at = without.find("\"rebalance\":").expect("config names its rebalance policy");
+    let with = format!("{}\"compact_after_ops\": 64,\n    {}", &without[..at], &without[at..]);
+    let run = |doc: &str| {
+        let snap = SimSnapshot::from_json(doc).expect("v2 document loads");
+        assert_eq!(snap.version, SNAPSHOT_VERSION);
+        let mut sim = OnlineSim::restore(snap, complete(16)).expect("v2 document restores");
+        let state = sim.checkpoint().unwrap().to_json().unwrap();
+        for _ in 0..6 {
+            sim.run_epoch();
+        }
+        (state, sim.records().to_vec())
+    };
+    let twin = run(&v3);
+    assert_eq!(run(&with), twin);
+    assert_eq!(run(&without), twin);
 }
 
 #[test]
@@ -93,10 +120,10 @@ fn snapshots_naming_a_removed_rebalance_policy_are_rejected() {
 }
 
 #[test]
-fn current_snapshots_still_round_trip_at_version_2() {
+fn current_snapshots_round_trip_at_version_3() {
     let snap = SimSnapshot::from_json(V1_FIXTURE).unwrap();
     let json = snap.to_json().unwrap();
-    assert!(json.contains("\"version\": 2"));
+    assert!(json.contains("\"version\": 3"));
     let back = SimSnapshot::from_json(&json).unwrap();
     assert_eq!(back, snap);
 }

@@ -83,10 +83,10 @@ fn run_checked(
     stepper.run(g, rng);
     let eng = stepper.engine();
     assert!(eng.is_balanced(), "the run must end balanced");
-    assert!(eng.stacks.iter().all(|s| s.load() <= eng.threshold()), "a load exceeds T");
-    let placed: usize = eng.stacks.iter().map(|s| s.num_tasks()).sum();
+    assert!(eng.stacks().iter().all(|s| s.load() <= eng.threshold()), "a load exceeds T");
+    let placed: usize = eng.stacks().iter().map(|s| s.num_tasks()).sum();
     assert_eq!(placed, tasks.len(), "tasks lost or duplicated");
-    let load: f64 = eng.stacks.iter().map(|s| s.load()).sum();
+    let load: f64 = eng.stacks().iter().map(|s| s.load()).sum();
     let total = tasks.total_weight();
     assert!((load - total).abs() <= 1e-9 * total, "load {load} is not the total weight {total}");
     stepper.into_outcome()

@@ -245,7 +245,7 @@ fn incremental_stepping_reaches_the_one_shot_fixed_point() {
     let eng = stepper.engine();
     assert!(eng.is_balanced());
     let threshold = eng.threshold();
-    let stacks = &eng.stacks;
+    let stacks = eng.stacks();
     let total: f64 = stacks.iter().map(|s| s.load()).sum();
     assert!((total - tasks.total_weight()).abs() < 1e-6);
     assert!(stacks.iter().all(|s| s.load() <= threshold));

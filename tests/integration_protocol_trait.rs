@@ -163,7 +163,13 @@ fn one_shot_streams_are_pinned_at_fixed_seeds() {
     let (out, stats) =
         run_resource_controlled_with_stats(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut rng(205));
     assert_eq!(pin(&out), (7, 345, 10605306475946859589, 9975209507256154565));
-    assert_eq!(stats, EngineStats { walk_steps: 345, max_round_cohort: 289, ..Default::default() });
+    let walked = EngineStats {
+        walk_steps: 345,
+        max_round_cohort: 289,
+        eject_weight_reads: 123,
+        ..Default::default()
+    };
+    assert_eq!(stats, walked);
 
     let cfg = ResourceControlledConfig {
         shuffle_arrivals: true,
@@ -173,7 +179,13 @@ fn one_shot_streams_are_pinned_at_fixed_seeds() {
     let (out, stats) =
         run_resource_controlled_with_stats(&g, &tasks, Placement::AllOnOne(0), &cfg, &mut rng(206));
     assert_eq!(pin(&out), (78, 640, 7374818168238660677, digest([])));
-    assert_eq!(stats, EngineStats { walk_steps: 640, max_round_cohort: 289, ..Default::default() });
+    let walked = EngineStats {
+        walk_steps: 640,
+        max_round_cohort: 289,
+        eject_weight_reads: 308,
+        ..Default::default()
+    };
+    assert_eq!(stats, walked);
     let rows = &out.trace.as_ref().expect("record_trace must produce a trace").records;
     assert_eq!(rows.len(), 79);
     assert_eq!(digest(rows.iter().map(|r| r.potential)), 5310607852565482631);

@@ -34,11 +34,11 @@ pub struct Graph {
 
 impl Graph {
     /// Build directly from CSR parts with degree bounds the caller
-    /// already knows. Internal — callers use the builder, which owns a
-    /// per-node degree array anyway, so million-node snapshot
-    /// materialization (`DynamicGraph::snapshot`/`compact`, both routed
-    /// through the builder) no longer pays a full `offsets` rescan per
-    /// construction. Debug builds re-derive the extremes and assert.
+    /// already knows. Internal — the two callers, the builder and
+    /// `DynamicGraph::snapshot`, see every row's degree as they lay it
+    /// out, so million-node snapshot materialization pays no second
+    /// `offsets` scan per construction. Debug builds re-derive the
+    /// extremes and assert.
     pub(crate) fn from_csr_with_degree_bounds(
         offsets: Vec<usize>,
         neighbors: Vec<NodeId>,

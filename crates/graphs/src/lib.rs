@@ -10,9 +10,9 @@
 //!
 //! * a compact immutable [`Graph`] in CSR (compressed sparse row) form,
 //! * a mutable [`GraphBuilder`] for constructing graphs edge by edge,
-//! * a [`DynamicGraph`] churn overlay (node activate/deactivate, edge
-//!   add/remove over a CSR base, with compaction back to CSR) for the
-//!   online simulation's dynamic topologies,
+//! * a [`DynamicGraph`] churn overlay (a CSR base plus an active mask:
+//!   nodes deactivate and reactivate, the edges of `G` stay fixed) for
+//!   the online simulation's resources that leave and rejoin,
 //! * a [`Partition`] view splitting the node id space into contiguous
 //!   shard ranges for the sharded online engine,
 //! * [`generators`] for every graph family the paper's Table 1 and

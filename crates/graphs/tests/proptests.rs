@@ -7,40 +7,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tlb_graphs::{algo, generators, DynamicGraph, GraphBuilder, NodeId};
 
-/// One churn operation for the [`DynamicGraph`] model tests, decoded from
-/// `(kind % 4, u, v)`: 0 = add edge, 1 = remove edge, 2 = deactivate `u`,
-/// 3 = activate `u`.
-fn apply_churn(
-    dg: &mut DynamicGraph,
-    edges: &mut HashSet<(NodeId, NodeId)>,
-    active: &mut [bool],
-    kind: u8,
-    u: NodeId,
-    v: NodeId,
-) {
-    let key = (u.min(v), u.max(v));
-    match kind % 4 {
-        0 if u != v => {
-            dg.add_edge(u, v).unwrap();
-            edges.insert(key);
-        }
-        1 if u != v => {
-            dg.remove_edge(u, v).unwrap();
-            edges.remove(&key);
-        }
-        2 => {
-            dg.deactivate(u);
-            active[u as usize] = false;
-        }
-        3 => {
-            dg.activate(u);
-            active[u as usize] = true;
-        }
-        _ => {}
-    }
-}
-
-/// Rebuild the effective graph of the naive model from scratch.
+/// Rebuild the effective graph of the naive model from scratch: every
+/// base edge whose two endpoints are active.
 fn rebuild(n: usize, edges: &HashSet<(NodeId, NodeId)>, active: &[bool]) -> tlb_graphs::Graph {
     let mut b = GraphBuilder::new(n);
     for &(u, v) in edges {
@@ -175,14 +143,16 @@ proptest! {
         }
     }
 
-    /// After an arbitrary churn sequence, the overlay's degrees, neighbour
-    /// lists, and snapshot all match a from-scratch rebuild of the naive
-    /// edge-set + active-mask model.
+    /// After an arbitrary activate/deactivate sequence, the overlay's
+    /// snapshot and active count match a from-scratch rebuild of the
+    /// naive edge-set + active-mask model. The walk kernels index
+    /// neighbour order, so this pins `snapshot()` to the builder's CSR
+    /// exactly (`Graph` equality covers the cached degree bounds too).
     #[test]
     fn dynamic_graph_matches_from_scratch_rebuild(
         n in 2usize..24,
         base_edges in proptest::collection::vec((0u32..24, 0u32..24), 0..60),
-        ops in proptest::collection::vec((0u8..4, 0u32..24, 0u32..24), 0..80),
+        ops in proptest::collection::vec((any::<bool>(), 0u32..24), 0..80),
     ) {
         let mut b = GraphBuilder::new(n);
         let mut edges = HashSet::new();
@@ -194,66 +164,15 @@ proptest! {
             }
         }
         let mut dg = DynamicGraph::new(b.build());
-        for (kind, u, v) in ops {
-            let (u, v) = (u % n as u32, v % n as u32);
-            apply_churn(&mut dg, &mut edges, &mut active, kind, u, v);
+        for (up, v) in ops {
+            let v = v % n as u32;
+            let changed = if up { dg.activate(v) } else { dg.deactivate(v) };
+            prop_assert_eq!(changed, active[v as usize] != up);
+            active[v as usize] = up;
         }
 
-        let expected = rebuild(n, &edges, &active);
-        for v in 0..n as u32 {
-            let want =
-                if active[v as usize] { expected.neighbors(v).to_vec() } else { Vec::new() };
-            prop_assert_eq!(dg.degree(v), want.len());
-            prop_assert_eq!(dg.neighbors(v), want);
-        }
         prop_assert_eq!(dg.num_active(), active.iter().filter(|&&a| a).count());
-        prop_assert_eq!(dg.snapshot(), expected);
-    }
-
-    /// Compaction is a pure representation change: the snapshot is
-    /// unchanged, and walks over the snapshot take identical trajectories
-    /// before and after (same seed ⇒ same CSR ⇒ same steps).
-    #[test]
-    fn dynamic_graph_compaction_is_noop_on_walks(
-        n in 2usize..20,
-        base_edges in proptest::collection::vec((0u32..20, 0u32..20), 1..50),
-        ops in proptest::collection::vec((0u8..4, 0u32..20, 0u32..20), 0..60),
-        seed in any::<u64>(),
-    ) {
-        use tlb_walks::{WalkKind, Walker};
-
-        let mut b = GraphBuilder::new(n);
-        let mut edges = HashSet::new();
-        let mut active = vec![true; n];
-        for (u, v) in base_edges {
-            if u != v && (u as usize) < n && (v as usize) < n {
-                b.add_edge(u, v).unwrap();
-                edges.insert((u.min(v), u.max(v)));
-            }
-        }
-        let mut dg = DynamicGraph::new(b.build());
-        for (kind, u, v) in ops {
-            let (u, v) = (u % n as u32, v % n as u32);
-            apply_churn(&mut dg, &mut edges, &mut active, kind, u, v);
-        }
-
-        let before = dg.snapshot();
-        dg.compact();
-        prop_assert_eq!(dg.delta_ops(), 0);
-        let after = dg.snapshot();
-        prop_assert_eq!(&before, &after);
-
-        // Drive the max-degree walker over both snapshots with the same
-        // seed from every node: trajectories must be identical.
-        let wb = Walker::new(&before, WalkKind::MaxDegree);
-        let wa = Walker::new(&after, WalkKind::MaxDegree);
-        for start in 0..n as u32 {
-            let mut r1 = SmallRng::seed_from_u64(seed ^ start as u64);
-            let mut r2 = SmallRng::seed_from_u64(seed ^ start as u64);
-            for _ in 0..32 {
-                prop_assert_eq!(wb.step(start, &mut r1), wa.step(start, &mut r2));
-            }
-        }
+        prop_assert_eq!(dg.snapshot(), rebuild(n, &edges, &active));
     }
 
     /// Components partition the node set and count is consistent.

@@ -1,4 +1,10 @@
-//! Resource churn: scripted and stochastic topology changes.
+//! Resource churn: scripted and stochastic resource departures and
+//! returns.
+//!
+//! Churn is node activity only. The resources are the nodes of a fixed
+//! graph whose edges never change (Section 4 of the paper); every event
+//! below deactivates or reactivates resources, which hides or restores
+//! their edges in the walk graph.
 //!
 //! Production fleets lose racks to maintenance and gain capacity on a
 //! schedule, while individual machines flap at random. [`ChurnProcess`]
@@ -18,7 +24,7 @@ use tlb_graphs::NodeId;
 
 use crate::domains::{validate_domains_against_graph, DomainSpec, DomainSteering, OutageDuration};
 
-/// One scripted topology change.
+/// One scripted change of which resources are active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ChurnEvent {
     /// Resource leaves; its tasks are drained to the surviving resources.
@@ -45,20 +51,6 @@ pub enum ChurnEvent {
         /// One past the last id to restore.
         to: NodeId,
     },
-    /// Add a link.
-    AddEdge(
-        /// One endpoint.
-        NodeId,
-        /// The other endpoint.
-        NodeId,
-    ),
-    /// Remove a link.
-    RemoveEdge(
-        /// One endpoint.
-        NodeId,
-        /// The other endpoint.
-        NodeId,
-    ),
     /// Take a whole failure domain down for `duration` epochs — the
     /// scripted form of the stochastic domain-outage process. The
     /// domain recovers (whole range reactivated) at the start of epoch
@@ -128,24 +120,20 @@ impl ChurnProcess {
     }
 
     /// Node-count-dependent checks: every failure domain and every
-    /// scripted node id, id range and edge fits an `n`-node graph, and no
-    /// scripted edge is a self-loop. The engine runs this wherever a
-    /// config meets a graph (construction, restore, reconfigure), so a
-    /// bad id is rejected there instead of panicking on its epoch.
+    /// scripted node id and id range fits an `n`-node graph. The engine
+    /// runs this wherever a config meets a graph (construction, restore,
+    /// reconfigure), so a bad id is rejected there instead of panicking
+    /// on its epoch.
     ///
     /// # Errors
     /// Naming the first offending domain or event.
     pub fn validate_against_graph(&self, n: usize) -> Result<(), String> {
         validate_domains_against_graph(&self.domains, n)?;
-        let fits = |v: NodeId| (v as usize) < n;
         for &(epoch, ev) in &self.scripted {
             let ok = match ev {
-                ChurnEvent::Deactivate(v) | ChurnEvent::Activate(v) => fits(v),
+                ChurnEvent::Deactivate(v) | ChurnEvent::Activate(v) => (v as usize) < n,
                 ChurnEvent::DeactivateRange { from, to }
                 | ChurnEvent::ActivateRange { from, to } => from <= to && to as usize <= n,
-                ChurnEvent::AddEdge(u, v) | ChurnEvent::RemoveEdge(u, v) => {
-                    u != v && fits(u) && fits(v)
-                }
                 // Checked against the domain list by the engine.
                 ChurnEvent::DomainOutage { .. } => true,
             };
@@ -168,10 +156,11 @@ mod tests {
         let c = ChurnProcess::scripted(vec![
             (3, ChurnEvent::Deactivate(1)),
             (5, ChurnEvent::Activate(1)),
-            (3, ChurnEvent::AddEdge(0, 2)),
+            (3, ChurnEvent::DeactivateRange { from: 4, to: 6 }),
         ]);
         let at3: Vec<ChurnEvent> = c.events_at(3).collect();
-        assert_eq!(at3, vec![ChurnEvent::Deactivate(1), ChurnEvent::AddEdge(0, 2)]);
+        let range = ChurnEvent::DeactivateRange { from: 4, to: 6 };
+        assert_eq!(at3, vec![ChurnEvent::Deactivate(1), range]);
         assert_eq!(c.events_at(4).count(), 0);
         assert_eq!(c.events_at(5).count(), 1);
     }
@@ -181,7 +170,7 @@ mod tests {
         let ok = ChurnProcess::scripted(vec![
             (0, ChurnEvent::Deactivate(7)),
             (1, ChurnEvent::DeactivateRange { from: 4, to: 8 }),
-            (2, ChurnEvent::AddEdge(0, 7)),
+            (2, ChurnEvent::ActivateRange { from: 0, to: 8 }),
             (3, ChurnEvent::DomainOutage { domain: 0, duration: 2 }),
         ]);
         assert!(ok.validate_against_graph(8).is_ok());
@@ -190,8 +179,7 @@ mod tests {
             ChurnEvent::Activate(8),
             ChurnEvent::ActivateRange { from: 2, to: 9 },
             ChurnEvent::DeactivateRange { from: 5, to: 3 },
-            ChurnEvent::RemoveEdge(3, 3),
-            ChurnEvent::AddEdge(0, 99),
+            ChurnEvent::Deactivate(99),
         ] {
             let churn = ChurnProcess::scripted(vec![(0, bad)]);
             assert!(churn.validate_against_graph(8).is_err(), "{bad:?} accepted");

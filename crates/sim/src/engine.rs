@@ -199,9 +199,6 @@ struct ObsState {
 pub struct OnlineSim {
     cfg: SimConfig,
     tenants: TenantSet,
-    /// Pristine copy of the base graph the run started on — the
-    /// reference [`SimSnapshot`] deltas are computed against.
-    base: Graph,
     state: SimState,
     epoch: u64,
     records: Vec<EpochRecord>,
@@ -234,13 +231,12 @@ impl OnlineSim {
             panic!("{msg}");
         }
         let tenants = TenantSet::new(cfg.tenants.clone());
-        let mut state = SimState::new(base.clone());
+        let mut state = SimState::new(DynamicGraph::new(base));
         state.domain_down_until = vec![0; cfg.churn.domains.len()];
         state.admission_tokens = cfg.admission.initial_tokens(tenants.len());
         OnlineSim {
             cfg,
             tenants,
-            base,
             state,
             epoch: 0,
             records: Vec::new(),
@@ -345,7 +341,7 @@ impl OnlineSim {
             self.cfg.churn.domains == cfg.churn.domains,
             "failure domains cannot change mid-run (recovery deadlines index into them)"
         );
-        Self::try_validate(&cfg, self.base.num_nodes()).map_err(anyhow::Error::msg)?;
+        Self::try_validate(&cfg, self.state.dg.num_nodes()).map_err(anyhow::Error::msg)?;
         if self.cfg.admission != cfg.admission {
             self.state.admission_tokens = cfg.admission.initial_tokens(self.tenants.len());
         }
@@ -389,7 +385,8 @@ impl OnlineSim {
     ///   a full rescan;
     /// * every stack's cached load is within a relative 10⁻⁹ of its exact
     ///   weight sum (relative to the larger of that sum, `w_max` and 1);
-    /// * no task sits on an inactive resource;
+    /// * at least one resource is active, and no task sits on an
+    ///   inactive one;
     /// * every id slot is stacked once or free once, never both or twice;
     /// * every stacked task's weight is finite and positive.
     ///
@@ -525,7 +522,7 @@ impl OnlineSim {
     ///
     /// Flushes the sink first so the metrics stream on disk never lags
     /// the snapshot, then captures config, epoch counter, churn overlay
-    /// (as a canonical delta against the pristine base graph), stacks,
+    /// (its active mask; the base graph is not copied), stacks,
     /// task tables, and the streaming summary. See [`crate::snapshot`]
     /// for why no RNG state is needed.
     ///
@@ -540,7 +537,7 @@ impl OnlineSim {
             version: SNAPSHOT_VERSION,
             config: self.cfg.clone(),
             epoch: self.epoch,
-            graph: self.state.dg.delta_from(&self.base),
+            graph: self.state.dg.delta(),
             stacks: self.state.stacks.clone(),
             weights: self.state.weights.clone(),
             tenant_of: self.state.tenant_of.clone(),
@@ -552,11 +549,12 @@ impl OnlineSim {
         })
     }
 
-    /// Rebuild an engine from a checkpoint plus the pristine base graph
-    /// the original run was started on. The resumed engine continues
-    /// **bit-identically** to the uninterrupted run — same records, same
-    /// stream draws — across thread and shard counts, because all
-    /// randomness re-derives from `(seed, epoch)` at epoch boundaries.
+    /// Rebuild an engine from a checkpoint plus the base graph the
+    /// original run was started on (moved into the restored overlay).
+    /// The resumed engine continues **bit-identically** to the
+    /// uninterrupted run — same records, same stream draws — across
+    /// thread and shard counts, because all randomness re-derives from
+    /// `(seed, epoch)` at epoch boundaries.
     ///
     /// The record buffer starts empty (records before the checkpoint
     /// live wherever the original run's sink put them);
@@ -568,7 +566,7 @@ impl OnlineSim {
     /// If the snapshot version is unsupported, the config fails
     /// validation, the graph delta does not apply to `base`, or the
     /// restored state fails [`audit`](Self::audit) (task tables, id
-    /// accounting, weights, cached loads).
+    /// accounting, weights, cached loads, an active resource).
     pub fn restore(snap: SimSnapshot, base: Graph) -> anyhow::Result<Self> {
         anyhow::ensure!(
             snap.version == SNAPSHOT_VERSION,
@@ -601,16 +599,13 @@ impl OnlineSim {
                 "admission token balance outside [0, {burst}]"
             );
         }
-        let dg = DynamicGraph::from_delta(base.clone(), &snap.graph)
+        let dg = DynamicGraph::from_delta(base, &snap.graph)
             .map_err(|e| anyhow::anyhow!("snapshot graph delta does not apply: {e}"))?;
         let tenants = TenantSet::new(snap.config.tenants.clone());
         // At an epoch boundary the walk graph always equals the overlay
         // snapshot (any topology change refreshes it within the epoch),
-        // so re-deriving it here preserves bit-identity.
-        let walk_graph = dg.snapshot();
-        let mut state = SimState::new(base.clone());
-        state.dg = dg;
-        state.walk_graph = walk_graph;
+        // so `SimState::new` re-deriving it preserves bit-identity.
+        let mut state = SimState::new(dg);
         state.stacks = snap.stacks;
         state.weights = snap.weights;
         state.tenant_of = snap.tenant_of;
@@ -631,7 +626,6 @@ impl OnlineSim {
         Ok(OnlineSim {
             cfg: snap.config,
             tenants,
-            base,
             state,
             epoch: snap.epoch,
             records: Vec::new(),
@@ -754,7 +748,7 @@ impl OnlineSim {
             }
         }
         if topology_changed {
-            state.refresh_walk_graph();
+            state.walk_graph = state.dg.snapshot();
         }
         let t_churn = obs_on.then(Instant::now);
 

@@ -12,7 +12,8 @@
 //! via pluggable processes ([`ArrivalProcess`]: Poisson, batched, bursty;
 //! adversarial placement via [`ArrivalPlacement`]), tasks **depart**,
 //! resources **join and leave** ([`ChurnProcess`] over a
-//! `tlb_graphs::DynamicGraph` overlay), and the resource-controlled
+//! `tlb_graphs::DynamicGraph`: the fixed graph plus an active mask), and
+//! the resource-controlled
 //! protocol runs as an *incremental* rebalancing pass between events
 //! through the sharded engine of [`shard`]. Tenant classes carry their own
 //! [`ThresholdPolicy`](tlb_core::threshold::ThresholdPolicy) SLOs
@@ -48,9 +49,9 @@
 //!
 //! * **Checkpoint/restore** ([`SimSnapshot`] in [`snapshot`]):
 //!   [`OnlineSim::checkpoint`] serializes the full engine state at an
-//!   epoch boundary — config, epoch counter, the churn overlay as a
-//!   canonical delta against the pristine base graph, stacks, task
-//!   tables with the id-recycling freelist, and the running summary.
+//!   epoch boundary — config, epoch counter, the churn overlay's
+//!   active mask (the base graph is supplied again on restore), stacks,
+//!   task tables with the id-recycling freelist, and the running summary.
 //!   [`OnlineSim::restore`] rebuilds an engine that continues
 //!   **bit-identically** to the uninterrupted run, across thread *and*
 //!   shard counts: all randomness re-derives from `(seed, epoch)` at

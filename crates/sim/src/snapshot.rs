@@ -2,10 +2,10 @@
 //!
 //! A [`SimSnapshot`] captures everything a resumed engine needs to
 //! continue **bit-identically** to the uninterrupted run: the full
-//! configuration, the epoch counter, the churn overlay as a canonical
-//! [`DynamicDelta`] against the pristine base graph (the base CSR itself
-//! is *not* serialized — the restoring side supplies it, so a snapshot
-//! of a million-node run is the size of its churn, not its topology),
+//! configuration, the epoch counter, the churn overlay as a
+//! [`DynamicDelta`] (node count and active mask; the base CSR itself is
+//! *not* serialized — the restoring side supplies it, so a snapshot of
+//! a million-node run carries one flag per resource, not its topology),
 //! the per-resource stacks, the task tables with their id-recycling
 //! freelist, and the streaming metrics summary.
 //!
@@ -40,6 +40,14 @@
 //!   are: the key, if present, is ignored. Snapshots written before the
 //!   bump by builds that had already dropped the key also say v2 and
 //!   load the same way.
+//! * **v4**: the `graph` object is the node count and the active mask
+//!   (`num_nodes`, `active`), because churn is node activity only. v1–v3
+//!   documents also carried `added`/`removed` edge lists against the base
+//!   graph. Only scripted `AddEdge`/`RemoveEdge` events, which no
+//!   shipped scenario used, filled them, so [`SimSnapshot::from_json`] loads
+//!   documents whose lists are empty as they are. A document whose edge
+//!   lists are not empty is rejected: this build cannot replay edge
+//!   churn, and dropping the edges would resume on a different graph.
 
 use serde::{Deserialize, Serialize};
 use serde_json::{Number, Value};
@@ -56,7 +64,7 @@ use crate::metrics::RunningSummary;
 /// layout or the determinism contract it relies on changes; `load`
 /// rejects mismatches instead of misinterpreting old state (known old
 /// versions upgrade through a shim — see the module docs).
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// A versioned, serializable checkpoint of an online run at an epoch
 /// boundary (see the module docs for what is and is not captured).
@@ -69,8 +77,8 @@ pub struct SimSnapshot {
     /// Epochs executed before the checkpoint (the resumed engine runs
     /// epoch `epoch` next).
     pub epoch: u64,
-    /// Churn overlay as a canonical delta against the pristine base
-    /// graph the run was started with.
+    /// Churn overlay: the active mask over the base graph the run was
+    /// started with.
     pub graph: DynamicDelta,
     /// Per-resource stacks (index = resource id).
     pub stacks: Vec<ResourceStack>,
@@ -107,8 +115,9 @@ impl SimSnapshot {
     /// compatibility shim and rejecting unknown ones.
     ///
     /// # Errors
-    /// If the JSON is malformed or the `version` field is neither
-    /// [`SNAPSHOT_VERSION`] nor an upgradable older version.
+    /// If the JSON is malformed, the `version` field is neither
+    /// [`SNAPSHOT_VERSION`] nor an upgradable older version, or the
+    /// graph carries edge churn (see the v4 entry in the module docs).
     pub fn from_json(text: &str) -> anyhow::Result<Self> {
         let mut value: Value =
             serde_json::from_str(text).map_err(|e| anyhow::anyhow!("snapshot parse: {e:?}"))?;
@@ -120,7 +129,7 @@ impl SimSnapshot {
             Some(1) => {
                 upgrade_v1(&mut value).map_err(|e| anyhow::anyhow!("snapshot v1 upgrade: {e}"))?;
             }
-            Some(2) => {}
+            Some(2 | 3) => {}
             Some(v) if v == u64::from(SNAPSHOT_VERSION) => {}
             other => anyhow::bail!(
                 "snapshot version {} unsupported (this build reads versions 1..={})",
@@ -128,6 +137,7 @@ impl SimSnapshot {
                 SNAPSHOT_VERSION
             ),
         }
+        reject_edge_churn(&value)?;
         let mut snap = <SimSnapshot as Deserialize>::from_value(&value)
             .map_err(|e| anyhow::anyhow!("snapshot parse: {e}"))?;
         snap.version = SNAPSHOT_VERSION;
@@ -155,6 +165,26 @@ impl SimSnapshot {
         SimSnapshot::from_json(&text)
             .map_err(|e| anyhow::anyhow!("parsing snapshot {}: {e}", path.display()))
     }
+}
+
+/// Refuse a document whose `graph` lists edges added to or removed from
+/// the base graph (the v1–v3 `added`/`removed` keys). Empty lists are
+/// what every node-churn run wrote and load as they are.
+fn reject_edge_churn(value: &Value) -> anyhow::Result<()> {
+    let graph = value
+        .as_object()
+        .and_then(|o| o.iter().find(|(k, _)| k == "graph"))
+        .and_then(|(_, g)| g.as_object())
+        .unwrap_or_default();
+    for (key, list) in graph {
+        if matches!(key.as_str(), "added" | "removed") && list.as_array() != Some(&[]) {
+            anyhow::bail!(
+                "snapshot graph.{key} lists edge churn, which this build cannot replay \
+                 (churn is node activity only)"
+            );
+        }
+    }
+    Ok(())
 }
 
 /// The pairs of an object `Value`, or an error naming the site.

@@ -31,10 +31,6 @@ use crate::domains::DomainSpec;
 /// scale.
 const LOAD_AUDIT_REL_TOL: f64 = 1e-9;
 
-/// Compact the churn overlay back to CSR once this many edge deltas
-/// accumulate.
-const COMPACT_AFTER_OPS: usize = 64;
-
 /// The largest weight of a task multiset and how many tasks carry it
 /// (`max = 0, count = 0` when empty).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -117,10 +113,9 @@ pub(crate) struct SimState {
 }
 
 impl SimState {
-    /// Empty state over `base`: all resources active, no tasks.
-    pub(crate) fn new(base: Graph) -> Self {
-        let n = base.num_nodes();
-        let dg = DynamicGraph::new(base);
+    /// Empty state over the overlay `dg`, with no tasks.
+    pub(crate) fn new(dg: DynamicGraph) -> Self {
+        let n = dg.num_nodes();
         let walk_graph = dg.snapshot();
         SimState {
             dg,
@@ -136,15 +131,6 @@ impl SimState {
             domain_down_until: Vec::new(),
             admission_tokens: Vec::new(),
         }
-    }
-
-    /// Re-snapshot the walk graph after churn, compacting the overlay
-    /// first once enough edge deltas accumulated.
-    pub(crate) fn refresh_walk_graph(&mut self) {
-        if self.dg.delta_ops() >= COMPACT_AFTER_OPS {
-            self.dg.compact();
-        }
-        self.walk_graph = self.dg.snapshot();
     }
 
     /// Apply one churn event. Deactivating a resource drains its tasks to
@@ -183,18 +169,6 @@ impl SimState {
                     if self.dg.activate(v) {
                         *topology_changed = true;
                     }
-                }
-                0
-            }
-            ChurnEvent::AddEdge(u, v) => {
-                if self.dg.add_edge(u, v).expect("scripted edge must be valid") {
-                    *topology_changed = true;
-                }
-                0
-            }
-            ChurnEvent::RemoveEdge(u, v) => {
-                if self.dg.remove_edge(u, v).expect("scripted edge must be valid") {
-                    *topology_changed = true;
                 }
                 0
             }
@@ -465,6 +439,9 @@ impl SimState {
     /// [`OnlineSim::audit`](crate::OnlineSim::audit) for the list.
     pub(crate) fn audit(&self) -> Result<(), String> {
         self.audit_tables()?;
+        if self.dg.num_active() == 0 {
+            return Err("no resource is active".to_string());
+        }
         let scanned = self.scan_w_max();
         if self.w_max != scanned {
             return Err(format!("cached {:?} but a rescan finds {scanned:?}", self.w_max));
@@ -557,7 +534,7 @@ mod tests {
     /// Unit tasks laid out per `SIZES`; ids are assigned in admission
     /// order, so id = position in the concatenated stack order.
     fn layout() -> SimState {
-        let mut state = SimState::new(complete(SIZES.len()));
+        let mut state = SimState::new(DynamicGraph::new(complete(SIZES.len())));
         for (v, &k) in SIZES.iter().enumerate() {
             for _ in 0..k {
                 state.admit(1.0, 0, v as NodeId);
@@ -660,7 +637,7 @@ mod tests {
         let n = 40usize;
         for seed in 0..24u64 {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut state = SimState::new(complete(n));
+            let mut state = SimState::new(DynamicGraph::new(complete(n)));
             let mut changed = false;
             for _ in 0..rng.gen_range(0..6) {
                 state.apply_event(
@@ -699,7 +676,7 @@ mod tests {
 
     #[test]
     fn cached_w_max_follows_admissions_and_departures() {
-        let mut state = SimState::new(complete(2));
+        let mut state = SimState::new(DynamicGraph::new(complete(2)));
         for w in [2.0, 5.0, 1.0, 5.0] {
             state.admit(w, 0, 0);
         }

@@ -1,6 +1,8 @@
 //! Snapshot format compatibility: a v1 checkpoint written before the
 //! robustness layer existed (PR 7's `SNAPSHOT_VERSION = 1`) must keep
-//! loading through the upgrade shim in [`SimSnapshot::from_json`].
+//! loading through the upgrade shim in [`SimSnapshot::from_json`], and
+//! v2/v3 documents load as they are unless their graph carries edge
+//! churn, which this build cannot replay.
 //!
 //! The fixture `fixtures/snapshot_v1.json` was generated by the v1
 //! engine (epoch-12 checkpoint of the "steady" scenario on `K_16`,
@@ -11,6 +13,36 @@ use tlb_graphs::generators::complete;
 use tlb_sim::{AdmissionPolicy, OnlineSim, SimSnapshot, SNAPSHOT_VERSION};
 
 const V1_FIXTURE: &str = include_str!("fixtures/snapshot_v1.json");
+
+/// The fixture as the current build writes it.
+fn current_doc() -> String {
+    SimSnapshot::from_json(V1_FIXTURE).unwrap().to_json().unwrap()
+}
+
+/// `doc` (a current document) rewritten as an older build wrote it:
+/// stamped `version` and carrying the v1–v3 `graph` edge lists.
+fn as_old_version(doc: &str, version: u32, added: &str, removed: &str) -> String {
+    let doc = doc.replacen(
+        &format!("\"version\": {SNAPSHOT_VERSION}"),
+        &format!("\"version\": {version}"),
+        1,
+    );
+    let at = doc.find("\"graph\": {").expect("snapshot has a graph object") + "\"graph\": {".len();
+    format!("{}\"added\": {added}, \"removed\": {removed},{}", &doc[..at], &doc[at..])
+}
+
+/// Restore `doc` on the fixture's `K_16`; its checkpoint and the next
+/// six epochs' records.
+fn checkpoint_and_continuation(doc: &str) -> (String, Vec<tlb_sim::EpochRecord>) {
+    let snap = SimSnapshot::from_json(doc).expect("document loads");
+    assert_eq!(snap.version, SNAPSHOT_VERSION);
+    let mut sim = OnlineSim::restore(snap, complete(16)).expect("document restores");
+    let state = sim.checkpoint().unwrap().to_json().unwrap();
+    for _ in 0..6 {
+        sim.run_epoch();
+    }
+    (state, sim.records().to_vec())
+}
 
 #[test]
 fn v1_fixture_upgrades_in_place() {
@@ -67,11 +99,10 @@ fn v1_fixture_restores_and_keeps_running() {
 
 #[test]
 fn unknown_versions_are_rejected_not_guessed() {
-    let current = SimSnapshot::from_json(V1_FIXTURE).unwrap().to_json().unwrap();
-    let future = current.replacen("\"version\": 3", "\"version\": 4", 1);
-    assert!(future.contains("\"version\": 4"), "snapshot must carry a leading version field");
+    let future = current_doc().replacen("\"version\": 4", "\"version\": 5", 1);
+    assert!(future.contains("\"version\": 5"), "snapshot must carry a leading version field");
     let err = SimSnapshot::from_json(&future).unwrap_err().to_string();
-    assert!(err.contains("version 4 unsupported"), "unhelpful error: {err}");
+    assert!(err.contains("version 5 unsupported"), "unhelpful error: {err}");
 }
 
 #[test]
@@ -80,24 +111,65 @@ fn v2_documents_with_or_without_compact_after_ops_restore_like_v3() {
     // key. A v2 document carrying it restores to the same state as its
     // v3 twin, and so does a v2 document without it (written by builds
     // that dropped the key before the version was bumped).
-    let v3 = SimSnapshot::from_json(V1_FIXTURE).unwrap().to_json().unwrap();
-    assert!(!v3.contains("compact_after_ops"), "v3 writes no compact_after_ops");
-    let without = v3.replacen("\"version\": 3", "\"version\": 2", 1);
+    let current = current_doc();
+    assert!(!current.contains("compact_after_ops"), "the config has no compact_after_ops");
+    let v3 = as_old_version(&current, 3, "[]", "[]");
+    let without = as_old_version(&current, 2, "[]", "[]");
     let at = without.find("\"rebalance\":").expect("config names its rebalance policy");
     let with = format!("{}\"compact_after_ops\": 64,\n    {}", &without[..at], &without[at..]);
-    let run = |doc: &str| {
-        let snap = SimSnapshot::from_json(doc).expect("v2 document loads");
-        assert_eq!(snap.version, SNAPSHOT_VERSION);
-        let mut sim = OnlineSim::restore(snap, complete(16)).expect("v2 document restores");
-        let state = sim.checkpoint().unwrap().to_json().unwrap();
-        for _ in 0..6 {
-            sim.run_epoch();
-        }
-        (state, sim.records().to_vec())
-    };
-    let twin = run(&v3);
-    assert_eq!(run(&with), twin);
-    assert_eq!(run(&without), twin);
+    let twin = checkpoint_and_continuation(&v3);
+    assert_eq!(checkpoint_and_continuation(&with), twin);
+    assert_eq!(checkpoint_and_continuation(&without), twin);
+}
+
+#[test]
+fn v3_documents_without_edge_churn_restore_like_v4() {
+    // v1–v3 wrote the graph as an edge diff against the base plus the
+    // mask; node churn left the diff empty. Such a document is its v4
+    // twin with two empty lists, and must resume identically.
+    let v4 = current_doc();
+    let v3 = as_old_version(&v4, 3, "[]", "[]");
+    assert_eq!(checkpoint_and_continuation(&v3), checkpoint_and_continuation(&v4));
+}
+
+#[test]
+fn v3_documents_with_edge_churn_are_rejected() {
+    // This build cannot replay edge churn; loading such a document must
+    // fail loudly rather than drop the edges and resume on another graph.
+    let v4 = current_doc();
+    for (added, removed) in [("[[0, 1]]", "[]"), ("[]", "[[2, 3]]")] {
+        let doc = as_old_version(&v4, 3, added, removed);
+        let err = SimSnapshot::from_json(&doc).expect_err(added).to_string();
+        assert!(err.contains("edge churn"), "unhelpful error for {added}/{removed}: {err}");
+    }
+}
+
+#[test]
+fn snapshots_naming_a_removed_edge_event_are_rejected() {
+    // Older builds had `AddEdge`/`RemoveEdge` churn events. Churn is node
+    // activity only now, so a config scripting one must fail to load.
+    let doc = current_doc();
+    assert!(doc.contains("\"scripted\": []"), "the fixture scripts no churn");
+    for removed in [r#"{"AddEdge": [0, 2]}"#, r#"{"RemoveEdge": [0, 1]}"#] {
+        let old = doc.replacen("\"scripted\": []", &format!("\"scripted\": [[13, {removed}]]"), 1);
+        let err = SimSnapshot::from_json(&old).expect_err(removed).to_string();
+        assert!(err.contains("unknown variant"), "unhelpful error for {removed}: {err}");
+    }
+}
+
+#[test]
+fn snapshots_with_no_active_resource_are_rejected() {
+    // The engine never deactivates its last resource; a snapshot with
+    // none active has nowhere to place arrivals and must not restore.
+    let mut snap = SimSnapshot::from_json(V1_FIXTURE).unwrap();
+    snap.graph.active.fill(false);
+    snap.stacks.iter_mut().for_each(|s| *s = Default::default());
+    snap.weights.clear();
+    snap.tenant_of.clear();
+    snap.free_ids.clear();
+    snap.live = 0;
+    let err = OnlineSim::restore(snap, complete(16)).map(|_| ()).unwrap_err().to_string();
+    assert!(err.contains("no resource is active"), "unhelpful error: {err}");
 }
 
 #[test]
@@ -106,7 +178,7 @@ fn snapshots_naming_a_removed_rebalance_policy_are_rejected() {
     // protocol or a `Baseline` rule and wrote those policies into their
     // snapshots. This build runs only the resource policy, so loading
     // such a document must return an error, not panic.
-    let doc = SimSnapshot::from_json(V1_FIXTURE).unwrap().to_json().unwrap();
+    let doc = current_doc();
     let start = doc.find("\"rebalance\":").expect("config names its rebalance policy");
     let end = doc.find("\"rounds_per_epoch\"").expect("the field after it");
     for removed in [
@@ -120,10 +192,16 @@ fn snapshots_naming_a_removed_rebalance_policy_are_rejected() {
 }
 
 #[test]
-fn current_snapshots_round_trip_at_version_3() {
+fn current_snapshots_round_trip_at_version_4() {
     let snap = SimSnapshot::from_json(V1_FIXTURE).unwrap();
     let json = snap.to_json().unwrap();
-    assert!(json.contains("\"version\": 3"));
+    assert!(json.contains("\"version\": 4"));
+    // The graph is the node count and the active mask, nothing else.
+    let value: serde_json::Value = serde_json::from_str(&json).unwrap();
+    let graph = value.as_object().unwrap().iter().find(|(k, _)| k == "graph").unwrap();
+    let mut keys: Vec<&str> = graph.1.as_object().unwrap().iter().map(|(k, _)| &k[..]).collect();
+    keys.sort_unstable();
+    assert_eq!(keys, ["active", "num_nodes"]);
     let back = SimSnapshot::from_json(&json).unwrap();
     assert_eq!(back, snap);
 }
